@@ -3,8 +3,10 @@
 The weight C interpolates between the strict upper tail (C = 0) and the
 inclusive one (C = 1).  At fixed data the significance function, viewed as
 a function of the success probability, is a distribution function for that
-parameter; its inverse yields one-sided interval endpoints and an
-inverse-CDF sampler.
+parameter: the Clopper-Pearson pair (1 - C) Beta(x + 1, N - x) +
+C Beta(x, N - x + 1), where Beta(0, N + 1) is an atom at 0 and
+Beta(N + 1, 0) an atom at 1.  Its inverse yields one-sided interval
+endpoints and an inverse-CDF sampler.
 """
 
 from __future__ import annotations
@@ -78,29 +80,35 @@ def attainable_range(cd: ConfidenceDistribution) -> tuple[float, float]:
     return low, high
 
 
-def _inverse_significance_arrays(trials, x, weight, s, tol=_BISECT_TOL):
-    """Elementwise bisection solve of significance(pi) = s on [0, 1].
+def _quantile(trials, x, weight, u):
+    """Inverse of the significance function in pi, broadcasting over x and u.
 
     The significance function is monotone in pi but its derivative vanishes
-    at the boundaries, so plain bisection is used rather than Newton steps.
+    at the boundaries, so plain bisection is used rather than Newton steps;
+    every element halves the same bracket each step, so the loop runs in
+    lock-step.  Values of u below the attainable range land on the atom of
+    the confidence distribution at 0 (x = 0), values above it on the atom
+    at 1 (x = trials), which makes this a proper inverse-CDF sampler.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    x_b, s_b = np.broadcast_arrays(x, s)
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    x_b, u_b = np.broadcast_arrays(x, u)
     lo = np.zeros(x_b.shape)
     hi = np.ones(x_b.shape)
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        below = _significance_arrays(trials, x_b, weight, mid) < s_b
+        below = _significance_arrays(trials, x_b, weight, mid) < u_b
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-        if float(np.max(hi - lo)) <= tol:
+        if float(np.max(hi - lo)) <= _BISECT_TOL:
             break
-    return 0.5 * (lo + hi)
+    low = np.where(x_b == 0, weight, 0.0)
+    high = np.where(x_b < trials, 1.0, weight)
+    return np.where(u_b < low, 0.0, np.where(u_b > high, 1.0, 0.5 * (lo + hi)))
 
 
 def inverse_significance(cd: ConfidenceDistribution, s: float) -> float:
-    """The pi with significance(cd, pi) = s, found by bracketed bisection.
+    """The pi with significance(cd, pi) = s.
 
     Raises SignificanceRangeError when s is outside the attainable range or
     when the significance function is constant (x = 0 with C = 1, or
@@ -117,7 +125,7 @@ def inverse_significance(cd: ConfidenceDistribution, s: float) -> float:
             f"s={s} outside the attainable range [{low}, {high}] "
             f"for x={cd.successes}, N={cd.trials}, C={cd.weight}"
         )
-    return float(_inverse_significance_arrays(cd.trials, cd.successes, cd.weight, s)[0])
+    return float(_quantile(cd.trials, cd.successes, cd.weight, s)[0])
 
 
 def one_sided_interval(
@@ -149,27 +157,6 @@ def one_sided_interval(
     raise ValueError(f"side must be {SIDE_LOWER!r} or {SIDE_UPPER!r}, got {side!r}")
 
 
-def _sample_from_uniforms(cd: ConfidenceDistribution, u: np.ndarray) -> np.ndarray:
-    """Push uniforms through the inverse significance function.
-
-    Values outside the attainable range land on the boundary atoms of the
-    confidence distribution at 0 and 1, which is what makes this a proper
-    inverse-CDF sampler even for x = 0 or x = trials.
-    """
-    out = np.empty(u.shape)
-    low, high = attainable_range(cd)
-    below = u < low
-    above = u > high
-    out[below] = 0.0
-    out[above] = 1.0
-    mid = ~(below | above)
-    if mid.any():
-        out[mid] = _inverse_significance_arrays(
-            cd.trials, cd.successes, cd.weight, u[mid]
-        )
-    return out
-
-
 def sample_parameter(cd: ConfidenceDistribution, n_draws: int, seed) -> np.ndarray:
     """Draw parameter values distributed according to the significance curve.
 
@@ -179,4 +166,4 @@ def sample_parameter(cd: ConfidenceDistribution, n_draws: int, seed) -> np.ndarr
     if n_draws < 1:
         raise ValueError(f"n_draws must be at least 1, got {n_draws}")
     rng = np.random.default_rng(seed)
-    return _sample_from_uniforms(cd, rng.random(n_draws))
+    return _quantile(cd.trials, cd.successes, cd.weight, rng.random(n_draws))

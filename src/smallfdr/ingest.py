@@ -155,6 +155,7 @@ def load_abundance_csv(path) -> AbundanceMatrix:
     if len(rows) == 1:
         raise TableFormatError(f"{path}: header only; no feature rows found")
     features: list[str] = []
+    seen: set[str] = set()
     grid: list[list[float]] = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
@@ -162,10 +163,11 @@ def load_abundance_csv(path) -> AbundanceMatrix:
                 f"{path}, line {lineno}: expected {len(header)} cells, got {len(row)}"
             )
         feature = row[0].strip()
-        if feature in features:
+        if feature in seen:
             raise TableFormatError(
                 f"{path}, line {lineno}: duplicate feature label {feature!r}"
             )
+        seen.add(feature)
         values = []
         for j, cell in enumerate(row[1:], start=2):
             try:
@@ -192,11 +194,16 @@ def load_pvalues_csv(path, tie_break_seed: int = 0) -> PValueSet:
     if len(rows) == 1:
         raise TableFormatError(f"{path}: header only; no p-value rows found")
     pairs = []
+    seen: set[str] = set()
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != 2:
             raise TableFormatError(
                 f"{path}, line {lineno}: expected 2 cells, got {len(row)}"
             )
+        label = row[0].strip()
+        if label in seen:
+            raise TableFormatError(f"{path}, line {lineno}: duplicate id {label!r}")
+        seen.add(label)
         try:
             p = float(row[1])
         except ValueError:
@@ -207,5 +214,5 @@ def load_pvalues_csv(path, tie_break_seed: int = 0) -> PValueSet:
             raise TableFormatError(
                 f"{path}, line {lineno}: p-value {p} outside [0, 1]"
             )
-        pairs.append((row[0].strip(), p))
+        pairs.append((label, p))
     return PValueSet.from_pairs(pairs, tie_break_seed=tie_break_seed)

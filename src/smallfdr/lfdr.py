@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .confidence import _inverse_significance_arrays
+from .confidence import _quantile
 from .nfdr import (
     ESTIMATOR_KINDS,
     KIND_CORRECTED,
@@ -132,12 +132,7 @@ def _mean_head(
             for r in range(1, m + 1)
         ]
     )
-    # Attainable upper end of the significance range is weight when x = N;
-    # uniforms above it realize the atom of the confidence distribution at 1.
-    highs = np.where(xs < n, 1.0, weight)[:, None]
-    above = u > highs
-    pi = _inverse_significance_arrays(n, xs[:, None].astype(float), weight, u)
-    pi = np.where(above, 1.0, pi)
+    pi = _quantile(n, xs[:, None], weight, u)
     ratio = np.divide(
         alphas[:, None], pi, out=np.full(pi.shape, np.inf), where=pi > 0.0
     )
@@ -152,7 +147,6 @@ def lfdr_estimates(
     mc_draws: int = 100,
     seed: int = 0,
     mean_method: str = "monte_carlo",
-    quad_tol: float = 1e-10,
 ) -> LfdrResult:
     """Estimate the local FDR of every hypothesis from its p-value rank.
 
@@ -161,6 +155,8 @@ def lfdr_estimates(
     """
     if kind not in ESTIMATOR_KINDS:
         raise ValueError(f"kind must be one of {ESTIMATOR_KINDS}, got {kind!r}")
+    if weight is not None and not 0.0 <= weight <= 1.0:
+        raise ValueError(f"weight must lie in [0, 1], got {weight}")
     n = pvals.n
     p_sorted = pvals.sorted_p()
     ids_sorted = pvals.sorted_ids()
@@ -178,11 +174,7 @@ def lfdr_estimates(
         # With x = 2r >= 1 the only degenerate case is x = N with C < 1/2,
         # where the significance range tops out below 1/2.
         defined = (xs < n) | (w >= 0.5)
-        scales = np.ones(m)
-        if defined.any():
-            scales[defined] = _inverse_significance_arrays(
-                n, xs[defined].astype(float), w, 0.5
-            )
+        scales = _quantile(n, xs, w, 0.5)
         raw_head = np.where(defined, np.minimum(alphas / scales, 1.0), 1.0)
         trace = [
             NfdrEstimate(
@@ -200,7 +192,7 @@ def lfdr_estimates(
         w = 0.5 if weight is None else weight
         if mean_method == "quadrature":
             ests = [
-                mean_nfdr(float(a), int(x), n, weight=w, method="quadrature", tol=quad_tol)
+                mean_nfdr(float(a), int(x), n, weight=w, method="quadrature")
                 for a, x in zip(alphas, xs)
             ]
             raw_head = np.asarray([e.value for e in ests])

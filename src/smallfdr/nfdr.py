@@ -14,16 +14,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 
 from .confidence import (
     ConfidenceDistribution,
     SignificanceRangeError,
-    _inverse_significance_arrays,
-    attainable_range,
     inverse_significance,
     sample_parameter,
-    significance,
 )
 
 KIND_MLE = "mle"
@@ -147,37 +144,35 @@ def _capped_ratio(alpha: float, pi: np.ndarray) -> np.ndarray:
     return np.minimum(ratio, 1.0)
 
 
-def _mean_by_quadrature(alpha: float, cd: ConfidenceDistribution, tol: float) -> float:
-    """Integrate min(alpha/pi, 1) against the confidence distribution.
+def _mean_exact(alpha: float, cd: ConfidenceDistribution) -> float:
+    """Mean of min(alpha/pi, 1) under the confidence distribution, in closed form.
 
-    The integral runs in the u = significance(pi) variable, which removes
-    the 1/pi endpoint singularity; the boundary atoms at pi = 0 and pi = 1
-    are added analytically.
+    The distribution is (1 - C) Beta(x + 1, N - x) + C Beta(x, N - x + 1).
+    Above alpha a Beta(a, b) component weights its density by 1/pi, which
+    is (a + b - 1)/(a - 1) times the Beta(a - 1, b) density; at a = 1 that
+    integral is b * sum_{j >= b} (1 - alpha)^j / j, summed as the full
+    series -log(alpha) less its first b - 1 terms (alpha = 0 gives 0).
     """
-    low, high = attainable_range(cd)
-    value = low * 1.0 + (1.0 - high) * min(alpha, 1.0)
-    if high > low:
-        def integrand(u: float) -> float:
-            pi = float(
-                _inverse_significance_arrays(cd.trials, cd.successes, cd.weight, u)[0]
-            )
-            if pi <= 0.0:
-                return 1.0
-            return min(alpha / pi, 1.0)
+    def component(a: int, b: int) -> float:
+        if b == 0:  # the atom at pi = 1
+            return alpha
+        if a == 0:  # the atom at pi = 0, where the capped ratio is 1
+            return 1.0
+        below = special.betainc(a, b, alpha)
+        if a == 1:
+            j = np.arange(1.0, b)
+            series = special.xlogy(alpha, alpha) + alpha * np.sum((1.0 - alpha) ** j / j)
+            return below - b * series
+        # I_{1-alpha}(b, a - 1) is 1 - I_alpha(a - 1, b) without cancellation.
+        above = (a + b - 1) / (a - 1) * special.betainc(b, a - 1, 1.0 - alpha)
+        return below + alpha * above
 
-        points = None
-        if 0.0 < alpha < 1.0:
-            u_break = significance(cd, alpha)
-            if low < u_break < high:
-                points = [u_break]
-        part, _ = integrate.quad(
-            integrand, low, high, points=points, epsabs=tol, epsrel=tol, limit=200
-        )
-        value += part
+    x, n, c = cd.successes, cd.trials, cd.weight
+    value = float((1.0 - c) * component(x + 1, n - x) + c * component(x, n - x + 1))
     if not np.isfinite(value):
         raise NumericFailure(
-            f"quadrature for the mean estimator returned {value} "
-            f"(alpha={alpha}, x={cd.successes}, N={cd.trials}, C={cd.weight})"
+            f"the mean estimator evaluated to {value} "
+            f"(alpha={alpha}, x={x}, N={n}, C={c})"
         )
     return min(max(value, 0.0), 1.0)
 
@@ -190,18 +185,17 @@ def mean_nfdr(
     method: str = "monte_carlo",
     draws: int = 100,
     seed: int = 0,
-    tol: float = 1e-10,
     cap: str = CAP_PER_DRAW,
 ) -> NfdrEstimate:
     """Mean of the capped ratio min(alpha/pi, 1) over the confidence distribution.
 
     ``method`` is "monte_carlo" (average over ``draws`` inverse-CDF samples,
-    seeded) or "quadrature" (deterministic adaptive integration to ``tol``).
-    ``cap`` chooses where the unit bound applies in the Monte Carlo average:
+    seeded) or "quadrature" (the exact mean of the per-draw-capped ratio,
+    from the Beta-mixture form of the confidence distribution).  ``cap``
+    chooses where the unit bound applies in the Monte Carlo average:
     "per_draw" caps each sampled ratio, which bounds the variance where the
     raw ratio integral diverges near pi = 0; "final" averages raw ratios and
-    caps the mean.  Quadrature always integrates the per-draw-capped
-    integrand.
+    caps the mean.
     """
     _check_basic(alpha, x, trials)
     if not 0.0 <= weight <= 1.0:
@@ -212,7 +206,7 @@ def mean_nfdr(
         raise ValueError(f"cap must be {CAP_PER_DRAW!r} or {CAP_FINAL!r}, got {cap!r}")
     cd = ConfidenceDistribution(trials, x, weight)
     if method == "quadrature":
-        value = _mean_by_quadrature(alpha, cd, tol)
+        value = _mean_exact(alpha, cd)
         return NfdrEstimate(value, KIND_MEAN, alpha, x, trials, weight, value >= 1.0)
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")

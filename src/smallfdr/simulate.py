@@ -223,7 +223,7 @@ def pearson_skewness(samples) -> float:
 
 
 def _point_estimate(
-    kind: str, alpha: float, x: int, trials: int, weight: float | None, quad_tol: float
+    kind: str, alpha: float, x: int, trials: int, weight: float | None
 ) -> float:
     if kind == KIND_MLE:
         return mle_nfdr(alpha, x, trials).value
@@ -236,7 +236,6 @@ def _point_estimate(
             trials,
             weight=0.5 if weight is None else weight,
             method="quadrature",
-            tol=quad_tol,
         ).value
     raise ValueError(f"kind must be one of {ESTIMATOR_KINDS}, got {kind!r}")
 
@@ -247,7 +246,6 @@ def exact_small_n_coverage(
     pi: float,
     estimator_kind: str,
     weight: float | None = None,
-    quad_tol: float = 1e-10,
 ) -> float:
     """Exact probability that the estimate reaches the bound alpha / pi.
 
@@ -265,7 +263,7 @@ def exact_small_n_coverage(
     params = BinomialParams(trials, pi)
     total = 0.0
     for x in range(trials + 1):
-        estimate = _point_estimate(estimator_kind, alpha, x, trials, weight, quad_tol)
+        estimate = _point_estimate(estimator_kind, alpha, x, trials, weight)
         if estimate >= bound:
             total += binomial_pmf(params, x)
     return total

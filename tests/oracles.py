@@ -1,11 +1,15 @@
 """Independent reference implementations used only by the tests.
 
 These deliberately avoid the code paths under test: the incomplete beta
-uses a hand-rolled continued fraction, and the step-up rule is the plain
-textbook loop.
+uses a hand-rolled continued fraction, the mean estimator integrates the
+binomial tail polynomial term by term in mpmath, and the step-up rule is
+the plain textbook loop.
 """
 
 import math
+from fractions import Fraction
+
+import mpmath
 
 _CF_EPS = 1e-14
 _CF_MAX_ITER = 500
@@ -65,6 +69,30 @@ def betainc_cf(a: float, b: float, x: float) -> float:
     if x < (a + 1.0) / (a + b + 2.0):
         return math.exp(log_front) * _beta_cf(a, b, x) / a
     return 1.0 - math.exp(log_front) * _beta_cf(b, a, 1.0 - x) / b
+
+
+def mean_capped_ratio_mp(alpha: float, x: int, n: int, weight: float) -> float:
+    """E[min(alpha/pi, 1)] under the confidence distribution of x out of n.
+
+    With F(s) = Pr(X > x; s) + weight * Pr(X = x; s), the distribution
+    function of pi, the mean is alpha + alpha * int_alpha^1 F(s) / s^2 ds.
+    F is expanded into a polynomial with exact rational coefficients and
+    integrated term by term with n + 30 digits, enough for the 4^n-sized
+    coefficients to cancel; no Beta identity is used.
+    """
+    coeffs = [Fraction(0)] * (n + 1)
+    for k in range(x, n + 1):
+        scale = math.comb(n, k) * (Fraction(weight) if k == x else 1)
+        for i in range(n - k + 1):
+            coeffs[k + i] += scale * math.comb(n - k, i) * (-1) ** i
+    with mpmath.workdps(n + 30):
+        a = mpmath.mpf(alpha)
+        total = mpmath.mpf(0)
+        for m, c in enumerate(coeffs):
+            if c:
+                term = -mpmath.log(a) if m == 1 else (1 - a ** (m - 1)) / (m - 1)
+                total += mpmath.mpf(c.numerator) / c.denominator * term
+        return float(a + a * total)
 
 
 def textbook_bh(p_values, q: float) -> set[int]:

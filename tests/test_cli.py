@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import smallfdr
 from smallfdr.cli import main
 
 FIXTURE = Path(__file__).parent / "data" / "abundance_20protein.csv"
@@ -126,6 +130,15 @@ class TestBhCommand:
         assert lines[0] == "id,p,rank,rejected"
         assert lines[1].startswith("a,") and lines[1].endswith(",1")
         assert lines[3].endswith(",0")
+
+    def test_duplicate_ids_exit_code(self, tmp_path, capsys):
+        src = tmp_path / "p.csv"
+        write_pvalues(src, [("a", 0.001), ("a", 0.9), ("b", 0.5)])
+        out = tmp_path / "rej.csv"
+        code, _, err = run(["bh", src, "--q", "0.05", "--out", out], capsys)
+        assert code == 3
+        assert "line 3" in err and "duplicate id 'a'" in err
+        assert not out.exists()
 
     def test_bad_q(self, tmp_path, capsys):
         src = tmp_path / "p.csv"
@@ -268,6 +281,17 @@ class TestTtestCommand:
 
 
 class TestGlobalBehavior:
+    def test_import_leaves_out_scipy_integrate(self):
+        # scipy.integrate is slow to import and no command needs it.
+        src = str(Path(smallfdr.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, smallfdr.cli; print('scipy.integrate' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        assert done.stdout.strip() == "False"
+
     def test_unknown_command_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

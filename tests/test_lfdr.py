@@ -140,6 +140,12 @@ class TestLfdrEstimates:
         with pytest.raises(ValueError):
             lfdr_estimates(pset([0.1]), "shrunk")
 
+    @pytest.mark.parametrize("kind", ["mle", "corrected_median", "posterior_mean"])
+    @pytest.mark.parametrize("weight", [-0.1, 2.0, float("nan")])
+    def test_weight_outside_unit_interval(self, kind, weight):
+        with pytest.raises(ValueError, match="weight"):
+            lfdr_estimates(pset([0.01, 0.2, 0.5, 0.7]), kind, weight=weight)
+
 
 class TestBh:
     def test_example(self):

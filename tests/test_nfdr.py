@@ -16,6 +16,8 @@ from smallfdr import (
     true_nfdr,
 )
 
+from oracles import mean_capped_ratio_mp
+
 
 class TestTrueNfdr:
     def test_examples(self):
@@ -126,6 +128,15 @@ class TestMean:
             assert mc == pytest.approx(float(per_draw.mean()), abs=1e-12)
             se = float(per_draw.std(ddof=1)) / math.sqrt(len(per_draw))
             assert abs(mc - quad) <= 3 * se + 1e-12
+
+    def test_quadrature_matches_mpmath_oracle(self):
+        for n in range(1, 21):
+            for x in range(n + 1):
+                for c in (0.0, 0.3, 0.5, 1.0):
+                    for alpha in (1e-4, 0.05, 0.5, 1.0):
+                        got = mean_nfdr(alpha, x, n, weight=c, method="quadrature").value
+                        want = mean_capped_ratio_mp(alpha, x, n, c)
+                        assert abs(got - want) <= 1e-12, (n, x, c, alpha)
 
     def test_quadrature_deterministic(self):
         a = mean_nfdr(0.07, 3, 9, method="quadrature").value
