@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .distributions import _log_binomial_pmf
+from .distributions import _log_binomial_coef, _log_binomial_pmf
 
 _BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 200
@@ -48,25 +48,34 @@ class ConfidenceDistribution:
             raise ValueError(f"weight must lie in [0, 1], got {self.weight}")
 
 
-def _significance_arrays(trials, x, weight, pi):
-    """Pr(X > x; pi) + weight * Pr(X = x; pi), broadcasting over x and pi."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    pi = np.atleast_1d(np.asarray(pi, dtype=float))
-    x_b, pi_b = np.broadcast_arrays(x, pi)
-    sf = np.zeros(x_b.shape)
-    inner = x_b < trials
-    if inner.any():
-        xi = x_b[inner]
-        sf[inner] = special.betainc(xi + 1.0, trials - xi, pi_b[inner])
-    pmf = np.exp(_log_binomial_pmf(trials, x_b, pi_b))
-    return sf + weight * pmf
+def _significance_curve(trials, x, weight, shape):
+    """pi -> Pr(X > x; pi) + weight * Pr(X = x; pi) at fixed x, for pi of ``shape``.
+
+    ``x`` broadcasts to ``shape``.  The binomial log-coefficient, the Beta
+    parameters (x + 1, N - x) of the strict tail and the x < trials mask
+    depend on x alone, so they are computed once here rather than at every
+    evaluation; each element's value depends only on its own x and pi.
+    """
+    x = np.asarray(x, dtype=float)
+    log_coef = _log_binomial_coef(trials, x)
+    inner = np.broadcast_to(x < trials, shape)
+    x_inner = np.broadcast_to(x, shape)[inner]
+    a, b = x_inner + 1.0, trials - x_inner
+
+    def curve(pi):
+        sf = np.zeros(shape)
+        sf[inner] = special.betainc(a, b, pi[inner])
+        return sf + weight * np.exp(_log_binomial_pmf(trials, x, pi, log_coef))
+
+    return curve
 
 
 def significance(cd: ConfidenceDistribution, pi: float) -> float:
     """Weighted upper-tail probability at success probability ``pi``."""
     if not 0.0 <= pi <= 1.0:
         raise ValueError(f"pi must lie in [0, 1], got {pi}")
-    return float(_significance_arrays(cd.trials, cd.successes, cd.weight, pi)[0])
+    curve = _significance_curve(cd.trials, cd.successes, cd.weight, (1,))
+    return float(curve(np.asarray([pi], dtype=float))[0])
 
 
 def attainable_range(cd: ConfidenceDistribution) -> tuple[float, float]:
@@ -84,27 +93,31 @@ def _quantile(trials, x, weight, u):
     """Inverse of the significance function in pi, broadcasting over x and u.
 
     The significance function is monotone in pi but its derivative vanishes
-    at the boundaries, so plain bisection is used rather than Newton steps;
-    every element halves the same bracket each step, so the loop runs in
-    lock-step.  Values of u below the attainable range land on the atom of
-    the confidence distribution at 0 (x = 0), values above it on the atom
-    at 1 (x = trials), which makes this a proper inverse-CDF sampler.
+    at the boundaries, so plain bisection is used rather than Newton steps.
+    Every element halves the same [0, 1] bracket each step, so the loop runs
+    in lock-step and the stop test sees the same width everywhere: an
+    element's result does not depend on what else is in the batch, and a
+    stack of (x, u) rows gives exactly the per-row results.  Values of u
+    below the attainable range land on the atom of the confidence
+    distribution at 0 (x = 0), values above it on the atom at 1
+    (x = trials), which makes this a proper inverse-CDF sampler.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    x_b, u_b = np.broadcast_arrays(x, u)
-    lo = np.zeros(x_b.shape)
-    hi = np.ones(x_b.shape)
+    shape = np.broadcast_shapes(x.shape, u.shape)
+    curve = _significance_curve(trials, x, weight, shape)
+    lo = np.zeros(shape)
+    hi = np.ones(shape)
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        below = _significance_arrays(trials, x_b, weight, mid) < u_b
+        below = curve(mid) < u
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
         if float(np.max(hi - lo)) <= _BISECT_TOL:
             break
-    low = np.where(x_b == 0, weight, 0.0)
-    high = np.where(x_b < trials, 1.0, weight)
-    return np.where(u_b < low, 0.0, np.where(u_b > high, 1.0, 0.5 * (lo + hi)))
+    low = np.where(x == 0, weight, 0.0)
+    high = np.where(x < trials, 1.0, weight)
+    return np.where(u < low, 0.0, np.where(u > high, 1.0, 0.5 * (lo + hi)))
 
 
 def inverse_significance(cd: ConfidenceDistribution, s: float) -> float:

@@ -51,25 +51,34 @@ def _check_count(params: BinomialParams, x: int) -> None:
         raise ValueError(f"x must lie in [0, {params.trials}], got {x}")
 
 
-def _log_binomial_pmf(trials, x, p):
-    """Log binomial mass; broadcasts over ``x`` and ``p``.
-
-    xlogy/xlog1py give the correct 0*log(0) = 0 limits at p = 0 and p = 1.
-    """
+def _log_binomial_coef(trials, x):
+    """Log of the binomial coefficient (trials choose x); broadcasts over ``x``."""
     x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    coef = (
+    return (
         special.gammaln(trials + 1.0)
         - special.gammaln(x + 1.0)
         - special.gammaln(trials - x + 1.0)
     )
-    return coef + special.xlogy(x, p) + special.xlog1py(trials - x, -p)
+
+
+def _log_binomial_pmf(trials, x, p, log_coef):
+    """Log binomial mass given ``log_coef = _log_binomial_coef(trials, x)``.
+
+    Broadcasts over ``x`` and ``p``; callers that evaluate many p at fixed
+    x compute the coefficient once.  xlogy/xlog1py give the correct
+    0*log(0) = 0 limits at p = 0 and p = 1.
+    """
+    x = np.asarray(x, dtype=float)
+    p = np.asarray(p, dtype=float)
+    return log_coef + special.xlogy(x, p) + special.xlog1py(trials - x, -p)
 
 
 def binomial_pmf(params: BinomialParams, x: int) -> float:
     """Pr(X = x) for X binomial with the given parameters."""
     _check_count(params, x)
-    return float(np.exp(_log_binomial_pmf(params.trials, float(x), params.success_prob)))
+    n, k = params.trials, float(x)
+    log_pmf = _log_binomial_pmf(n, k, params.success_prob, _log_binomial_coef(n, k))
+    return float(np.exp(log_pmf))
 
 
 def binomial_sf(params: BinomialParams, x: int) -> float:

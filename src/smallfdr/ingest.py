@@ -107,25 +107,35 @@ def pooled_t_statistic(a, b) -> tuple[float, int]:
 def two_sample_t_pvalues(matrix: AbundanceMatrix, tie_break_seed: int = 0) -> PValueSet:
     """Two-sided pooled-variance t-test p-value for every feature.
 
-    Features with zero pooled variance carry no evidence either way and are
-    recorded as p = 1 with a warning.
+    Features with zero pooled variance (each group constant) carry no
+    evidence either way and are recorded as p = 1, named in one warning.
     """
-    case_cols = matrix.columns(GROUP_CASE)
-    control_cols = matrix.columns(GROUP_CONTROL)
+    case = matrix.values[:, matrix.columns(GROUP_CASE)]
+    control = matrix.values[:, matrix.columns(GROUP_CONTROL)]
+    # Tested on the values: the computed variance of equal values can round
+    # to a tiny positive number, which would give an enormous |t|.
+    constant = (case == case[:, :1]).all(axis=1) & (control == control[:, :1]).all(axis=1)
     pairs = []
-    for i, feature in enumerate(matrix.features):
-        a = matrix.values[i, case_cols]
-        b = matrix.values[i, control_cols]
-        try:
-            t, df = pooled_t_statistic(a, b)
-        except ValueError:
-            warnings.warn(
-                f"feature {feature!r} has zero pooled variance; recording p = 1",
-                stacklevel=2,
-            )
+    degenerate = []
+    for feature, a, b, zero_variance in zip(matrix.features, case, control, constant):
+        if not zero_variance:
+            try:
+                t, df = pooled_t_statistic(a, b)
+            except ValueError:  # the variance underflowed to zero
+                zero_variance = True
+        if zero_variance:
+            degenerate.append(feature)
             pairs.append((feature, 1.0))
-            continue
-        pairs.append((feature, 2.0 * student_t_sf(abs(t), df)))
+        else:
+            pairs.append((feature, 2.0 * student_t_sf(abs(t), df)))
+    if degenerate:
+        named = ", ".join(repr(f) for f in degenerate[:5])
+        more = "" if len(degenerate) <= 5 else f" and {len(degenerate) - 5} more"
+        warnings.warn(
+            f"{len(degenerate)} feature(s) have zero pooled variance; recording p = 1 "
+            f"for {named}{more}",
+            stacklevel=2,
+        )
     return PValueSet.from_pairs(pairs, tie_break_seed=tie_break_seed)
 
 

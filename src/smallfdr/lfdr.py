@@ -108,35 +108,90 @@ def enforce_monotonicity(estimates) -> list[float]:
     return [float(v) for v in np.maximum.accumulate(arr)]
 
 
-def _mean_head(
-    n: int,
-    xs: np.ndarray,
-    alphas: np.ndarray,
-    weight: float,
-    mc_draws: int,
-    seed: int,
-) -> np.ndarray:
-    """Monte Carlo mean estimates for all qualifying ranks in one pass.
+def _tail_weight(kind: str, weight: float | None) -> float | None:
+    """Weight C of a kind: None for the plug-in, by default 1 (corrected) or 1/2 (mean)."""
+    if kind == KIND_MLE:
+        return None
+    if weight is not None:
+        return weight
+    return 1.0 if kind == KIND_CORRECTED else 0.5
 
-    Each rank draws from its own substream seeded by (seed, rank) so that
-    the result does not depend on which other ranks are present.
+
+def _rank_estimates(
+    p_sorted: np.ndarray,
+    kind: str,
+    weight: float | None,
+    mc_draws: int,
+    seeds,
+    mean_method: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Raw estimates for a stack of rank-ordered p-value rows of one size N.
+
+    ``p_sorted`` is (rows, N) and ``seeds`` holds one Monte Carlo seed per
+    row.  Returns the (rows, N) raw estimates, 1 past rank N // 2, and the
+    (rows, N // 2) capped flags.  Each element depends only on its own row:
+    the corrected medians depend on (N, x) alone and are solved once, and
+    the Monte Carlo uniforms of every (row, rank) come from their own
+    substream seeded by (seed, rank) and go through one inverse call.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    if mc_draws < 1:
-        raise ValueError(f"mc_draws must be at least 1, got {mc_draws}")
-    m = xs.size
-    u = np.vstack(
-        [
-            np.random.default_rng(np.random.SeedSequence([seed, r])).random(mc_draws)
-            for r in range(1, m + 1)
-        ]
-    )
-    pi = _quantile(n, xs[:, None], weight, u)
-    ratio = np.divide(
-        alphas[:, None], pi, out=np.full(pi.shape, np.inf), where=pi > 0.0
-    )
-    return np.minimum(ratio, 1.0).mean(axis=1)
+    if kind not in ESTIMATOR_KINDS:
+        raise ValueError(f"kind must be one of {ESTIMATOR_KINDS}, got {kind!r}")
+    if weight is not None and not 0.0 <= weight <= 1.0:
+        raise ValueError(f"weight must lie in [0, 1], got {weight}")
+    if kind == KIND_MEAN:
+        if mean_method not in ("monte_carlo", "quadrature"):
+            raise ValueError(
+                f"mean_method must be 'monte_carlo' or 'quadrature', got {mean_method!r}"
+            )
+        if mean_method == "monte_carlo":
+            for seed in seeds:
+                if seed < 0:
+                    raise ValueError(f"seed must be nonnegative, got {seed}")
+            if mc_draws < 1:
+                raise ValueError(f"mc_draws must be at least 1, got {mc_draws}")
+    rows, n = p_sorted.shape
+    m = n // 2
+    xs = 2 * np.arange(1, m + 1)
+    alphas = p_sorted[:, xs - 1]
+    w = _tail_weight(kind, weight)
+    if m == 0:
+        head = np.empty((rows, 0))
+        capped = np.empty((rows, 0), dtype=bool)
+    elif kind == KIND_MLE:
+        ratio = alphas * n / xs
+        head = np.minimum(ratio, 1.0)
+        capped = ratio > 1.0
+    elif kind == KIND_CORRECTED:
+        # With x = 2r >= 1 the only degenerate case is x = N with C < 1/2,
+        # where the significance range tops out below 1/2.
+        defined = (xs < n) | (w >= 0.5)
+        ratio = alphas / _quantile(n, xs, w, 0.5)
+        head = np.where(defined, np.minimum(ratio, 1.0), 1.0)
+        capped = ~defined | (ratio > 1.0)
+    else:
+        if mean_method == "quadrature":
+            head = np.asarray(
+                [
+                    [mean_nfdr(float(a), int(x), n, weight=w, method="quadrature").value
+                     for a, x in zip(row, xs)]
+                    for row in alphas
+                ]
+            )
+        else:
+            u = np.vstack(
+                [
+                    np.random.default_rng(np.random.SeedSequence([seed, r])).random(mc_draws)
+                    for seed in seeds
+                    for r in range(1, m + 1)
+                ]
+            )
+            pi = _quantile(n, np.tile(xs, rows)[:, None], w, u)
+            ratio = np.divide(
+                alphas.reshape(-1, 1), pi, out=np.full(pi.shape, np.inf), where=pi > 0.0
+            )
+            head = np.minimum(ratio, 1.0).mean(axis=1).reshape(rows, m)
+        capped = head >= 1.0
+    return np.hstack([head, np.ones((rows, n - m))]), capped
 
 
 def lfdr_estimates(
@@ -153,67 +208,24 @@ def lfdr_estimates(
     ``weight`` defaults to 1 for the corrected kind and 1/2 for the mean
     kind.  Raw estimates are always retained next to the monotone ones.
     """
-    if kind not in ESTIMATOR_KINDS:
-        raise ValueError(f"kind must be one of {ESTIMATOR_KINDS}, got {kind!r}")
-    if weight is not None and not 0.0 <= weight <= 1.0:
-        raise ValueError(f"weight must lie in [0, 1], got {weight}")
-    n = pvals.n
     p_sorted = pvals.sorted_p()
     ids_sorted = pvals.sorted_ids()
-    m = n // 2
-    xs = 2 * np.arange(1, m + 1)
-    alphas = p_sorted[xs - 1]
-    trace: list[NfdrEstimate] = []
-    if m == 0:
-        raw_head = np.empty(0)
-    elif kind == KIND_MLE:
-        raw_head = np.minimum(alphas * n / xs, 1.0)
-        trace = [mle_nfdr(float(a), int(x), n) for a, x in zip(alphas, xs)]
-    elif kind == KIND_CORRECTED:
-        w = 1.0 if weight is None else weight
-        # With x = 2r >= 1 the only degenerate case is x = N with C < 1/2,
-        # where the significance range tops out below 1/2.
-        defined = (xs < n) | (w >= 0.5)
-        scales = _quantile(n, xs, w, 0.5)
-        raw_head = np.where(defined, np.minimum(alphas / scales, 1.0), 1.0)
-        trace = [
-            NfdrEstimate(
-                float(v),
-                KIND_CORRECTED,
-                float(a),
-                int(x),
-                n,
-                w,
-                bool((not d) or a / s > 1.0),
-            )
-            for v, a, x, s, d in zip(raw_head, alphas, xs, scales, defined)
-        ]
-    else:
-        w = 0.5 if weight is None else weight
-        if mean_method == "quadrature":
-            ests = [
-                mean_nfdr(float(a), int(x), n, weight=w, method="quadrature")
-                for a, x in zip(alphas, xs)
-            ]
-            raw_head = np.asarray([e.value for e in ests])
-            trace = list(ests)
-        elif mean_method == "monte_carlo":
-            raw_head = _mean_head(n, xs, alphas, w, mc_draws, seed)
-            trace = [
-                NfdrEstimate(float(v), KIND_MEAN, float(a), int(x), n, w, bool(v >= 1.0))
-                for v, a, x in zip(raw_head, alphas, xs)
-            ]
-        else:
-            raise ValueError(
-                f"mean_method must be 'monte_carlo' or 'quadrature', got {mean_method!r}"
-            )
-    raw = np.concatenate([raw_head, np.ones(n - m)])
+    raw_rows, capped_rows = _rank_estimates(
+        p_sorted[None, :], kind, weight, mc_draws, (seed,), mean_method
+    )
+    raw, capped = raw_rows[0], capped_rows[0]
     monotone = np.maximum.accumulate(raw)
+    n = pvals.n
+    w = _tail_weight(kind, weight)
+    trace = tuple(
+        NfdrEstimate(float(v), kind, float(p_sorted[x - 1]), x, n, w, bool(c))
+        for v, x, c in zip(raw, range(2, n + 1, 2), capped)
+    )
     rows = tuple(
         LfdrRow(ids_sorted[i], float(p_sorted[i]), i + 1, float(raw[i]), float(monotone[i]))
         for i in range(n)
     )
-    return LfdrResult(kind, rows, tuple(trace))
+    return LfdrResult(kind, rows, trace)
 
 
 @dataclass(frozen=True)

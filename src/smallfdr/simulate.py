@@ -21,7 +21,9 @@ from .distributions import (
     _chi2_1df_sf_arrays,
     binomial_pmf,
 )
-from .lfdr import PValueSet, lfdr_estimates
+from .lfdr import PValueSet, _rank_estimates
+# Kept as a module attribute: perfbench/tracing.py wraps simulate.lfdr_estimates.
+from .lfdr import lfdr_estimates  # noqa: F401
 from .nfdr import (
     ESTIMATOR_KINDS,
     KIND_CORRECTED,
@@ -171,40 +173,47 @@ def run_grid(config: SimulationConfig) -> list[MetricsRow]:
 
     Each replicate gets its own seed stream derived from (seed, pi0 index,
     N index, replicate index), so results do not depend on evaluation order.
-    Estimates are the monotone ones; hypotheses of every rank are pooled,
-    including the trailing ranks whose estimates default to 1.
+    A cell's replicates are stacked as (replicates, N) arrays of rank-ordered
+    p-values and oracle values and each estimator solves them together; every
+    estimate depends only on its own replicate, so the metrics equal those of
+    per-replicate ``lfdr_estimates`` calls bit for bit.  Estimates are the
+    monotone ones; hypotheses of every rank are pooled, including the
+    trailing ranks whose estimates default to 1.
     """
     rows: list[MetricsRow] = []
     for i0, pi0 in enumerate(config.pi0_grid):
         for i1, n in enumerate(config.n_grid):
-            diffs: dict[str, list[np.ndarray]] = {est: [] for est in config.estimators}
+            p_sorted = np.empty((config.replicates, n))
+            truth_sorted = np.empty((config.replicates, n))
+            mc_seeds = []
             for rep in range(config.replicates):
                 root = np.random.SeedSequence([config.seed, i0, i1, rep])
                 k_data, k_tie, k_mc = root.spawn(3)
                 dataset = generate_dataset(pi0, n, config.delta, seed=k_data)
                 truth = _true_lfdr_arrays(dataset.p_values, pi0, config.delta)
                 tie_seed = int(k_tie.generate_state(1)[0])
-                mc_seed = int(k_mc.generate_state(1)[0])
+                mc_seeds.append(int(k_mc.generate_state(1)[0]))
                 pset = PValueSet.from_pairs(
                     ((f"h{j}", float(pv)) for j, pv in enumerate(dataset.p_values)),
                     tie_break_seed=tie_seed,
                 )
-                truth_by_rank = truth[pset.order()]
-                for est in config.estimators:
-                    result = lfdr_estimates(
-                        pset, est, mc_draws=config.mc_draws, seed=mc_seed
-                    )
-                    diffs[est].append(result.monotone() - truth_by_rank)
+                order = pset.order()
+                p_sorted[rep] = dataset.p_values[order]
+                truth_sorted[rep] = truth[order]
             for est in config.estimators:
+                raw, _ = _rank_estimates(
+                    p_sorted, est, None, config.mc_draws, mc_seeds, "monte_carlo"
+                )
+                diffs = np.maximum.accumulate(raw, axis=1) - truth_sorted
                 if config.pooling == POOLING_POOLED:
-                    pooled = np.concatenate(diffs[est])
+                    pooled = diffs.ravel()
                     rmse = float(np.sqrt(np.mean(pooled**2)))
                     conservatism = float(np.mean(pooled >= 0.0))
                     bias = float(np.mean(pooled))
                 else:
-                    rmse = float(np.mean([np.sqrt(np.mean(d**2)) for d in diffs[est]]))
-                    conservatism = float(np.mean([np.mean(d >= 0.0) for d in diffs[est]]))
-                    bias = float(np.mean([np.mean(d) for d in diffs[est]]))
+                    rmse = float(np.mean([np.sqrt(np.mean(d**2)) for d in diffs]))
+                    conservatism = float(np.mean([np.mean(d >= 0.0) for d in diffs]))
+                    bias = float(np.mean([np.mean(d) for d in diffs]))
                 rows.append(
                     MetricsRow(pi0, n, est, rmse, conservatism, bias, config.replicates)
                 )

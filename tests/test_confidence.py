@@ -13,6 +13,7 @@ from smallfdr import (
     sample_parameter,
     significance,
 )
+from smallfdr.confidence import _quantile
 
 
 def brute_tail(n, pi, x, inclusive):
@@ -212,3 +213,23 @@ class TestSampleParameter:
     def test_validation(self):
         with pytest.raises(ValueError):
             sample_parameter(ConfidenceDistribution(2, 1, 0.5), 0, 1)
+
+
+class TestQuantileBatching:
+    @pytest.mark.parametrize("weight", [0.0, 0.3, 0.5, 1.0])
+    def test_stacked_rows_equal_per_row_calls(self, weight):
+        # every x from 0 to N, with u at 0, C/2, C, (1 + C)/2 and 1 (which put
+        # x = 0 and x = N on their atoms) and random interior levels
+        n = 6
+        xs = np.arange(n + 1)
+        levels = [0.0, weight / 2, weight, (1.0 + weight) / 2, 1.0]
+        u = np.hstack(
+            [np.tile(levels, (xs.size, 1)), np.random.default_rng(21).random((xs.size, 6))]
+        )
+        stacked = _quantile(n, xs[:, None], weight, u)
+        for i, x in enumerate(xs):
+            assert np.array_equal(stacked[i], _quantile(n, x, weight, u[i]))
+            for j, level in enumerate(u[i]):
+                assert stacked[i, j] == _quantile(n, x, weight, level)[0]
+        assert np.all(stacked[0][u[0] < weight] == 0.0)
+        assert np.all(stacked[n][u[n] > weight] == 1.0)

@@ -128,6 +128,25 @@ class TestTTest:
         assert ps.p_values[0] == 1.0
         assert any("zero pooled variance" in str(w.message) for w in caught)
 
+    def test_constant_groups_are_zero_variance(self):
+        # six copies of 0.1 have a computed variance of about 2e-34, so groups
+        # constant at 0.1 and 0.6 would give an enormous |t| and p ~ 1e-165;
+        # every constant feature is recorded as p = 1 and named in one warning
+        groups = ("case",) * 6 + ("control",) * 6
+        rows = [[0.1] * 12, [0.1] * 6 + [0.6] * 6, [1.0, 2.0, 3.0] * 4]
+        rows += [[7.0] * 12] * 5
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ps = two_sample_t_pvalues(tiny_matrix(rows, groups=groups))
+        assert ps.p_values[:2] == (1.0, 1.0)
+        assert ps.p_values[2] == 1.0  # equal group means, nonzero variance
+        assert ps.p_values[3:] == (1.0,) * 5
+        messages = [str(w.message) for w in caught]
+        messages = [m for m in messages if "zero pooled variance" in m]
+        assert len(messages) == 1
+        assert messages[0].startswith("7 feature(s) have zero pooled variance")
+        assert "'f0', 'f1', 'f3', 'f4', 'f5' and 2 more" in messages[0]
+
     def test_null_matrix_pvalues_roughly_uniform(self):
         rng = np.random.default_rng(4)
         vals = rng.normal(5.0, 1.0, (1000, 8))

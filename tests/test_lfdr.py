@@ -146,6 +146,15 @@ class TestLfdrEstimates:
         with pytest.raises(ValueError, match="weight"):
             lfdr_estimates(pset([0.01, 0.2, 0.5, 0.7]), kind, weight=weight)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize(
+        "option, value", [("mean_method", "bogus"), ("mc_draws", 0), ("seed", -1)]
+    )
+    def test_mean_options_validated_for_any_n(self, option, value, n):
+        # N = 1 has no rank with 2r <= N, yet bad options still fail as at N = 2
+        with pytest.raises(ValueError, match=option):
+            lfdr_estimates(pset([0.01, 0.3][:n]), "posterior_mean", **{option: value})
+
 
 class TestBh:
     def test_example(self):

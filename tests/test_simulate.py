@@ -101,13 +101,16 @@ class TestRunGrid:
             assert 0.0 <= row.conservatism_proportion <= 1.0
             assert row.rmse >= abs(row.bias)
 
-    def test_replicate_streams_follow_documented_split(self):
+    @pytest.mark.parametrize("pooling", ["pooled", "per_replicate"])
+    @pytest.mark.parametrize("estimator", ["mle", "corrected_median", "posterior_mean"])
+    def test_replicate_streams_follow_documented_split(self, estimator, pooling):
         # rebuild one cell by hand from the (seed, pi0-index, n-index,
-        # replicate-index) splitting contract and match the pooled metrics
+        # replicate-index) splitting contract, one lfdr_estimates call per
+        # replicate, and match the batched grid's metrics bit for bit
         pi0, n, reps, seed = 0.75, 6, 8, 33
         cfg = SimulationConfig(
             pi0_grid=(pi0,), n_grid=(n,), replicates=reps, seed=seed,
-            estimators=("mle",),
+            estimators=(estimator,), mc_draws=40, pooling=pooling,
         )
         row = run_grid(cfg)[0]
         from smallfdr.simulate import _true_lfdr_arrays
@@ -122,13 +125,21 @@ class TestRunGrid:
                 ((f"h{j}", float(p)) for j, p in enumerate(ds.p_values)),
                 tie_break_seed=int(k_tie.generate_state(1)[0]),
             )
-            res = lfdr_estimates(pset, "mle", seed=int(k_mc.generate_state(1)[0]))
+            res = lfdr_estimates(
+                pset, estimator, mc_draws=40, seed=int(k_mc.generate_state(1)[0])
+            )
             diffs.append(res.monotone() - truth[pset.order()])
-        pooled = np.concatenate(diffs)
-        assert row.rmse == pytest.approx(float(np.sqrt(np.mean(pooled**2))), abs=1e-15)
-        assert row.bias == pytest.approx(float(np.mean(pooled)), abs=1e-15)
-        assert row.conservatism_proportion == pytest.approx(
-            float(np.mean(pooled >= 0)), abs=1e-15
+        if pooling == "pooled":
+            pooled = np.concatenate(diffs)
+            rmse = float(np.sqrt(np.mean(pooled**2)))
+            bias = float(np.mean(pooled))
+            conservatism = float(np.mean(pooled >= 0))
+        else:
+            rmse = float(np.mean([np.sqrt(np.mean(d**2)) for d in diffs]))
+            bias = float(np.mean([np.mean(d) for d in diffs]))
+            conservatism = float(np.mean([np.mean(d >= 0) for d in diffs]))
+        assert (row.rmse, row.bias, row.conservatism_proportion) == (
+            rmse, bias, conservatism
         )
 
     def test_per_replicate_pooling_mode(self):
