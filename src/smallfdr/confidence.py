@@ -18,8 +18,9 @@ from scipy import special
 
 from .distributions import _log_binomial_coef, _log_binomial_pmf
 
-_BISECT_TOL = 1e-12
-_BISECT_MAX_ITER = 200
+# Every element halves the same [0, 1] bracket, so after k steps every width
+# is exactly 2**-k; 40 steps give 2**-40 < 1e-12.
+_BISECT_STEPS = 40
 
 SIDE_LOWER = "lower_bounded"
 SIDE_UPPER = "upper_bounded"
@@ -94,9 +95,7 @@ def _quantile(trials, x, weight, u):
 
     The significance function is monotone in pi but its derivative vanishes
     at the boundaries, so plain bisection is used rather than Newton steps.
-    Every element halves the same [0, 1] bracket each step, so the loop runs
-    in lock-step and the stop test sees the same width everywhere: an
-    element's result does not depend on what else is in the batch, and a
+    Every element halves the [0, 1] bracket a fixed number of times, so a
     stack of (x, u) rows gives exactly the per-row results.  Values of u
     below the attainable range land on the atom of the confidence
     distribution at 0 (x = 0), values above it on the atom at 1
@@ -108,13 +107,11 @@ def _quantile(trials, x, weight, u):
     curve = _significance_curve(trials, x, weight, shape)
     lo = np.zeros(shape)
     hi = np.ones(shape)
-    for _ in range(_BISECT_MAX_ITER):
+    for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         below = curve(mid) < u
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-        if float(np.max(hi - lo)) <= _BISECT_TOL:
-            break
     low = np.where(x == 0, weight, 0.0)
     high = np.where(x < trials, 1.0, weight)
     return np.where(u < low, 0.0, np.where(u > high, 1.0, 0.5 * (lo + hi)))

@@ -138,10 +138,12 @@ def noncentral_chi2_1df_pdf(t: float, delta: float) -> float:
     return (_std_normal_pdf(rt - rd) + _std_normal_pdf(rt + rd)) / (2.0 * rt)
 
 
-def student_t_sf(t: float, df: int) -> float:
-    """Pr(T > t) for Student's t, via the regularized incomplete beta function."""
+def student_t_sf(t, df: int):
+    """Pr(T > t) for Student's t, via the regularized incomplete beta function;
+    broadcasts over ``t``, and a scalar ``t`` gives a float."""
     if df < 1:
         raise ValueError(f"df must be a positive integer, got {df}")
-    x = df / (df + t * t)
-    upper = 0.5 * float(special.betainc(0.5 * df, 0.5, x))
-    return upper if t >= 0.0 else 1.0 - upper
+    t = np.asarray(t, dtype=float)
+    upper = 0.5 * special.betainc(0.5 * df, 0.5, df / (df + t * t))
+    sf = np.where(t >= 0.0, upper, 1.0 - upper)
+    return float(sf) if sf.ndim == 0 else sf

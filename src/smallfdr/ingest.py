@@ -2,14 +2,13 @@
 
 The shift-log transform adds the 25th percentile of the pooled control
 values (one scalar across all features and control subjects) and takes the
-natural logarithm; per-feature equal-variance t-tests then produce the
-p-values consumed by the rank-based estimators.
+natural logarithm; equal-variance t-tests, one array pass over every
+feature, then produce the p-values consumed by the rank-based estimators.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -90,18 +89,33 @@ def shift_log_transform(matrix: AbundanceMatrix) -> AbundanceMatrix:
     return AbundanceMatrix(matrix.features, matrix.subjects, np.log(shifted))
 
 
+def _pooled_t(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """Row-wise equal-variance t and df of (features x subjects) blocks.
+
+    t is nan where the pooled variance is zero: where each group is constant,
+    tested on the values because the computed variance of equal values can
+    round to a tiny positive number, or where it computes as <= 0.
+    """
+    na, nb = a.shape[1], b.shape[1]
+    df = na + nb - 2
+    pooled_var = ((na - 1) * a.var(axis=1, ddof=1) + (nb - 1) * b.var(axis=1, ddof=1)) / df
+    constant = (a == a[:, :1]).all(axis=1) & (b == b[:, :1]).all(axis=1)
+    se = np.sqrt(pooled_var * (1.0 / na + 1.0 / nb))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (a.mean(axis=1) - b.mean(axis=1)) / se
+    return np.where(constant | (pooled_var <= 0.0), np.nan, t), df
+
+
 def pooled_t_statistic(a, b) -> tuple[float, int]:
-    """Equal-variance two-sample t statistic and its degrees of freedom."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    """Equal-variance two-sample t and df; ValueError if each group is constant."""
+    a = np.asarray(a, dtype=float).reshape(1, -1)
+    b = np.asarray(b, dtype=float).reshape(1, -1)
     if a.size < 2 or b.size < 2:
         raise ValueError("each group needs at least two observations")
-    df = a.size + b.size - 2
-    pooled_var = ((a.size - 1) * a.var(ddof=1) + (b.size - 1) * b.var(ddof=1)) / df
-    if pooled_var <= 0.0:
-        raise ValueError("pooled variance is zero; t statistic undefined")
-    se = math.sqrt(pooled_var * (1.0 / a.size + 1.0 / b.size))
-    return float((a.mean() - b.mean()) / se), int(df)
+    t, df = _pooled_t(a, b)
+    if np.isnan(t[0]):
+        raise ValueError("t statistic undefined: zero or non-finite pooled variance")
+    return float(t[0]), df
 
 
 def two_sample_t_pvalues(matrix: AbundanceMatrix, tie_break_seed: int = 0) -> PValueSet:
@@ -110,24 +124,14 @@ def two_sample_t_pvalues(matrix: AbundanceMatrix, tie_break_seed: int = 0) -> PV
     Features with zero pooled variance (each group constant) carry no
     evidence either way and are recorded as p = 1, named in one warning.
     """
-    case = matrix.values[:, matrix.columns(GROUP_CASE)]
-    control = matrix.values[:, matrix.columns(GROUP_CONTROL)]
-    # Tested on the values: the computed variance of equal values can round
-    # to a tiny positive number, which would give an enormous |t|.
-    constant = (case == case[:, :1]).all(axis=1) & (control == control[:, :1]).all(axis=1)
-    pairs = []
-    degenerate = []
-    for feature, a, b, zero_variance in zip(matrix.features, case, control, constant):
-        if not zero_variance:
-            try:
-                t, df = pooled_t_statistic(a, b)
-            except ValueError:  # the variance underflowed to zero
-                zero_variance = True
-        if zero_variance:
-            degenerate.append(feature)
-            pairs.append((feature, 1.0))
-        else:
-            pairs.append((feature, 2.0 * student_t_sf(abs(t), df)))
+    # C-contiguous blocks: row sums over a column slice round differently.
+    t, df = _pooled_t(
+        np.ascontiguousarray(matrix.values[:, matrix.columns(GROUP_CASE)]),
+        np.ascontiguousarray(matrix.values[:, matrix.columns(GROUP_CONTROL)]),
+    )
+    zero_variance = np.isnan(t)
+    p = np.where(zero_variance, 1.0, 2.0 * student_t_sf(np.abs(t), df))
+    degenerate = [matrix.features[i] for i in np.flatnonzero(zero_variance)]
     if degenerate:
         named = ", ".join(repr(f) for f in degenerate[:5])
         more = "" if len(degenerate) <= 5 else f" and {len(degenerate) - 5} more"
@@ -136,7 +140,7 @@ def two_sample_t_pvalues(matrix: AbundanceMatrix, tie_break_seed: int = 0) -> PV
             f"for {named}{more}",
             stacklevel=2,
         )
-    return PValueSet.from_pairs(pairs, tie_break_seed=tie_break_seed)
+    return PValueSet.from_pairs(zip(matrix.features, p), tie_break_seed=tie_break_seed)
 
 
 def load_abundance_csv(path) -> AbundanceMatrix:

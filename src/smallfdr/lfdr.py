@@ -26,6 +26,12 @@ from .nfdr import (
 )
 
 
+def _rank_order(p: np.ndarray, tie_break_seed: int) -> np.ndarray:
+    """Indices of ``p`` in ascending order, ties broken by a seeded permutation."""
+    tie_order = np.random.default_rng(tie_break_seed).permutation(len(p))
+    return np.lexsort((tie_order, p))
+
+
 @dataclass(frozen=True)
 class PValueSet:
     """P-values with stable labels and pseudorandomly tie-broken ranks.
@@ -50,9 +56,7 @@ class PValueSet:
         for label, p in zip(ids, ps):
             if math.isnan(p) or not 0.0 <= p <= 1.0:
                 raise ValueError(f"p-value for {label!r} must lie in [0, 1], got {p}")
-        rng = np.random.default_rng(tie_break_seed)
-        tie_order = rng.permutation(len(ps))
-        order = np.lexsort((tie_order, np.asarray(ps)))
+        order = _rank_order(np.asarray(ps), tie_break_seed)
         ranks = np.empty(len(ps), dtype=int)
         ranks[order] = np.arange(1, len(ps) + 1)
         return cls(ids, ps, int(tie_break_seed), tuple(int(r) for r in ranks))

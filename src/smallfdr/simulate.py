@@ -21,7 +21,7 @@ from .distributions import (
     _chi2_1df_sf_arrays,
     binomial_pmf,
 )
-from .lfdr import PValueSet, _rank_estimates
+from .lfdr import _rank_estimates, _rank_order, _tail_weight
 # Kept as a module attribute: perfbench/tracing.py wraps simulate.lfdr_estimates.
 from .lfdr import lfdr_estimates  # noqa: F401
 from .nfdr import (
@@ -191,13 +191,8 @@ def run_grid(config: SimulationConfig) -> list[MetricsRow]:
                 k_data, k_tie, k_mc = root.spawn(3)
                 dataset = generate_dataset(pi0, n, config.delta, seed=k_data)
                 truth = _true_lfdr_arrays(dataset.p_values, pi0, config.delta)
-                tie_seed = int(k_tie.generate_state(1)[0])
                 mc_seeds.append(int(k_mc.generate_state(1)[0]))
-                pset = PValueSet.from_pairs(
-                    ((f"h{j}", float(pv)) for j, pv in enumerate(dataset.p_values)),
-                    tie_break_seed=tie_seed,
-                )
-                order = pset.order()
+                order = _rank_order(dataset.p_values, int(k_tie.generate_state(1)[0]))
                 p_sorted[rep] = dataset.p_values[order]
                 truth_sorted[rep] = truth[order]
             for est in config.estimators:
@@ -236,16 +231,11 @@ def _point_estimate(
 ) -> float:
     if kind == KIND_MLE:
         return mle_nfdr(alpha, x, trials).value
+    w = _tail_weight(kind, weight)
     if kind == KIND_CORRECTED:
-        return corrected_nfdr(alpha, x, trials, 1.0 if weight is None else weight).value
+        return corrected_nfdr(alpha, x, trials, w).value
     if kind == KIND_MEAN:
-        return mean_nfdr(
-            alpha,
-            x,
-            trials,
-            weight=0.5 if weight is None else weight,
-            method="quadrature",
-        ).value
+        return mean_nfdr(alpha, x, trials, weight=w, method="quadrature").value
     raise ValueError(f"kind must be one of {ESTIMATOR_KINDS}, got {kind!r}")
 
 

@@ -198,6 +198,16 @@ class TestStudentT:
             )
             assert student_t_sf(t, df) == pytest.approx(exact, abs=1e-10)
 
+    def test_array_matches_scalar_calls(self):
+        t = np.asarray([-40.0, -3.1, -0.7, -1e-9, 0.0, 1e-9, 0.4, 2.2, 9.0, 1e3])
+        for df in (1, 4, 15):
+            values = student_t_sf(t, df)
+            assert isinstance(values, np.ndarray) and values.shape == t.shape
+            for ti, v in zip(t, values):
+                assert student_t_sf(float(ti), df) == v
+        assert type(student_t_sf(1.5, 3)) is float
+        assert type(student_t_sf(np.float64(-1.5), 3)) is float
+
     def test_domain(self):
         with pytest.raises(ValueError):
             student_t_sf(1.0, 0)

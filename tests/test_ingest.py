@@ -147,6 +147,37 @@ class TestTTest:
         assert messages[0].startswith("7 feature(s) have zero pooled variance")
         assert "'f0', 'f1', 'f3', 'f4', 'f5' and 2 more" in messages[0]
 
+    def test_statistic_rejects_constant_groups(self):
+        # six copies of 0.1 have a computed variance of about 2e-34, which
+        # must not pass for a nonzero pooled variance
+        with pytest.raises(ValueError):
+            pooled_t_statistic([0.1] * 6, [0.6] * 6)
+        with pytest.raises(ValueError):
+            pooled_t_statistic([2.0, 2.0], [2.0, 2.0, 2.0])
+
+    @pytest.mark.parametrize("n_case,n_control", [(3, 5), (8, 9)])
+    def test_matches_scipy_ttest_ind(self, n_case, n_control):
+        rng = np.random.default_rng(n_case * 10 + n_control)
+        vals = rng.normal(0.0, 1.0, (50, n_case + n_control))
+        vals[:10, :n_case] += 1.5
+        vals[[3, 20]] = 0.1
+        vals[[7, 40], :n_case] = 0.1
+        vals[[7, 40], n_case:] = 0.6
+        # interleave the groups so that neither block is a contiguous column range
+        cols = rng.permutation(n_case + n_control)
+        groups = np.asarray(["case"] * n_case + ["control"] * n_control)[cols]
+        m = tiny_matrix(vals[:, cols], groups=tuple(groups))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ps = np.asarray(two_sample_t_pvalues(m).p_values)
+        constant = [3, 7, 20, 40]
+        assert np.all(ps[constant] == 1.0)
+        rest = np.setdiff1d(np.arange(50), constant)
+        expected = stats.ttest_ind(
+            vals[rest, :n_case], vals[rest, n_case:], axis=1, equal_var=True
+        ).pvalue
+        np.testing.assert_allclose(ps[rest], expected, rtol=1e-10, atol=0.0)
+
     def test_null_matrix_pvalues_roughly_uniform(self):
         rng = np.random.default_rng(4)
         vals = rng.normal(5.0, 1.0, (1000, 8))
