@@ -182,14 +182,17 @@ def load_abundance_csv(path) -> AbundanceMatrix:
                 f"{path}, line {lineno}: duplicate feature label {feature!r}"
             )
         seen.add(feature)
-        values = []
-        for j, cell in enumerate(row[1:], start=2):
-            try:
-                values.append(float(cell))
-            except ValueError:
-                raise TableFormatError(
-                    f"{path}, line {lineno}, column {j}: non-numeric value {cell!r}"
-                ) from None
+        try:
+            values = list(map(float, row[1:]))
+        except ValueError:
+            # rescan the row one cell at a time only to name the bad cell
+            for j, cell in enumerate(row[1:], start=2):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise TableFormatError(
+                        f"{path}, line {lineno}, column {j}: non-numeric value {cell!r}"
+                    ) from None
         features.append(feature)
         grid.append(values)
     return AbundanceMatrix(tuple(features), tuple(subjects), np.asarray(grid))

@@ -2,14 +2,17 @@
 
 These deliberately avoid the code paths under test: the incomplete beta
 uses a hand-rolled continued fraction, the mean estimator integrates the
-binomial tail polynomial term by term in mpmath, and the step-up rule is
-the plain textbook loop.
+binomial tail polynomial term by term in mpmath, the significance-function
+inverse is the plain 40-step bisection, and the step-up rule is the plain
+textbook loop.
 """
 
 import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
+from scipy import special
 
 _CF_EPS = 1e-14
 _CF_MAX_ITER = 500
@@ -93,6 +96,40 @@ def mean_capped_ratio_mp(alpha: float, x: int, n: int, weight: float) -> float:
                 term = -mpmath.log(a) if m == 1 else (1 - a ** (m - 1)) / (m - 1)
                 total += mpmath.mpf(c.numerator) / c.denominator * term
         return float(a + a * total)
+
+
+def bisection_quantile(trials, x, weight, u):
+    """Plain 40-step bisection of Pr(X > x; pi) + weight * Pr(X = x; pi) = u.
+
+    Every element halves [0, 1] forty times on curve(mid) < u and returns
+    the midpoint of its final cell; u below the attainable range gives the
+    atom 0 and u above it the atom 1.  The curve is evaluated with the same
+    elementwise arithmetic as the package, so the warm-started solver must
+    match it bit for bit; a constant curve (x = 0 with weight 1, x = trials
+    with weight 0) has no root and its result here is whatever bisection
+    lands on.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    shape = np.broadcast_shapes(x.shape, u.shape)
+    log_coef = (
+        special.gammaln(trials + 1.0)
+        - special.gammaln(x + 1.0)
+        - special.gammaln(trials - x + 1.0)
+    )
+    inner = np.broadcast_to(x < trials, shape)
+    x_inner = np.broadcast_to(x, shape)[inner]
+    lo, hi = np.zeros(shape), np.ones(shape)
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        sf = np.zeros(shape)
+        sf[inner] = special.betainc(x_inner + 1.0, trials - x_inner, mid[inner])
+        log_pmf = log_coef + special.xlogy(x, mid) + special.xlog1py(trials - x, -mid)
+        below = sf + weight * np.exp(log_pmf) < u
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    low = np.where(x == 0, weight, 0.0)
+    high = np.where(x < trials, 1.0, weight)
+    return np.where(u < low, 0.0, np.where(u > high, 1.0, 0.5 * (lo + hi)))
 
 
 def textbook_bh(p_values, q: float) -> set[int]:

@@ -15,6 +15,8 @@ from smallfdr import (
 )
 from smallfdr.confidence import _quantile
 
+from oracles import bisection_quantile
+
 
 def brute_tail(n, pi, x, inclusive):
     params = BinomialParams(n, pi)
@@ -233,3 +235,47 @@ class TestQuantileBatching:
                 assert stacked[i, j] == _quantile(n, x, weight, level)[0]
         assert np.all(stacked[0][u[0] < weight] == 0.0)
         assert np.all(stacked[n][u[n] > weight] == 1.0)
+
+
+def _constant_curve(n, x, weight):
+    return ((x == 0) & (weight == 1.0)) | ((x == n) & (weight == 0.0))
+
+
+class TestQuantileMatchesBisection:
+    # the warm-started solver must give the plain bisection's bits everywhere
+    # except on constant curves, which have no root
+
+    @pytest.mark.parametrize("weight", [0.0, 0.3, 0.5, 1.0])
+    def test_every_x_and_edge_levels(self, weight):
+        rng = np.random.default_rng(31)
+        # at 5e-324, the least subnormal, the Beta quantile that starts Newton is nan
+        edges = [0.0, 5e-324, 2.0**-53, 0.5, weight, 1.0 - 2.0**-53, 1.0]
+        for n in (1, 2, 3, 5, 8, 13, 32, 100, 317, 1000):
+            xs = np.arange(n + 1)
+            u = np.hstack(
+                [
+                    np.tile(edges, (xs.size, 1)),
+                    rng.random((xs.size, 4)),
+                    10.0 ** rng.uniform(-15, 0, (xs.size, 2)),
+                ]
+            )
+            got = _quantile(n, xs[:, None], weight, u)
+            want = bisection_quantile(n, xs[:, None], weight, u)
+            varies = ~_constant_curve(n, xs, weight)
+            assert np.array_equal(got[varies], want[varies])
+
+    @pytest.mark.parametrize("weight", [0.0, 0.3, 0.5, 1.0])
+    def test_medians_up_to_large_n(self, weight):
+        for n, step in ((10_000, 1), (100_000, 7)):
+            xs = np.arange(0, n + 1, step)
+            varies = ~_constant_curve(n, xs, weight)
+            got = _quantile(n, xs, weight, 0.5)
+            want = bisection_quantile(n, xs, weight, 0.5)
+            assert np.array_equal(got[varies], want[varies])
+
+    def test_constant_curves_return_their_atom(self):
+        # x = 0 with C = 1 is the atom at 0, x = N with C = 0 the atom at 1,
+        # whatever the level, including the one value the curve takes
+        levels = np.array([0.0, 0.5, 1.0])
+        assert np.array_equal(_quantile(8, 0, 1.0, levels), np.zeros(3))
+        assert np.array_equal(_quantile(8, 8, 0.0, levels), np.ones(3))

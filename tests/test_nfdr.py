@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from smallfdr import (
     BinomialParams,
@@ -15,6 +16,9 @@ from smallfdr import (
     sample_parameter,
     true_nfdr,
 )
+
+from smallfdr.confidence import _quantile
+from smallfdr.simulate import exact_small_n_coverage
 
 from oracles import mean_capped_ratio_mp
 
@@ -96,6 +100,31 @@ class TestCorrected:
                         if corrected_nfdr(alpha, x, n).value >= bound
                     )
                     assert prob >= 0.5 - 1e-12
+
+    def test_half_guarantee_exact_enumeration_to_n_200(self):
+        # With C = 1 the estimate min(alpha / median(x), 1) reaches the bound
+        # alpha / pi exactly when median(x) <= pi, so the coverage is
+        # Pr_pi(median(X) <= pi) and alpha drops out.  Between two medians it
+        # falls as pi grows, so its infimum lies just below a median.
+        def coverage(n, medians, pi):
+            covered = medians[None, :] <= pi[:, None]
+            pmf = stats.binom.pmf(np.arange(n + 1)[None, :], n, pi[:, None])
+            return np.sum(pmf * covered, axis=1)
+
+        for n in range(1, 6):
+            medians = _quantile(n, np.arange(n + 1), 1.0, 0.5)
+            for alpha, pi in ((0.05, 0.3), (0.2, 0.5), (0.5, 0.9)):
+                assert coverage(n, medians, np.array([pi]))[0] == pytest.approx(
+                    exact_small_n_coverage(n, alpha, pi, "corrected_median"), abs=1e-12
+                )
+        for n in range(1, 201):
+            medians = _quantile(n, np.arange(n + 1), 1.0, 0.5)
+            pi = np.concatenate(
+                [np.linspace(0.0, 1.0, 101), medians, np.nextafter(medians, 0.0)]
+            )
+            # the bisection median is within about 2**-41 of the exact one and
+            # the coverage changes by at most n per unit of pi
+            assert coverage(n, medians, pi).min() >= 0.5 - n * 2.0**-40
 
 
 class TestMean:
