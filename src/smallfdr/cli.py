@@ -20,6 +20,8 @@ import os
 import sys
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
 from .ingest import (
     TableFormatError,
@@ -144,31 +146,105 @@ def _write_manifest(out_path: str, command: str, params: dict, inputs: list[str]
         handle.write("\n")
 
 
-def _emit_table(header: list[str], rows: list[tuple], args, command: str,
-                params: dict, inputs: list[str]) -> None:
-    """Write a CSV table to --out (with manifest, optional JSON mirror) or stdout."""
+# Cells holding one of these go through csv.writer, which may quote them.
+_CSV_SPECIAL = (",", '"', "\r", "\n")
+_ROWS_PER_WRITE = 8192
+
+
+def _kind(column) -> type | None:
+    """The one type of every cell of a column (float and int for arrays), or None."""
+    if isinstance(column, np.ndarray):
+        return {"f": float, "i": int, "u": int}.get(column.dtype.kind)
+    kinds = set(map(type, column))
+    return kinds.pop() if len(kinds) == 1 else None
+
+
+def _csv_cell(text: str) -> str:
+    """One string cell as csv.writer writes it."""
+    if not any(c in text for c in _CSV_SPECIAL):
+        return text
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    payload = buffer.getvalue()
+    csv.writer(buffer, lineterminator="\n").writerow([text])
+    return buffer.getvalue()[:-1]
+
+
+def _csv_column(column) -> tuple[str, object]:
+    """The %-spec that writes a column's cells as _fmt and csv.writer would, and its values."""
+    kind = _kind(column)
+    if kind is float:
+        return "%.12g", column
+    if kind is int:
+        return "%d", column
+    values = column if kind is str else list(map(_fmt, _values(column)))
+    text = "".join(values)
+    if any(c in text for c in _CSV_SPECIAL):
+        values = list(map(_csv_cell, values))
+    return "%s", values
+
+
+def _json_column(column) -> tuple[str, object]:
+    """The %-spec that writes a column's cells as json.dump would, "" as null, and its values."""
+    kind = _kind(column)
+    if kind is int:
+        return "%d", column
+    if kind is float and np.isfinite(column).all():
+        return "%r", column
+    values = _values(column)
+    if kind is str and "" not in values:
+        return "%s", list(map(json.encoder.encode_basestring_ascii, values))
+    return "%s", [json.dumps(None if value == "" else value) for value in values]
+
+
+def _values(column):
+    """A column's cells as Python objects."""
+    return column.tolist() if isinstance(column, np.ndarray) else column
+
+
+def _lines(template: str, columns: list):
+    """The rows of ``columns`` formatted by ``template``, a few thousand per string."""
+    for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
+        cells = [_values(c[start:start + _ROWS_PER_WRITE]) for c in columns]
+        yield "".join(map(template.__mod__, zip(*cells)))
+
+
+def _csv_text(header: list[str], columns: list):
+    """The table as csv.writer writes it with 12 significant digits, in pieces."""
+    specs, cells = zip(*map(_csv_column, columns))
+    yield ",".join(map(_csv_cell, header)) + "\n"
+    yield from _lines(",".join(specs) + "\n", cells)
+
+
+def _json_text(header: list[str], columns: list):
+    """The records as json.dump(records, indent=2) writes them, in pieces."""
+    specs, cells = zip(*map(_json_column, columns))
+    keys = [json.encoder.encode_basestring_ascii(key).replace("%", "%%") for key in header]
+    fields = ",\n".join(f"    {key}: {spec}" for key, spec in zip(keys, specs))
+    first = True
+    # every record opens with its separator, ",\n", which the first one trades for "[\n"
+    for chunk in _lines(",\n  {\n" + fields + "\n  }", cells):
+        yield ("[\n" + chunk[2:]) if first else chunk
+        first = False
+    yield "[]\n" if first else "\n]\n"
+
+
+def _emit_table(header: list[str], columns: list, args, command: str,
+                params: dict, inputs: list[str]) -> None:
+    """Write a CSV table to --out (with manifest, optional JSON mirror) or stdout.
+
+    ``columns`` holds one sequence or array per header name.  Each row is
+    one %-formatted line, with the bytes csv.writer would write.
+    """
     out = getattr(args, "out", None)
     if out is None:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(_csv_text(header, columns))
         return
     with open(out, "w", encoding="utf-8", newline="") as handle:
-        handle.write(payload)
+        handle.writelines(_csv_text(header, columns))
     outputs = [out]
     if getattr(args, "json", False):
         mirror = os.path.splitext(out)[0] + ".json"
-        records = [
-            {key: (None if value == "" else value) for key, value in zip(header, row)}
-            for row in rows
-        ]
         with open(mirror, "w", encoding="utf-8") as handle:
-            json.dump(records, handle, indent=2)
-            handle.write("\n")
+            handle.writelines(_json_text(header, columns))
         outputs.append(mirror)
     _write_manifest(out, command, params, inputs, outputs)
 
@@ -181,15 +257,13 @@ def cmd_lfdr(args) -> int:
     result = lfdr_estimates(
         pvals, ESTIMATOR_FLAGS[args.estimator], mc_draws=args.mc_draws, seed=seed
     )
-    rows = [
-        (
-            row.id,
-            row.p,
-            row.rank,
-            row.raw_estimate,
-            row.raw_estimate if args.no_monotone else row.monotone_estimate,
-        )
-        for row in result.rows
+    n = len(result.ids)
+    columns = [
+        result.ids,
+        result.p,
+        range(1, n + 1),
+        result.raw(),
+        result.raw() if args.no_monotone else result.monotone(),
     ]
     params = {
         "input": args.input,
@@ -200,7 +274,7 @@ def cmd_lfdr(args) -> int:
     }
     _emit_table(
         ["id", "p", "rank", "raw_lfdr", "monotone_lfdr"],
-        rows,
+        columns,
         args,
         "lfdr",
         params,
@@ -237,19 +311,11 @@ def cmd_bh(args) -> int:
         ]
     sys.stdout.write("\n".join(lines) + "\n")
     if args.out is not None:
-        rejected = set(rejection.rejected_ids)
-        order = pvals.order()
-        rows = [
-            (
-                pvals.ids[i],
-                pvals.p_values[i],
-                pvals.ranks[i],
-                1 if pvals.ids[i] in rejected else 0,
-            )
-            for i in order
-        ]
+        n, k = pvals.n, len(rejection.rejected_ids)
+        columns = [pvals.sorted_ids(), pvals.sorted_p(), range(1, n + 1), [1] * k + [0] * (n - k)]
         params = {"input": args.input, "q": args.q, "seed": seed}
-        _emit_table(["id", "p", "rank", "rejected"], rows, args, "bh", params, [args.input])
+        _emit_table(["id", "p", "rank", "rejected"], columns, args, "bh", params,
+                    [args.input])
     return EXIT_OK
 
 
@@ -301,7 +367,7 @@ def cmd_simulate(args) -> int:
     }
     _emit_table(
         ["pi0", "n", "estimator", "rmse", "conservatism_proportion", "bias", "replicates"],
-        rows,
+        list(zip(*rows)),
         args,
         "simulate",
         params,
@@ -331,7 +397,8 @@ def cmd_coverage_exact(args) -> int:
         "pi_grid": pis,
         "estimator": args.estimator,
     }
-    _emit_table(["alpha", "pi", "coverage"], rows, args, "coverage-exact", params, [])
+    columns = list(zip(*rows))
+    _emit_table(["alpha", "pi", "coverage"], columns, args, "coverage-exact", params, [])
     return EXIT_OK
 
 
@@ -341,9 +408,8 @@ def cmd_ttest(args) -> int:
     if args.transform == "shift-log":
         matrix = shift_log_transform(matrix)
     pvals = two_sample_t_pvalues(matrix, tie_break_seed=seed)
-    rows = list(zip(pvals.ids, pvals.p_values))
     params = {"input": args.input, "transform": args.transform, "seed": seed}
-    _emit_table(["id", "p"], rows, args, "ttest", params, [args.input])
+    _emit_table(["id", "p"], [pvals.ids, pvals.p_values], args, "ttest", params, [args.input])
     return EXIT_OK
 
 
@@ -429,6 +495,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "json", False) and args.out is None:
+            raise UsageError("--json writes its mirror next to --out; give --out as well")
         return args.func(args)
     except UsageError as err:
         print(f"smallfdr: error: {err}", file=sys.stderr)

@@ -140,14 +140,19 @@ def two_sample_t_pvalues(matrix: AbundanceMatrix, tie_break_seed: int = 0) -> PV
             f"for {named}{more}",
             stacklevel=2,
         )
-    return PValueSet.from_pairs(zip(matrix.features, p), tie_break_seed=tie_break_seed)
+    return PValueSet(matrix.features, p, tie_break_seed)
+
+
+def _read_rows(path) -> list[list[str]]:
+    """The csv rows of a file, leaving out rows whose cells are all blank."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        rows = [row for row in csv.reader(handle)]
+    return [row for row in rows if row and any(cell.strip() for cell in row)]
 
 
 def load_abundance_csv(path) -> AbundanceMatrix:
     """Parse a 'feature,<subject_id>:<group>,...' abundance table."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = [row for row in csv.reader(handle)]
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
+    rows = _read_rows(path)
     if not rows:
         raise TableFormatError(f"{path}: empty file; expected a header line")
     header = rows[0]
@@ -198,11 +203,41 @@ def load_abundance_csv(path) -> AbundanceMatrix:
     return AbundanceMatrix(tuple(features), tuple(subjects), np.asarray(grid))
 
 
-def load_pvalues_csv(path, tie_break_seed: int = 0) -> PValueSet:
-    """Parse an 'id,p' table into a tie-broken p-value set."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = [row for row in csv.reader(handle)]
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
+def _two_column_cells(path) -> list[str] | None:
+    """The cells of a file whose every line is 'a,b', in file order, or None.
+
+    With no quote, NUL or lone carriage return, which the csv module treats
+    specially, such a file splits at its commas and line ends exactly as the
+    csv module splits it, without per-line work.  Any other file gives None.
+    """
+    with open(path, "rb") as handle:
+        raw = handle.read().replace(b"\r\n", b"\n")
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    if b'"' in raw or b"\r" in raw or b"\0" in raw:
+        return None
+    codes = np.frombuffer(raw, dtype=np.uint8)
+    seps = codes[(codes == ord(",")) | (codes == ord("\n"))]
+    del codes
+    if seps.size % 2 or (seps[0::2] != ord(",")).any() or (seps[1::2] != ord("\n")).any():
+        return None
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    del raw
+    cells = text.replace("\n", ",").split(",")
+    cells.pop()  # the empty cell after the last line end
+    return cells
+
+
+def _pvalue_rows(path) -> tuple[list[str], list[float]]:
+    """Ids and p-values of an 'id,p' table, checked row by row.
+
+    Raises at the first bad row in file order; row numbers count non-blank
+    rows.
+    """
+    rows = _read_rows(path)
     if not rows:
         raise TableFormatError(f"{path}: empty file; expected an 'id,p' header")
     header = [cell.strip() for cell in rows[0]]
@@ -210,7 +245,8 @@ def load_pvalues_csv(path, tie_break_seed: int = 0) -> PValueSet:
         raise TableFormatError(f"{path}, line 1: expected header 'id,p', got {rows[0]!r}")
     if len(rows) == 1:
         raise TableFormatError(f"{path}: header only; no p-value rows found")
-    pairs = []
+    ids: list[str] = []
+    ps: list[float] = []
     seen: set[str] = set()
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != 2:
@@ -231,5 +267,27 @@ def load_pvalues_csv(path, tie_break_seed: int = 0) -> PValueSet:
             raise TableFormatError(
                 f"{path}, line {lineno}: p-value {p} outside [0, 1]"
             )
-        pairs.append((label, p))
-    return PValueSet.from_pairs(pairs, tie_break_seed=tie_break_seed)
+        ids.append(label)
+        ps.append(p)
+    return ids, ps
+
+
+def load_pvalues_csv(path, tie_break_seed: int = 0) -> PValueSet:
+    """Parse an 'id,p' table into a tie-broken p-value set.
+
+    The cells are checked a column at a time: the header, ids all distinct,
+    and every p-value numeric and in [0, 1].  A file that fails a check, or
+    whose cells need the csv module (quotes, blank lines), is read again row
+    by row, which names the first bad line in file order.
+    """
+    cells = _two_column_cells(path)
+    if cells is not None and len(cells) > 2 and [c.strip() for c in cells[:2]] == ["id", "p"]:
+        ids = list(map(str.strip, cells[2::2]))
+        try:
+            p = np.fromiter(map(float, cells[3::2]), dtype=float, count=len(ids))
+        except ValueError:
+            p = None
+        if p is not None and ((p >= 0.0) & (p <= 1.0)).all() and len(set(ids)) == len(ids):
+            return PValueSet(ids, p, tie_break_seed)
+    ids, ps = _pvalue_rows(path)
+    return PValueSet(ids, ps, tie_break_seed)

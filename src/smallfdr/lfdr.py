@@ -9,8 +9,8 @@ an estimate at the median rejected p-value live here too.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,53 +27,88 @@ from .nfdr import (
 
 
 def _rank_order(p: np.ndarray, tie_break_seed: int) -> np.ndarray:
-    """Indices of ``p`` in ascending order, ties broken by a seeded permutation."""
+    """Indices of ``p`` in ascending order, ties broken by a seeded permutation.
+
+    This is ``np.lexsort((tie_order, p))``: a stable sort by p of the indices
+    already arranged by ``tie_order``, which is faster at large N.
+    """
     tie_order = np.random.default_rng(tie_break_seed).permutation(len(p))
-    return np.lexsort((tie_order, p))
+    by_tie = np.empty_like(tie_order)
+    by_tie[tie_order] = np.arange(len(p))
+    return by_tie[np.argsort(p[by_tie], kind="stable")]
 
 
-@dataclass(frozen=True)
 class PValueSet:
     """P-values with stable labels and pseudorandomly tie-broken ranks.
 
     ``ranks[i]`` is the 1-based rank of entry i after sorting by p-value,
     ties resolved by a seeded random permutation so that ranks are always a
     bijection onto 1..N and reruns with the same seed agree.
+
+    The set holds the ids, one float64 array of p-values and the rank order,
+    which is computed once, here.  The ``p_values`` and ``ranks`` tuples are
+    built on first use.
     """
 
-    ids: tuple[str, ...]
-    p_values: tuple[float, ...]
-    tie_break_seed: int
-    ranks: tuple[int, ...]
+    def __init__(self, ids, p_values, tie_break_seed: int = 0):
+        self.ids = tuple(ids)
+        p = np.array(p_values, dtype=float)
+        if p.shape != (len(self.ids),):
+            raise ValueError(f"expected one p-value per id, got shape {p.shape}")
+        if p.size == 0:
+            raise ValueError("at least one p-value is required")
+        bad = ~((p >= 0.0) & (p <= 1.0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            label, value = self.ids[i], float(p[i])
+            raise ValueError(f"p-value for {label!r} must lie in [0, 1], got {value}")
+        self.tie_break_seed = int(tie_break_seed)
+        self._p = p
+        self._order = _rank_order(p, self.tie_break_seed)
+        self._order.flags.writeable = False
 
     @classmethod
     def from_pairs(cls, pairs, tie_break_seed: int = 0) -> "PValueSet":
         pairs = list(pairs)
-        if not pairs:
-            raise ValueError("at least one p-value is required")
-        ids = tuple(str(label) for label, _ in pairs)
-        ps = tuple(float(p) for _, p in pairs)
-        for label, p in zip(ids, ps):
-            if math.isnan(p) or not 0.0 <= p <= 1.0:
-                raise ValueError(f"p-value for {label!r} must lie in [0, 1], got {p}")
-        order = _rank_order(np.asarray(ps), tie_break_seed)
-        ranks = np.empty(len(ps), dtype=int)
-        ranks[order] = np.arange(1, len(ps) + 1)
-        return cls(ids, ps, int(tie_break_seed), tuple(int(r) for r in ranks))
+        ids = [str(label) for label, _ in pairs]
+        return cls(ids, [float(p) for _, p in pairs], tie_break_seed)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PValueSet):
+            return NotImplemented
+        return (
+            self.tie_break_seed == other.tie_break_seed
+            and self.ids == other.ids
+            and np.array_equal(self._p, other._p)
+        )
 
     @property
     def n(self) -> int:
         return len(self.ids)
 
+    @cached_property
+    def p_values(self) -> tuple[float, ...]:
+        return tuple(self._p.tolist())
+
+    @cached_property
+    def ranks(self) -> tuple[int, ...]:
+        ranks = np.empty(self.n, dtype=int)
+        ranks[self._order] = np.arange(1, self.n + 1)
+        return tuple(ranks.tolist())
+
     def order(self) -> np.ndarray:
-        """Input indices arranged by ascending rank."""
-        return np.argsort(np.asarray(self.ranks))
+        """Input indices arranged by ascending rank (a read-only array)."""
+        return self._order
 
     def sorted_p(self) -> np.ndarray:
-        return np.asarray(self.p_values)[self.order()]
+        return self._p[self._order]
 
     def sorted_ids(self) -> tuple[str, ...]:
-        return tuple(self.ids[i] for i in self.order())
+        return self._sorted_ids
+
+    @cached_property
+    def _sorted_ids(self) -> tuple[str, ...]:
+        return tuple(np.array(self.ids, dtype=object)[self._order].tolist())
 
 
 @dataclass(frozen=True)
@@ -85,31 +120,78 @@ class LfdrRow:
     monotone_estimate: float
 
 
-@dataclass(frozen=True)
 class LfdrResult:
     """Per-hypothesis estimates in rank order, before and after monotonicity.
 
-    ``nfdr_trace`` holds the underlying one-count estimate for each rank r
-    with 2r <= N, in rank order.
+    Columns in rank order: ``ids``, the p-values ``p`` and the raw and
+    monotone estimates that ``raw()`` and ``monotone()`` return; ``capped``
+    flags the one-count estimate of each rank r with 2r <= N.  The arrays
+    are read-only.  ``rows`` and ``nfdr_trace``, the one-count estimates in
+    rank order, are tuples built from the columns on first use.
     """
 
-    estimator_kind: str
-    rows: tuple[LfdrRow, ...]
-    nfdr_trace: tuple[NfdrEstimate, ...]
+    def __init__(self, estimator_kind: str, ids, p, raw, monotone, capped,
+                 weight: float | None):
+        self.estimator_kind = estimator_kind
+        self.ids = tuple(ids)
+        self.p = p
+        self.capped = capped
+        self.weight = weight
+        self._raw = raw
+        self._monotone = monotone
+        for column in (p, capped, raw, monotone):
+            column.flags.writeable = False
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LfdrResult):
+            return NotImplemented
+        columns = ("p", "capped", "_raw", "_monotone")
+        return (self.estimator_kind, self.weight, self.ids) == (
+            other.estimator_kind, other.weight, other.ids
+        ) and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in columns)
 
     def raw(self) -> np.ndarray:
-        return np.asarray([r.raw_estimate for r in self.rows])
+        return self._raw
 
     def monotone(self) -> np.ndarray:
-        return np.asarray([r.monotone_estimate for r in self.rows])
+        return self._monotone
+
+    @cached_property
+    def rows(self) -> tuple[LfdrRow, ...]:
+        return tuple(
+            map(
+                LfdrRow,
+                self.ids,
+                self.p.tolist(),
+                range(1, len(self.ids) + 1),
+                self._raw.tolist(),
+                self._monotone.tolist(),
+            )
+        )
+
+    @cached_property
+    def nfdr_trace(self) -> tuple[NfdrEstimate, ...]:
+        m = len(self.capped)
+        n = len(self.ids)
+        return tuple(
+            NfdrEstimate(v, self.estimator_kind, alpha, x, n, self.weight, c)
+            for v, alpha, x, c in zip(
+                self._raw[:m].tolist(),
+                self.p[1 : 2 * m : 2].tolist(),
+                range(2, 2 * m + 1, 2),
+                self.capped.tolist(),
+            )
+        )
+
+
+def _running_max(estimates: np.ndarray) -> np.ndarray:
+    """Running maximum along the last axis: monotone estimates in rank order."""
+    return np.maximum.accumulate(estimates, axis=-1)
 
 
 def enforce_monotonicity(estimates) -> list[float]:
     """Running maximum in rank order; never decreases any estimate."""
-    arr = np.asarray(list(estimates), dtype=float)
-    if arr.size == 0:
-        return []
-    return [float(v) for v in np.maximum.accumulate(arr)]
+    return _running_max(np.asarray(list(estimates), dtype=float)).tolist()
 
 
 def _tail_weight(kind: str, weight: float | None) -> float | None:
@@ -213,23 +295,14 @@ def lfdr_estimates(
     kind.  Raw estimates are always retained next to the monotone ones.
     """
     p_sorted = pvals.sorted_p()
-    ids_sorted = pvals.sorted_ids()
     raw_rows, capped_rows = _rank_estimates(
         p_sorted[None, :], kind, weight, mc_draws, (seed,), mean_method
     )
-    raw, capped = raw_rows[0], capped_rows[0]
-    monotone = np.maximum.accumulate(raw)
-    n = pvals.n
-    w = _tail_weight(kind, weight)
-    trace = tuple(
-        NfdrEstimate(float(v), kind, float(p_sorted[x - 1]), x, n, w, bool(c))
-        for v, x, c in zip(raw, range(2, n + 1, 2), capped)
+    raw = raw_rows[0]
+    return LfdrResult(
+        kind, pvals.sorted_ids(), p_sorted, raw, _running_max(raw), capped_rows[0],
+        _tail_weight(kind, weight),
     )
-    rows = tuple(
-        LfdrRow(ids_sorted[i], float(p_sorted[i]), i + 1, float(raw[i]), float(monotone[i]))
-        for i in range(n)
-    )
-    return LfdrResult(kind, rows, trace)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .distributions import (
     _chi2_1df_sf_arrays,
     binomial_pmf,
 )
-from .lfdr import _rank_estimates, _rank_order, _tail_weight
+from .lfdr import _rank_estimates, _rank_order, _running_max, _tail_weight
 # Kept as a module attribute: perfbench/tracing.py wraps simulate.lfdr_estimates.
 from .lfdr import lfdr_estimates  # noqa: F401
 from .nfdr import (
@@ -199,7 +199,7 @@ def run_grid(config: SimulationConfig) -> list[MetricsRow]:
                 raw, _ = _rank_estimates(
                     p_sorted, est, None, config.mc_draws, mc_seeds, "monte_carlo"
                 )
-                diffs = np.maximum.accumulate(raw, axis=1) - truth_sorted
+                diffs = _running_max(raw) - truth_sorted
                 if config.pooling == POOLING_POOLED:
                     pooled = diffs.ravel()
                     rmse = float(np.sqrt(np.mean(pooled**2)))

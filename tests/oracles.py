@@ -3,10 +3,14 @@
 These deliberately avoid the code paths under test: the incomplete beta
 uses a hand-rolled continued fraction, the mean estimator integrates the
 binomial tail polynomial term by term in mpmath, the significance-function
-inverse is the plain 40-step bisection, and the step-up rule is the plain
-textbook loop.
+inverse is the plain 40-step bisection, the step-up rule is the plain
+textbook loop, p-value sets, lfdr results and output tables are built one
+row at a time, and tables are written with csv.writer and json.dump.
 """
 
+import csv
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -141,3 +145,43 @@ def textbook_bh(p_values, q: float) -> set[int]:
         if p_values[order[k - 1]] <= k * q / m:
             k_star = k
     return set(order[:k_star])
+
+
+def _fmt(value) -> str:
+    if isinstance(value, float):
+        return format(value, ".12g")
+    return str(value)
+
+
+def table_text(header, rows) -> tuple[str, str]:
+    """CSV text and JSON mirror text of a table, written a row at a time.
+
+    The CSV cells are floats to 12 significant digits and str() of anything
+    else, through csv.writer; the mirror is json.dump(records, indent=2) and
+    a newline, one record per row with "" cells as null.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    records = [
+        {key: (None if value == "" else value) for key, value in zip(header, row)}
+        for row in rows
+    ]
+    return buffer.getvalue(), json.dumps(records, indent=2) + "\n"
+
+
+def pvalue_tuples(pairs, tie_break_seed: int = 0):
+    """(ids, p_values, ranks) of a p-value set, built pair by pair.
+
+    Ranks sort by p-value with ties broken by a seeded permutation of the
+    input positions, through ``np.lexsort``.
+    """
+    ids = tuple(str(label) for label, _ in pairs)
+    ps = tuple(float(p) for _, p in pairs)
+    tie_order = np.random.default_rng(tie_break_seed).permutation(len(ps))
+    order = np.lexsort((tie_order, np.asarray(ps)))
+    ranks = np.empty(len(ps), dtype=int)
+    ranks[order] = np.arange(1, len(ps) + 1)
+    return ids, ps, tuple(int(r) for r in ranks)

@@ -1,13 +1,17 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import smallfdr
-from smallfdr.cli import main
+from smallfdr.cli import _emit_table, main
+
+from oracles import table_text
 
 FIXTURE = Path(__file__).parent / "data" / "abundance_20protein.csv"
 
@@ -320,3 +324,80 @@ class TestGlobalBehavior:
         code, out, _ = run(["lfdr", src, "--estimator", "mle"], capsys)
         assert code == 0
         assert "0.123456789012" in out
+
+
+class TestJsonNeedsOut:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lfdr", "{src}"],
+            ["bh", "{src}", "--q", "0.05"],
+            ["simulate", "--n-grid", "2", "--reps", "1"],
+            ["coverage-exact", "--n", "1"],
+            ["ttest", str(FIXTURE)],
+        ],
+        ids=["lfdr", "bh", "simulate", "coverage-exact", "ttest"],
+    )
+    def test_json_without_out_is_usage_error(self, tmp_path, capsys, argv):
+        src = tmp_path / "p.csv"
+        write_pvalues(src, [("a", 0.01), ("b", 0.4)])
+        code, out, err = run([a.format(src=src) for a in argv] + ["--json"], capsys)
+        assert code == 2
+        assert "--out" in err
+        assert out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv"]
+
+
+class TestEmitMatchesRowWriter:
+    """The columnar writer gives the bytes of csv.writer and json.dump(indent=2)."""
+
+    # every ASCII character, then some that are not ASCII
+    IDS = [f"id{chr(c)}x" for c in range(128)] + [
+        "", "a,b", 'say "hi"', "\u00e9t\u00e9", "\u4e2d", "\U0001f600", "\u2028", "\x85",
+        "%s %d", " padded ",
+    ]
+
+    def emit(self, tmp_path, header, columns):
+        out = tmp_path / "t.csv"
+        args = argparse.Namespace(out=str(out), json=True)
+        _emit_table(header, columns, args, "test", {}, [])
+        return out.read_bytes(), (tmp_path / "t.json").read_bytes()
+
+    def expected(self, header, rows):
+        return tuple(text.encode("utf-8") for text in table_text(header, rows))
+
+    def test_lfdr_like_columns(self, tmp_path):
+        n = len(self.IDS)
+        p = np.random.default_rng(4).random(n)
+        p[:8] = [0.0, 1.0, -0.0, 5e-324, 1e-300, 0.1, 1 / 3, 0.123456789012345]
+        raw = np.where(np.arange(n) % 3 == 0, np.nan, p * 7)
+        raw[1:4] = [np.inf, -np.inf, 1e300]
+        flags = np.arange(n) % 2
+        columns = [tuple(self.IDS), p, range(1, n + 1), raw, flags]
+        header = ["id", "p", "rank", "raw_lfdr", "rejected"]
+        rows = list(zip(self.IDS, p.tolist(), range(1, n + 1), raw.tolist(), flags.tolist()))
+        assert self.emit(tmp_path, header, columns) == self.expected(header, rows)
+
+    def test_mixed_cells_as_in_coverage_exact(self, tmp_path):
+        rows = [
+            (0.05, 0.01, ""),
+            (0.05, 0.5, 0.875),
+            (0.5, 0.9, np.float64(0.25)),
+            (0.5, 1.0, float("nan")),
+            (1.0, 1.0, 1),
+            (1.0, 0.2, "x,y"),
+        ]
+        header = ["alpha", "pi", "coverage"]
+        assert self.emit(tmp_path, header, list(zip(*rows))) == self.expected(header, rows)
+
+    def test_ints_strings_and_empty_table(self, tmp_path):
+        rows = [(0.9, 2, "mle", 0.1, 1.0, -0.05, 3), (1.0, 32, "mean", 0.0, 0.5, 0.0, 3)]
+        header = ["pi0", "n", "estimator", "rmse", "conservatism_proportion", "bias", "reps"]
+        assert self.emit(tmp_path, header, list(zip(*rows))) == self.expected(header, rows)
+        empty = self.emit(tmp_path, ["id", "p"], [(), np.empty(0)])
+        assert empty == self.expected(["id", "p"], [])
+
+    def test_stdout_matches_file(self, tmp_path, capsys):
+        columns = [("a", "b,c"), np.array([0.5, 0.25])]
+        _emit_table(["id", "p"], columns, argparse.Namespace(out=None), "test", {}, [])
+        assert capsys.readouterr().out == table_text(["id", "p"], list(zip(*columns)))[0]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from pathlib import Path
@@ -9,6 +10,7 @@ from scipy import stats
 
 from smallfdr import (
     AbundanceMatrix,
+    PValueSet,
     Subject,
     TableFormatError,
     load_abundance_csv,
@@ -17,6 +19,7 @@ from smallfdr import (
     shift_log_transform,
     two_sample_t_pvalues,
 )
+from smallfdr.ingest import _pvalue_rows, _two_column_cells
 
 FIXTURE = Path(__file__).parent / "data" / "abundance_20protein.csv"
 
@@ -249,3 +252,53 @@ class TestLoaders:
         bad_header.write_text("name,pval\na,0.2\n")
         with pytest.raises(TableFormatError, match="line 1"):
             load_pvalues_csv(bad_header)
+
+    # Four faults, each with its message; a duplicate needs the id "a" that
+    # the first data line holds.
+    FAULTS = {
+        "duplicate": ("a,0.4", "duplicate id 'a'"),
+        "non-numeric": ("b,abc", "non-numeric p-value 'abc'"),
+        "out-of-range": ("c,1.5", "p-value 1.5 outside [0, 1]"),
+        "three-cells": ("d,0.1,x", "expected 2 cells, got 3"),
+    }
+
+    @pytest.mark.parametrize("faults", list(itertools.permutations(FAULTS))[::5])
+    def test_pvalues_first_bad_line_wins(self, tmp_path, faults):
+        lines = ["id,p", "a,0.1"]
+        for i, fault in enumerate(faults):
+            lines += [f"ok{i},0.{i + 2}", self.FAULTS[fault][0]]
+        path = tmp_path / "p.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TableFormatError) as err:
+            load_pvalues_csv(path)
+        # the first fault sits on line 4: header, "a,0.1", one good line
+        assert str(err.value) == f"{path}, line 4: {self.FAULTS[faults[0]][1]}"
+
+    @pytest.mark.parametrize(
+        "text, split_without_csv",
+        [
+            ("id,p\na,0.1\nb,0.9", True),
+            ("id,p\r\na,0.1\r\nb,0.9\r\n", True),
+            ("id,p\ra,0.1\rb,0.9\r", False),
+            ('id,p\n"x,y",0.1\n"q""uote",0.2\n', False),
+            ('id,p\n"a b",0.1\n"c",0.2\n', False),
+            ("id,p\n\na,0.1\n   \n , \nb,0.9\n\n", False),
+            (" id , p \n a ,0.1 \nb, 1e-300\nc,0\nd,1\ne,-0.0\nf,1_0e-1\n", True),
+            ("id,p\n\u00e9t\u00e9,0.5\n\u4e2d,0.25\n", True),
+        ],
+        ids=[
+            "no-final-newline", "crlf", "cr", "quoted", "quoted-no-comma", "blank-rows",
+            "spaces", "non-ascii",
+        ],
+    )
+    def test_pvalues_columns_match_row_reader(self, tmp_path, text, split_without_csv):
+        path = tmp_path / "p.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert (_two_column_cells(path) is not None) == split_without_csv
+        ids, ps = _pvalue_rows(path)
+        expected = PValueSet(ids, ps, 3)
+        got = load_pvalues_csv(path, tie_break_seed=3)
+        assert got == expected
+        assert (got.ids, got.p_values, got.ranks) == (
+            expected.ids, expected.p_values, expected.ranks
+        )

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from smallfdr import (
+    LfdrRow,
+    NfdrEstimate,
     PValueSet,
     SimulationConfig,
     bh_lfdr_link,
@@ -10,8 +12,9 @@ from smallfdr import (
     lfdr_estimates,
     run_grid,
 )
+from smallfdr.lfdr import _rank_estimates
 
-from oracles import textbook_bh
+from oracles import pvalue_tuples, textbook_bh
 
 
 def pset(values, seed=0):
@@ -31,6 +34,20 @@ class TestPValueSet:
         assert a.ranks == b.ranks
         # some seed reorders the tied block
         assert any(pset(values, seed=s).ranks != a.ranks for s in range(20))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_tuples_match_pairwise_construction(self, n, seed):
+        rng = np.random.default_rng(n)
+        # two-decimal values tie often; -0.0 ties with the exact 0
+        values = np.round(rng.random(n), 2)
+        values[: min(n, 3)] = [0.0, 1.0, -0.0][: min(n, 3)]
+        pairs = [(f"h{i}", float(p)) for i, p in enumerate(values)]
+        ps = PValueSet.from_pairs(pairs, seed)
+        ids, p_values, ranks = pvalue_tuples(pairs, seed)
+        assert (ps.ids, ps.p_values, ps.ranks) == (ids, p_values, ranks)
+        assert ps.sorted_ids() == tuple(ids[i] for i in np.argsort(ranks))
+        assert PValueSet(ids, np.asarray(p_values), seed) == ps
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -55,6 +72,52 @@ class TestMonotonicity:
             assert np.all(np.diff(out) >= 0)
             assert np.all(out >= raw)
             assert enforce_monotonicity(out) == list(out)
+
+
+def per_row_result(pairs, seed, kind, weight, mc_draws):
+    """(rows, nfdr_trace) of lfdr_estimates, built one row at a time."""
+    ids, ps, ranks = pvalue_tuples(pairs, seed)
+    order = np.argsort(ranks)
+    p_sorted = np.asarray(ps)[order]
+    ids_sorted = tuple(ids[i] for i in order)
+    raw_rows, capped_rows = _rank_estimates(
+        p_sorted[None, :], kind, weight, mc_draws, (seed,), "monte_carlo"
+    )
+    raw, capped = raw_rows[0], capped_rows[0]
+    monotone = [max(raw[: i + 1]) for i in range(len(raw))]
+    if kind == "mle":
+        w = None
+    elif weight is None:
+        w = 1.0 if kind == "corrected_median" else 0.5
+    else:
+        w = weight
+    n = len(ps)
+    trace = tuple(
+        NfdrEstimate(float(v), kind, float(p_sorted[x - 1]), x, n, w, bool(c))
+        for v, x, c in zip(raw, range(2, n + 1, 2), capped)
+    )
+    rows = tuple(
+        LfdrRow(ids_sorted[i], float(p_sorted[i]), i + 1, float(raw[i]), float(monotone[i]))
+        for i in range(n)
+    )
+    return rows, trace
+
+
+class TestLfdrResultColumns:
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000])
+    @pytest.mark.parametrize("kind", ["mle", "corrected_median", "posterior_mean"])
+    @pytest.mark.parametrize("weight", [None, 0.0, 0.5, 1.0])
+    def test_rows_and_trace_match_per_row_construction(self, n, kind, weight):
+        rng = np.random.default_rng(1000 + n)
+        pairs = [(f"h{i}", float(p)) for i, p in enumerate(np.round(rng.random(n), 3))]
+        res = lfdr_estimates(
+            PValueSet.from_pairs(pairs, 5), kind, weight=weight, mc_draws=20, seed=5
+        )
+        rows, trace = per_row_result(pairs, 5, kind, weight, 20)
+        assert res.rows == rows
+        assert res.nfdr_trace == trace
+        assert res.raw().tolist() == [r.raw_estimate for r in rows]
+        assert res.monotone().tolist() == [r.monotone_estimate for r in rows]
 
 
 class TestLfdrEstimates:
