@@ -22,13 +22,14 @@ from .distributions import _log_binomial_coef, _log_binomial_pmf
 # halvings of [0, 1] reach; every cell along the way is a dyadic interval.
 _BISECT_STEPS = 40
 
-# Level of the dyadic cell certified from the Newton estimate; the last
-# 40 - 33 = 7 halvings then run from it.  An end of the cell fails the check
-# when the root lies within about _CELL_MARGIN * u / density of it, and each
-# level up doubles the share of elements that redo the whole bisection: at
-# level 33 it is 0.1 % of the corrected medians at N = 20 000, 1 % of the
-# Monte Carlo draws at N = 500 and 4-8 % of those at N <= 32, near the 3.6 %
-# (1 / (40 ln 2)) where one more level stops paying for itself.
+# Level of the dyadic cell certified from the estimate; the last 40 - 33 = 7
+# halvings then run from it.  An end of the cell misses the check when the
+# root lies within about _CELL_MARGIN * u / density of it, and the next end
+# out is then checked instead, one evaluation more.  Elements whose estimate
+# is more than a cell off, or whose curve is too flat to clear the margin,
+# redo the whole bisection: at level 33 none of the corrected medians at
+# N = 20 000, 0.1 % of the Monte Carlo draws at N = 500 and 0.1-0.3 % of
+# those at N <= 32.
 _CELL_LEVEL = 33
 
 # Relative margin by which the curve at each end of that cell must clear u.
@@ -134,22 +135,45 @@ def _solve(trials, x, weight, u):
     """Midpoint of the 2**-40 cell that bisecting [0, 1] on curve(pi) < u reaches.
 
     ``x`` and ``u`` are flat and every curve is non-constant with u in its
-    range.  A bracketed Newton solve, started from the Beta(x + 1 - C,
-    N - x + C) quantile (exact for C in {0, 1}), estimates the root; its
+    range.  For C in {0, 1} the curve is the Clopper-Pearson Beta(x + 1 - C,
+    N - x + C) distribution function, whose quantile is the root itself, so
+    no Newton step runs.  For C in (0, 1) the curve is C pi**N at x = N and
+    1 - (1 - C)(1 - pi)**N at x = 0, whose roots are in closed form, again
+    without Newton.  The other elements start from the normal approximation
+    to logit pi under Beta(a, b) = Beta(x + 1 - C, N - x + C): mean
+    digamma(a) - digamma(b) and variance trigamma(a) + trigamma(b), computed
+    once per distinct x.  A bracketed Newton solve refines that start; the
     density (1 - C) Beta(x + 1, N - x) + C Beta(x, N - x + 1) is the
-    binomial mass times (1 - C)(N - x)/(1 - pi) + C x/pi.  The cell of
-    level _CELL_LEVEL holding the estimate is the one bisection reaches when
-    the curve clears u by the margin at both ends (an end at 0 or 1 needs
-    no check), so only the halvings below that level run.  Elements that
-    fail the check bisect down to that level first; either way every
-    comparison that is made is one that plain bisection makes, so the
-    result is the same to the bit.
+    binomial mass times (1 - C)(N - x)/(1 - pi) + C x/pi.
+
+    The cell of level _CELL_LEVEL holding the estimate is the one bisection
+    reaches when the curve clears u by the margin at both ends (an end at 0
+    or 1 needs no check).  When only one end misses the margin, as it does
+    when the root is that end, the next end out must clear it instead and
+    bisection's own comparison at the shared end picks the cell on its side.
+    Only the halvings below that level then run; elements that fail the
+    check bisect down to that level first.  Either way every comparison
+    that is made is one that plain bisection makes, so the result is the
+    same to the bit.
     """
     curve = _Curve(trials, x, weight)
+    if weight in (0.0, 1.0):
+        pi = special.betaincinv(x + 1.0 - weight, trials - x + weight, u)
+        active = np.arange(0)
+    else:
+        distinct, index = np.unique(x, return_inverse=True)
+        a, b = distinct + 1.0 - weight, trials - distinct + weight
+        mean = special.digamma(a) - special.digamma(b)
+        sd = np.sqrt(special.polygamma(1, a) + special.polygamma(1, b))
+        pi = special.expit(mean[index] + sd[index] * special.ndtri(u))
+        top, bottom = np.flatnonzero(x == trials), np.flatnonzero(x == 0)
+        pi[top] = (u[top] / weight) ** (1.0 / trials)
+        pi[bottom] = 1.0 - ((1.0 - u[bottom]) / (1.0 - weight)) ** (1.0 / trials)
+        active = np.flatnonzero((x > 0) & (x < trials))
     lo, hi = np.zeros(x.size), np.ones(x.size)
-    pi = special.betaincinv(x + 1.0 - weight, trials - x + weight, u)
-    active = np.arange(x.size)
     for _ in range(_NEWTON_STEPS):
+        if active.size == 0:
+            break
         sub, p = curve.take(active), pi[active]
         sf, pmf = sub.terms(p)
         excess = sf + weight * pmf - u[active]
@@ -163,8 +187,6 @@ def _solve(trials, x, weight, u):
         inside = (lo[active] <= step) & (step <= hi[active])
         pi[active] = np.where(inside, step, 0.5 * (lo[active] + hi[active]))
         active = active[~(np.abs(pi[active] - p) <= _NEWTON_TOL)]
-        if active.size == 0:
-            break
 
     cells = 2.0**_CELL_LEVEL
     left = np.minimum(np.floor(pi * cells), cells - 1.0) / cells
@@ -173,9 +195,31 @@ def _solve(trials, x, weight, u):
     ends = curve.take(np.concatenate([at_left, at_right]))(
         np.concatenate([left[at_left], right[at_right]])
     )
-    ok = np.ones(x.size, dtype=bool)
-    ok[at_left] = ends[: at_left.size] < u[at_left] * (1.0 - _CELL_MARGIN)
-    ok[at_right] &= ends[at_left.size :] > u[at_right] * (1.0 + _CELL_MARGIN)
+    # an end at 0 or 1 is never compared by bisection and needs no check
+    s_left, s_right = np.full(x.size, -np.inf), np.full(x.size, np.inf)
+    s_left[at_left], s_right[at_right] = ends[: at_left.size], ends[at_left.size :]
+    clear_left = s_left < u * (1.0 - _CELL_MARGIN)
+    clear_right = s_right > u * (1.0 + _CELL_MARGIN)
+    ok = clear_left & clear_right
+
+    # A root at one end of the cell, or within the margin of it, leaves that
+    # end short of the margin: the next end out must clear it instead, and
+    # bisection's own comparison at the shared end picks the cell on its side.
+    one = np.flatnonzero(clear_left != clear_right)
+    if one.size:
+        missed_left = ~clear_left[one]
+        out = np.where(missed_left, left[one] - 1.0 / cells, right[one] + 1.0 / cells)
+        inner = np.flatnonzero((out != 0.0) & (out != 1.0))
+        s_out = curve.take(one[inner])(out[inner])
+        ok[one] = True
+        ok[one[inner]] = np.where(
+            missed_left[inner],
+            s_out < u[one[inner]] * (1.0 - _CELL_MARGIN),
+            s_out > u[one[inner]] * (1.0 + _CELL_MARGIN),
+        )
+        below = np.where(missed_left, s_left[one], s_right[one]) < u[one]
+        left[one] += np.subtract(below, missed_left, dtype=float) / cells
+        right[one] = left[one] + 1.0 / cells
 
     lo, hi = np.where(ok, left, 0.0), np.where(ok, right, 1.0)
     redo = np.flatnonzero(~ok)
@@ -191,8 +235,10 @@ def _quantile(trials, x, weight, u):
     """Inverse of the significance function in pi, broadcasting over x and u.
 
     The value is the midpoint of the 2**-40 cell that bisecting [0, 1] on
-    significance < u reaches; ``_solve`` finds it with a warm-started
-    Newton solve and the last few halvings, to the same bits.  Each element
+    significance < u reaches; ``_solve`` finds it to the same bits from a
+    start that is the root (the Beta quantile for C in {0, 1}, a closed form
+    at x = 0 and x = N) or a closed-form approximation refined by Newton
+    steps, then a cell check and the last few halvings.  Each element
     depends only on its own (x, u), so a stack of rows gives exactly the
     per-row results.  Values of u below the attainable range land on the
     atom of the confidence distribution at 0 (x = 0), values above it on

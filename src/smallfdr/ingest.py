@@ -144,8 +144,11 @@ def two_sample_t_pvalues(matrix: AbundanceMatrix, tie_break_seed: int = 0) -> PV
 
 
 def _read_rows(path) -> list[list[str]]:
-    """The csv rows of a file, leaving out rows whose cells are all blank."""
-    with open(path, newline="", encoding="utf-8") as handle:
+    """The csv rows of a file, leaving out rows whose cells are all blank.
+
+    A leading UTF-8 byte-order mark, as spreadsheet exports write, is dropped.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         rows = [row for row in csv.reader(handle)]
     return [row for row in rows if row and any(cell.strip() for cell in row)]
 
@@ -209,6 +212,7 @@ def _two_column_cells(path) -> list[str] | None:
     With no quote, NUL or lone carriage return, which the csv module treats
     specially, such a file splits at its commas and line ends exactly as the
     csv module splits it, without per-line work.  Any other file gives None.
+    A leading UTF-8 byte-order mark is dropped, as ``_read_rows`` drops it.
     """
     with open(path, "rb") as handle:
         raw = handle.read().replace(b"\r\n", b"\n")
@@ -222,7 +226,7 @@ def _two_column_cells(path) -> list[str] | None:
     if seps.size % 2 or (seps[0::2] != ord(",")).any() or (seps[1::2] != ord("\n")).any():
         return None
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError:
         return None
     del raw

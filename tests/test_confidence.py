@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from smallfdr import (
     BinomialParams,
@@ -13,7 +13,7 @@ from smallfdr import (
     sample_parameter,
     significance,
 )
-from smallfdr.confidence import _quantile
+from smallfdr.confidence import _Curve, _quantile
 
 from oracles import bisection_quantile
 
@@ -245,7 +245,12 @@ class TestQuantileMatchesBisection:
     # the warm-started solver must give the plain bisection's bits everywhere
     # except on constant curves, which have no root
 
-    @pytest.mark.parametrize("weight", [0.0, 0.3, 0.5, 1.0])
+    # 1e-9, 1e-3, 0.999 and 1 - 1e-9 sit next to the atoms of C, where a Beta
+    # parameter of the start for C in (0, 1), C at x = N or 1 - C at x = 0,
+    # nears 0 and the mixture nears one of its components
+    @pytest.mark.parametrize(
+        "weight", [0.0, 1e-9, 1e-3, 0.3, 0.5, 0.999, 1.0 - 1e-9, 1.0]
+    )
     def test_every_x_and_edge_levels(self, weight):
         rng = np.random.default_rng(31)
         # at 5e-324, the least subnormal, the Beta quantile that starts Newton is nan
@@ -279,3 +284,63 @@ class TestQuantileMatchesBisection:
         levels = np.array([0.0, 0.5, 1.0])
         assert np.array_equal(_quantile(8, 0, 1.0, levels), np.zeros(3))
         assert np.array_equal(_quantile(8, 8, 0.0, levels), np.ones(3))
+
+
+def _evaluated_points(monkeypatch):
+    """Every pi at which the significance curve is evaluated, one array per call."""
+    points = []
+    terms = _Curve.terms
+
+    def counted(self, pi):
+        points.append(np.array(pi))
+        return terms(self, pi)
+
+    monkeypatch.setattr(_Curve, "terms", counted)
+    return points
+
+
+class TestSolverWork:
+    def test_exact_starts_run_no_newton(self, monkeypatch):
+        # The Beta quantile at C in {0, 1} and the closed forms at x = 0 and
+        # x = N for C in (0, 1) are the root, so the curve is evaluated only
+        # at the ends of dyadic cells and at bisection midpoints: multiples
+        # of 2**-40.  A Newton evaluation at the start would not be one.
+        points = _evaluated_points(monkeypatch)
+        u = np.random.default_rng(41).random(50)
+        n = 13
+        cases = [(0.0, np.arange(n), u), (1.0, np.arange(1, n + 1), u)]
+        for c in (0.3, 0.5):
+            cases += [(c, np.array([0]), c + (1.0 - c) * u), (c, np.array([n]), c * u)]
+        for weight, xs, levels in cases:
+            got = _quantile(n, xs[:, None], weight, levels)
+            assert np.array_equal(got, bisection_quantile(n, xs[:, None], weight, levels))
+        grid = np.concatenate(points) * 2.0**40
+        assert np.array_equal(grid, np.floor(grid))
+
+    def test_fractional_weight_calls_no_beta_inverse(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("betaincinv called")
+
+        monkeypatch.setattr(special, "betaincinv", refuse)
+        u = np.random.default_rng(42).random((14, 20))
+        for weight in (1e-9, 0.3, 0.5, 1.0 - 1e-9):
+            got = _quantile(13, np.arange(14)[:, None], weight, u)
+            assert np.array_equal(got, bisection_quantile(13, np.arange(14)[:, None], weight, u))
+
+    @pytest.mark.parametrize(
+        "n, x, weight, u",
+        # roots at the dyadic point 1/2: the symmetric medians, x = (N + 1)/2
+        # with C = 1 and x = (N - 1)/2 with C = 0
+        [(n, (n + 1) // 2, 1.0, 0.5) for n in (1, 3, 5, 7, 11, 19)]
+        + [(n, (n - 1) // 2, 0.0, 0.5) for n in (1, 3, 5, 7, 11, 19)]
+        # u = C at x = N (root 1) and at x = 0 (root 0), C in (0, 1); at x = 0
+        # with C near 1 the curve rises by only about (1 - C) N 2**-33 across
+        # a cell, less than the margin, so no cell can be certified there
+        + [(n, n, c, c) for n in (1, 2, 8, 100) for c in (1e-9, 0.3, 0.5, 1.0 - 1e-9)]
+        + [(n, 0, c, c) for n in (1, 2, 8, 100) for c in (1e-9, 0.3, 0.5)],
+    )
+    def test_roots_on_the_bisection_grid_are_certified(self, monkeypatch, n, x, weight, u):
+        points = _evaluated_points(monkeypatch)
+        got = _quantile(n, x, weight, u)
+        assert sum(p.size for p in points) <= 12
+        assert np.array_equal(got, bisection_quantile(n, x, weight, u))

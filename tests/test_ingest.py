@@ -19,6 +19,7 @@ from smallfdr import (
     shift_log_transform,
     two_sample_t_pvalues,
 )
+from smallfdr.cli import main
 from smallfdr.ingest import _pvalue_rows, _two_column_cells
 
 FIXTURE = Path(__file__).parent / "data" / "abundance_20protein.csv"
@@ -207,6 +208,18 @@ class TestLoaders:
         assert [s.group for s in m.subjects] == ["case", "case", "control", "control"]
         assert np.array_equal(m.values, [[1, 2, 3, 4], [5, 6, 7, 8]])
 
+    def test_abundance_byte_order_mark(self, tmp_path, capsys):
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + FIXTURE.read_bytes())
+        got, want = load_abundance_csv(marked), load_abundance_csv(FIXTURE)
+        assert (got.features, got.subjects) == (want.features, want.subjects)
+        assert np.array_equal(got.values, want.values)
+        outputs = []
+        for path in (FIXTURE, marked):
+            assert main(["ttest", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_abundance_errors(self, tmp_path):
         bad_header = tmp_path / "h.csv"
         bad_header.write_text("name,a:case\nf,1\n")
@@ -273,6 +286,23 @@ class TestLoaders:
             load_pvalues_csv(path)
         # the first fault sits on line 4: header, "a,0.1", one good line
         assert str(err.value) == f"{path}, line 4: {self.FAULTS[faults[0]][1]}"
+
+    @pytest.mark.parametrize(
+        "text, split_without_csv",
+        [("id,p\na,0.1\nb,0.9\n", True), ('id,p\n"x,y",0.1\nb,0.9\n', False)],
+        ids=["split", "csv"],
+    )
+    def test_pvalues_byte_order_mark(self, tmp_path, capsys, text, split_without_csv):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert (_two_column_cells(marked) is not None) == split_without_csv
+        assert load_pvalues_csv(marked, tie_break_seed=3) == load_pvalues_csv(plain, 3)
+        outputs = []
+        for path in (plain, marked):
+            assert main(["lfdr", str(path), "--estimator", "corrected"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
         "text, split_without_csv",
