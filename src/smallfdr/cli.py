@@ -12,9 +12,7 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import os
 import sys
@@ -146,7 +144,9 @@ def _write_manifest(out_path: str, command: str, params: dict, inputs: list[str]
         handle.write("\n")
 
 
-# Cells holding one of these go through csv.writer, which may quote them.
+# Cells holding one of these are quoted, as csv.writer quotes a cell holding
+# the delimiter, the quote or a line break.  csv.writer with lineterminator
+# "\n" leaves a lone CR unquoted, and a reader then splits the row there.
 _CSV_SPECIAL = (",", '"', "\r", "\n")
 _ROWS_PER_WRITE = 8192
 
@@ -160,16 +160,14 @@ def _kind(column) -> type | None:
 
 
 def _csv_cell(text: str) -> str:
-    """One string cell as csv.writer writes it."""
+    """One string cell, quoted with its quotes doubled when it holds a special character."""
     if not any(c in text for c in _CSV_SPECIAL):
         return text
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow([text])
-    return buffer.getvalue()[:-1]
+    return '"' + text.replace('"', '""') + '"'
 
 
 def _csv_column(column) -> tuple[str, object]:
-    """The %-spec that writes a column's cells as _fmt and csv.writer would, and its values."""
+    """The %-spec that writes a column's cells as _fmt and _csv_cell would, and its values."""
     kind = _kind(column)
     if kind is float:
         return "%.12g", column
@@ -208,7 +206,7 @@ def _lines(template: str, columns: list):
 
 
 def _csv_text(header: list[str], columns: list):
-    """The table as csv.writer writes it with 12 significant digits, in pieces."""
+    """The table as CSV with 12 significant digits, in pieces."""
     specs, cells = zip(*map(_csv_column, columns))
     yield ",".join(map(_csv_cell, header)) + "\n"
     yield from _lines(",".join(specs) + "\n", cells)
@@ -232,7 +230,8 @@ def _emit_table(header: list[str], columns: list, args, command: str,
     """Write a CSV table to --out (with manifest, optional JSON mirror) or stdout.
 
     ``columns`` holds one sequence or array per header name.  Each row is
-    one %-formatted line, with the bytes csv.writer would write.
+    one %-formatted line, with the bytes csv.writer would write, except that
+    a cell holding a CR is quoted too.
     """
     out = getattr(args, "out", None)
     if out is None:

@@ -22,27 +22,19 @@ from .distributions import _log_binomial_coef, _log_binomial_pmf
 # halvings of [0, 1] reach; every cell along the way is a dyadic interval.
 _BISECT_STEPS = 40
 
-# Level of the dyadic cell certified from the estimate; the last 40 - 33 = 7
-# halvings then run from it.  An end of the cell misses the check when the
-# root lies within about _CELL_MARGIN * u / density of it, and the next end
-# out is then checked instead, one evaluation more.  Elements whose estimate
-# is more than a cell off, or whose curve is too flat to clear the margin,
-# redo the whole bisection: at level 33 none of the corrected medians at
-# N = 20 000, 0.1 % of the Monte Carlo draws at N = 500 and 0.1-0.3 % of
-# those at N <= 32.
-_CELL_LEVEL = 33
-
-# Relative margin by which the curve at each end of that cell must clear u.
-# While one curve value is off by at most half of it, every midpoint that
-# bisection would have compared beyond an end compares the same way, so
-# skipping those comparisons changes no bit.  Against mpmath the rounding
-# that varies with pi (the log-coefficient's is shared by every pi of one x)
-# was at most 3e-13 at N = 10**5 and 4e-15 at N = 30, which leaves room
-# for larger N.
+# Relative margin by which the curve at each end of the bracket certified
+# around the estimate must clear u.  While one curve value is off by at most
+# half of it, every midpoint that bisection would have compared beyond an end
+# compares the same way, so skipping those comparisons changes no bit.
+# Against mpmath the rounding that varies with pi (the log-coefficient's is
+# shared by every pi of one x) was at most 3e-13 at N = 10**5 and 4e-15 at
+# N = 30, which leaves room for larger N.  The bracket's half-width is four
+# margins of u over the density, so a root within about three quarters of
+# it of the estimate still lets both ends clear.
 _CELL_MARGIN = 1e-11
 
-# Newton stops once a step is this short, far inside a 2**-33 cell; an
-# element still moving after _NEWTON_STEPS evaluations is left to the check.
+# Newton stops once a step is this short, far inside the certified bracket;
+# an element still moving after _NEWTON_STEPS evaluations is left to the check.
 _NEWTON_TOL = 1e-13
 _NEWTON_STEPS = 8
 
@@ -122,15 +114,6 @@ def attainable_range(cd: ConfidenceDistribution) -> tuple[float, float]:
     return low, high
 
 
-def _bisect(curve, u, lo, hi, steps):
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        below = curve(mid) < u
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return lo, hi
-
-
 def _solve(trials, x, weight, u):
     """Midpoint of the 2**-40 cell that bisecting [0, 1] on curve(pi) < u reaches.
 
@@ -146,15 +129,15 @@ def _solve(trials, x, weight, u):
     density (1 - C) Beta(x + 1, N - x) + C Beta(x, N - x + 1) is the
     binomial mass times (1 - C)(N - x)/(1 - pi) + C x/pi.
 
-    The cell of level _CELL_LEVEL holding the estimate is the one bisection
-    reaches when the curve clears u by the margin at both ends (an end at 0
-    or 1 needs no check).  When only one end misses the margin, as it does
-    when the root is that end, the next end out must clear it instead and
-    bisection's own comparison at the shared end picks the cell on its side.
-    Only the halvings below that level then run; elements that fail the
-    check bisect down to that level first.  Either way every comparison
-    that is made is one that plain bisection makes, so the result is the
-    same to the bit.
+    The estimate is then bracketed by [L, R], a half-width of four margins of
+    u over the density (at least a few ulps) on either side, and the curve is
+    evaluated at both ends (an end at 0 or 1 needs no check).  When both ends
+    clear u by the margin, every bisection midpoint <= L compares below and
+    every one >= R does not; otherwise the bracket is [0, 1].  Bisection
+    reaches the deepest dyadic cell holding [L, R] without an evaluation, and
+    below it only the midpoints strictly inside (L, R) are evaluated.  Every
+    comparison that is made is one that plain bisection makes, so the result
+    is the same to the bit.
     """
     curve = _Curve(trials, x, weight)
     if weight in (0.0, 1.0):
@@ -188,47 +171,41 @@ def _solve(trials, x, weight, u):
         pi[active] = np.where(inside, step, 0.5 * (lo[active] + hi[active]))
         active = active[~(np.abs(pi[active] - p) <= _NEWTON_TOL)]
 
-    cells = 2.0**_CELL_LEVEL
-    left = np.minimum(np.floor(pi * cells), cells - 1.0) / cells
-    right = left + 1.0 / cells
-    at_left, at_right = np.flatnonzero(left != 0.0), np.flatnonzero(right != 1.0)
+    # the density as in the Newton step, a term whose coefficient is 0 taken
+    # as 0 so that a root at 0 or 1 keeps a finite width; a width that is
+    # not finite (no density, or a nan estimate) gives the bracket [0, 1]
+    pmf = np.exp(_log_binomial_pmf(trials, x, pi, curve.log_coef))
+    upper, lower = (1.0 - weight) * (trials - x), weight * x
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scale = np.where(upper > 0.0, upper / (1.0 - pi), 0.0)
+        scale += np.where(lower > 0.0, lower / pi, 0.0)
+        width = np.maximum(4.0 * _CELL_MARGIN * u / (pmf * scale), 4.0 * np.spacing(pi))
+        left, right = np.fmax(pi - width, 0.0), np.fmin(pi + width, 1.0)
+    # bisection never compares at 0 or 1, so an end there needs no check
+    at_left, at_right = np.flatnonzero(left > 0.0), np.flatnonzero(right < 1.0)
     ends = curve.take(np.concatenate([at_left, at_right]))(
         np.concatenate([left[at_left], right[at_right]])
     )
-    # an end at 0 or 1 is never compared by bisection and needs no check
-    s_left, s_right = np.full(x.size, -np.inf), np.full(x.size, np.inf)
-    s_left[at_left], s_right[at_right] = ends[: at_left.size], ends[at_left.size :]
-    clear_left = s_left < u * (1.0 - _CELL_MARGIN)
-    clear_right = s_right > u * (1.0 + _CELL_MARGIN)
-    ok = clear_left & clear_right
+    clear = np.ones(x.size, dtype=bool)
+    clear[at_left] = ends[: at_left.size] < u[at_left] * (1.0 - _CELL_MARGIN)
+    clear[at_right] &= ends[at_left.size :] > u[at_right] * (1.0 + _CELL_MARGIN)
+    left, right = np.where(clear, left, 0.0), np.where(clear, right, 1.0)
 
-    # A root at one end of the cell, or within the margin of it, leaves that
-    # end short of the margin: the next end out must clear it instead, and
-    # bisection's own comparison at the shared end picks the cell on its side.
-    one = np.flatnonzero(clear_left != clear_right)
-    if one.size:
-        missed_left = ~clear_left[one]
-        out = np.where(missed_left, left[one] - 1.0 / cells, right[one] + 1.0 / cells)
-        inner = np.flatnonzero((out != 0.0) & (out != 1.0))
-        s_out = curve.take(one[inner])(out[inner])
-        ok[one] = True
-        ok[one[inner]] = np.where(
-            missed_left[inner],
-            s_out < u[one[inner]] * (1.0 - _CELL_MARGIN),
-            s_out > u[one[inner]] * (1.0 + _CELL_MARGIN),
-        )
-        below = np.where(missed_left, s_left[one], s_right[one]) < u[one]
-        left[one] += np.subtract(below, missed_left, dtype=float) / cells
-        right[one] = left[one] + 1.0 / cells
-
-    lo, hi = np.where(ok, left, 0.0), np.where(ok, right, 1.0)
-    redo = np.flatnonzero(~ok)
-    if redo.size:
-        lo[redo], hi[redo] = _bisect(
-            curve.take(redo), u[redo], lo[redo], hi[redo], _CELL_LEVEL
-        )
-    lo, hi = _bisect(curve, u, lo, hi, _BISECT_STEPS - _CELL_LEVEL)
-    return 0.5 * (lo + hi)
+    # The deepest dyadic cell holding [L, R] shares the high bits of the
+    # 2**-40 cells of L and R; the midpoints above it all lie outside (L, R).
+    cells = 2.0**_BISECT_STEPS
+    index = np.minimum(np.stack([left, right]) * cells, cells - 1.0).astype(np.int64)
+    shift = np.frexp((index[0] ^ index[1]).astype(float))[1]
+    lo = (index[0] >> shift << shift) / cells
+    for level in range(_BISECT_STEPS - shift.max(initial=0) + 1, _BISECT_STEPS + 1):
+        live = np.flatnonzero(shift > _BISECT_STEPS - level)
+        mid = lo[live] + 2.0**-level
+        below = mid <= left[live]
+        inside = np.flatnonzero(~below & (mid < right[live]))
+        if inside.size:
+            below[inside] = curve.take(live[inside])(mid[inside]) < u[live[inside]]
+        lo[live] = np.where(below, mid, lo[live])
+    return lo + 0.5 / cells
 
 
 def _quantile(trials, x, weight, u):
@@ -238,7 +215,8 @@ def _quantile(trials, x, weight, u):
     significance < u reaches; ``_solve`` finds it to the same bits from a
     start that is the root (the Beta quantile for C in {0, 1}, a closed form
     at x = 0 and x = N) or a closed-form approximation refined by Newton
-    steps, then a cell check and the last few halvings.  Each element
+    steps, then a bracket certified around it, inside which only the few
+    midpoints bisection compares are evaluated.  Each element
     depends only on its own (x, u), so a stack of rows gives exactly the
     per-row results.  Values of u below the attainable range land on the
     atom of the confidence distribution at 0 (x = 0), values above it on

@@ -153,6 +153,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv_line(cells) -> str:
+    """One CSV row ending in "\n", a cell holding a CR or LF quoted.
+
+    csv.writer quotes a cell holding a character of its line terminator, so
+    the row is written with "\r\n" and that terminator then swapped.
+    """
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\r\n").writerow(cells)
+    return buffer.getvalue()[:-2] + "\n"
+
+
 def table_text(header, rows) -> tuple[str, str]:
     """CSV text and JSON mirror text of a table, written a row at a time.
 
@@ -160,16 +171,12 @@ def table_text(header, rows) -> tuple[str, str]:
     else, through csv.writer; the mirror is json.dump(records, indent=2) and
     a newline, one record per row with "" cells as null.
     """
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    lines = [_csv_line(header)] + [_csv_line([_fmt(v) for v in row]) for row in rows]
     records = [
         {key: (None if value == "" else value) for key, value in zip(header, row)}
         for row in rows
     ]
-    return buffer.getvalue(), json.dumps(records, indent=2) + "\n"
+    return "".join(lines), json.dumps(records, indent=2) + "\n"
 
 
 def pvalue_tuples(pairs, tie_break_seed: int = 0):

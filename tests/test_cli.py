@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -134,6 +135,22 @@ class TestBhCommand:
         assert lines[0] == "id,p,rank,rejected"
         assert lines[1].startswith("a,") and lines[1].endswith(",1")
         assert lines[3].endswith(",0")
+
+    def test_out_table_reads_back_with_line_breaks_in_ids(self, tmp_path, capsys):
+        # a lone CR in a cell must be quoted, or a reader splits the row there
+        ids = ["a\rb", "c\nd", "e\r\nf", 'g,"h"']
+        src = tmp_path / "p.csv"
+        with open(src, "w", newline="", encoding="utf-8") as handle:
+            rows = [[label, 0.01 * (k + 1)] for k, label in enumerate(ids)]
+            csv.writer(handle).writerows([["id", "p"]] + rows)
+        out = tmp_path / "rej.csv"
+        code, _, _ = run(["bh", src, "--q", "0.05", "--out", out], capsys)
+        assert code == 0
+        with open(out, newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["id", "p", "rank", "rejected"]
+        assert [row[0] for row in rows[1:]] == ids
+        assert all(len(row) == 4 for row in rows)
 
     def test_duplicate_ids_exit_code(self, tmp_path, capsys):
         src = tmp_path / "p.csv"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from smallfdr import (
@@ -241,6 +243,16 @@ def _constant_curve(n, x, weight):
     return ((x == 0) & (weight == 1.0)) | ((x == n) & (weight == 0.0))
 
 
+@st.composite
+def _varying_curve(draw):
+    """(N, x, C) with N <= 200 whose curve is not constant."""
+    n = draw(st.integers(1, 200))
+    x = draw(st.integers(0, n))
+    weight = draw(st.floats(0.0, 1.0))
+    assume(not _constant_curve(n, x, weight))
+    return n, x, weight
+
+
 class TestQuantileMatchesBisection:
     # the warm-started solver must give the plain bisection's bits everywhere
     # except on constant curves, which have no root
@@ -285,6 +297,23 @@ class TestQuantileMatchesBisection:
         assert np.array_equal(_quantile(8, 0, 1.0, levels), np.zeros(3))
         assert np.array_equal(_quantile(8, 8, 0.0, levels), np.ones(3))
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    def test_property_random_curves(self, data, u):
+        n, x, weight = data.draw(_varying_curve())
+        u = np.asarray(u)
+        assert np.array_equal(_quantile(n, x, weight, u), bisection_quantile(n, x, weight, u))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), level=st.integers(1, 40))
+    def test_property_roots_on_dyadic_points(self, data, level):
+        # u is the computed curve at k / 2**level, so the root is a bisection
+        # midpoint whose comparison is a tie, decided only by evaluating there
+        n, x, weight = data.draw(_varying_curve())
+        k = data.draw(st.integers(0, 2 ** (level - 1) - 1)) * 2 + 1
+        u = _Curve(n, np.array([float(x)]), weight)(np.array([k / 2.0**level]))
+        assert np.array_equal(_quantile(n, x, weight, u), bisection_quantile(n, x, weight, u))
+
 
 def _evaluated_points(monkeypatch):
     """Every pi at which the significance curve is evaluated, one array per call."""
@@ -303,19 +332,35 @@ class TestSolverWork:
     def test_exact_starts_run_no_newton(self, monkeypatch):
         # The Beta quantile at C in {0, 1} and the closed forms at x = 0 and
         # x = N for C in (0, 1) are the root, so the curve is evaluated only
-        # at the ends of dyadic cells and at bisection midpoints: multiples
-        # of 2**-40.  A Newton evaluation at the start would not be one.
+        # at the two bracket ends and at the few midpoints between them; at
+        # this N one Newton evaluation per element would exceed 3.
         points = _evaluated_points(monkeypatch)
         u = np.random.default_rng(41).random(50)
-        n = 13
-        cases = [(0.0, np.arange(n), u), (1.0, np.arange(1, n + 1), u)]
+        n = 20_000
+        xs = np.unique(np.linspace(0, n, 60).astype(int))
+        cases = [(0.0, xs[xs < n], u), (1.0, xs[xs > 0], u)]
         for c in (0.3, 0.5):
             cases += [(c, np.array([0]), c + (1.0 - c) * u), (c, np.array([n]), c * u)]
-        for weight, xs, levels in cases:
-            got = _quantile(n, xs[:, None], weight, levels)
-            assert np.array_equal(got, bisection_quantile(n, xs[:, None], weight, levels))
-        grid = np.concatenate(points) * 2.0**40
-        assert np.array_equal(grid, np.floor(grid))
+        for weight, x, levels in cases:
+            points.clear()
+            got = _quantile(n, x[:, None], weight, levels)
+            assert sum(p.size for p in points) <= 3 * got.size
+            assert np.array_equal(got, bisection_quantile(n, x[:, None], weight, levels))
+
+    def test_corrected_medians_take_few_evaluations(self, monkeypatch):
+        # the medians of lfdr's corrected estimator, x = 2r, at N = 20 000
+        points = _evaluated_points(monkeypatch)
+        n = 20_000
+        _quantile(n, 2 * np.arange(1, n // 2 + 1), 1.0, 0.5)
+        assert sum(p.size for p in points) <= 3 * (n // 2)
+
+    def test_monte_carlo_draws_take_few_evaluations(self, monkeypatch):
+        # lfdr's mean estimator: 100 draws for each x = 2r at N = 500, C = 1/2
+        points = _evaluated_points(monkeypatch)
+        n, draws = 500, 100
+        u = np.random.default_rng(43).random((n // 2, draws))
+        got = _quantile(n, 2 * np.arange(1, n // 2 + 1)[:, None], 0.5, u)
+        assert sum(p.size for p in points) <= 8.5 * got.size
 
     def test_fractional_weight_calls_no_beta_inverse(self, monkeypatch):
         def refuse(*args):
@@ -334,8 +379,8 @@ class TestSolverWork:
         [(n, (n + 1) // 2, 1.0, 0.5) for n in (1, 3, 5, 7, 11, 19)]
         + [(n, (n - 1) // 2, 0.0, 0.5) for n in (1, 3, 5, 7, 11, 19)]
         # u = C at x = N (root 1) and at x = 0 (root 0), C in (0, 1); at x = 0
-        # with C near 1 the curve rises by only about (1 - C) N 2**-33 across
-        # a cell, less than the margin, so no cell can be certified there
+        # with C near 1 the curve is so flat that the certified bracket is
+        # about 0.04 / N wide and some 30 midpoints inside it are evaluated
         + [(n, n, c, c) for n in (1, 2, 8, 100) for c in (1e-9, 0.3, 0.5, 1.0 - 1e-9)]
         + [(n, 0, c, c) for n in (1, 2, 8, 100) for c in (1e-9, 0.3, 0.5)],
     )
