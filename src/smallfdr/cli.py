@@ -379,24 +379,27 @@ def cmd_coverage_exact(args) -> int:
     alphas = _parse_float_grid(args.alpha_grid, "--alpha-grid")
     pis = _parse_float_grid(args.pi_grid, "--pi-grid")
     kind = ESTIMATOR_FLAGS[args.estimator]
-    rows = []
+    cells = []
     for alpha in alphas:
         if not 0.0 < alpha <= 1.0:
             raise UsageError(f"--alpha-grid values must lie in (0, 1], got {alpha}")
         for pi in pis:
             if not 0.0 <= pi <= 1.0:
                 raise UsageError(f"--pi-grid values must lie in [0, 1], got {pi}")
-            if pi < alpha:
-                rows.append((alpha, pi, ""))
-            else:
-                rows.append((alpha, pi, exact_small_n_coverage(args.n, alpha, pi, kind)))
+            cells.append((alpha, pi))
+    alpha_column, pi_column = map(np.array, zip(*cells))
+    defined = pi_column >= alpha_column  # the other cells stay blank
+    coverage = np.full(len(cells), "", dtype=object)
+    coverage[defined] = exact_small_n_coverage(
+        args.n, alpha_column[defined], pi_column[defined], kind
+    ).tolist()
     params = {
         "n": args.n,
         "alpha_grid": alphas,
         "pi_grid": pis,
         "estimator": args.estimator,
     }
-    columns = list(zip(*rows))
+    columns = [alpha_column, pi_column, coverage.tolist()]
     _emit_table(["alpha", "pi", "coverage"], columns, args, "coverage-exact", params, [])
     return EXIT_OK
 

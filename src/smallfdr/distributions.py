@@ -42,8 +42,8 @@ class Chi2MixtureParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.pi0 <= 1.0:
             raise ValueError(f"pi0 must lie in [0, 1], got {self.pi0}")
-        if self.delta < 0.0:
-            raise ValueError(f"delta must be nonnegative, got {self.delta}")
+        if not 0.0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be finite and nonnegative, got {self.delta}")
 
 
 def _check_count(params: BinomialParams, x: int) -> None:

@@ -21,9 +21,13 @@ from .nfdr import (
     KIND_MEAN,
     KIND_MLE,
     NfdrEstimate,
-    mean_nfdr,
+    _capped_ratio,
+    _check_weight,
+    _estimate,
     mle_nfdr,
 )
+# Kept as a module attribute: perfbench/tracing.py wraps lfdr.mean_nfdr.
+from .nfdr import mean_nfdr  # noqa: F401
 
 
 def _rank_order(p: np.ndarray, tie_break_seed: int) -> np.ndarray:
@@ -222,8 +226,8 @@ def _rank_estimates(
     """
     if kind not in ESTIMATOR_KINDS:
         raise ValueError(f"kind must be one of {ESTIMATOR_KINDS}, got {kind!r}")
-    if weight is not None and not 0.0 <= weight <= 1.0:
-        raise ValueError(f"weight must lie in [0, 1], got {weight}")
+    if weight is not None:
+        _check_weight(weight)
     if kind == KIND_MEAN:
         if mean_method not in ("monte_carlo", "quadrature"):
             raise ValueError(
@@ -240,43 +244,19 @@ def _rank_estimates(
     xs = 2 * np.arange(1, m + 1)
     alphas = p_sorted[:, xs - 1]
     w = _tail_weight(kind, weight)
-    if m == 0:
-        head = np.empty((rows, 0))
-        capped = np.empty((rows, 0), dtype=bool)
-    elif kind == KIND_MLE:
-        ratio = alphas * n / xs
-        head = np.minimum(ratio, 1.0)
-        capped = ratio > 1.0
-    elif kind == KIND_CORRECTED:
-        # With x = 2r >= 1 the only degenerate case is x = N with C < 1/2,
-        # where the significance range tops out below 1/2.
-        defined = (xs < n) | (w >= 0.5)
-        ratio = alphas / _quantile(n, xs, w, 0.5)
-        head = np.where(defined, np.minimum(ratio, 1.0), 1.0)
-        capped = ~defined | (ratio > 1.0)
-    else:
-        if mean_method == "quadrature":
-            head = np.asarray(
-                [
-                    [mean_nfdr(float(a), int(x), n, weight=w, method="quadrature").value
-                     for a, x in zip(row, xs)]
-                    for row in alphas
-                ]
-            )
-        else:
-            u = np.vstack(
-                [
-                    np.random.default_rng(np.random.SeedSequence([seed, r])).random(mc_draws)
-                    for seed in seeds
-                    for r in range(1, m + 1)
-                ]
-            )
-            pi = _quantile(n, np.tile(xs, rows)[:, None], w, u)
-            ratio = np.divide(
-                alphas.reshape(-1, 1), pi, out=np.full(pi.shape, np.inf), where=pi > 0.0
-            )
-            head = np.minimum(ratio, 1.0).mean(axis=1).reshape(rows, m)
+    if kind == KIND_MEAN and mean_method == "monte_carlo":
+        u = np.array(
+            [
+                np.random.default_rng(np.random.SeedSequence([seed, r])).random(mc_draws)
+                for seed in seeds
+                for r in range(1, m + 1)
+            ]
+        ).reshape(rows * m, mc_draws)
+        pi = _quantile(n, np.tile(xs, rows)[:, None], w, u)
+        head = _capped_ratio(alphas.reshape(-1, 1), pi).mean(axis=1).reshape(rows, m)
         capped = head >= 1.0
+    else:
+        head, capped = _estimate(kind, alphas, xs, n, w)
     return np.hstack([head, np.ones((rows, n - m))]), capped
 
 

@@ -6,30 +6,27 @@ observed discovery count x out of N tests: the plug-in ratio uses x/N, the
 corrected estimator uses the median of the confidence distribution of the
 discovery probability, and the mean estimator averages the capped ratio
 over that whole distribution.
+
+Each estimator is one array function (``_mle``, ``_corrected``,
+``_mean_exact``) that broadcasts over the level and the count; the scalar
+functions, the rank-doubling estimates and the exact coverage all call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import special
 
-from .confidence import (
-    ConfidenceDistribution,
-    SignificanceRangeError,
-    inverse_significance,
-    sample_parameter,
-)
+from .confidence import ConfidenceDistribution, _quantile, sample_parameter
+# Kept as a module attribute: perfbench/tracing.py wraps nfdr.inverse_significance.
+from .confidence import inverse_significance  # noqa: F401
 
 KIND_MLE = "mle"
 KIND_CORRECTED = "corrected_median"
 KIND_MEAN = "posterior_mean"
 ESTIMATOR_KINDS = (KIND_MLE, KIND_CORRECTED, KIND_MEAN)
-
-CAP_PER_DRAW = "per_draw"
-CAP_FINAL = "final"
 
 
 class NumericFailure(RuntimeError):
@@ -92,6 +89,97 @@ def _check_basic(alpha: float, x: int, trials: int) -> None:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
 
 
+def _mle(alpha, x, trials):
+    """Plug-in ratio alpha N / x capped at 1, and whether the cap applied.
+
+    Broadcasts over ``alpha`` and ``x``; x = 0 gives the capped value 1.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = np.where(np.asarray(x) == 0, np.inf, alpha * trials / x)
+    return np.minimum(raw, 1.0), raw > 1.0
+
+
+def _corrected(alpha, x, trials, weight):
+    """alpha over the median of the confidence distribution, capped at 1, and
+    whether the cap applied.
+
+    Broadcasts over ``alpha`` and ``x``, with one median solved per element
+    of ``x``.  The median counts as 0, which gives the capped value 1, when
+    it does not exist (x = N with C < 1/2, where the significance function
+    stays below 1/2) or is the atom at 0 (x = 0 with C > 1/2).
+    """
+    x = np.asarray(x)
+    median = _quantile(trials, x, weight, 0.5).reshape(x.shape)
+    degenerate = (median == 0.0) | ((x == trials) & (weight < 0.5))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = np.where(degenerate, np.inf, alpha / median)
+    return np.minimum(raw, 1.0), raw > 1.0
+
+
+def _beta_mean(alpha, a, b):
+    """Mean of min(alpha/pi, 1) under Beta(a, b), elementwise over flat arrays.
+
+    Beta(0, b) is the atom at 0, where the capped ratio is 1, and Beta(a, 0)
+    the atom at 1.  Above alpha the density weighted by 1/pi is
+    (a + b - 1)/(a - 1) times the Beta(a - 1, b) density; at a = 1 that
+    integral is b * sum_{j >= b} (1 - alpha)^j / j, summed as the full
+    series -log(alpha) less its first b - 1 terms (alpha = 0 gives 0).
+    """
+    below = special.betainc(a, b, alpha)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # I_{1-alpha}(b, a - 1) is 1 - I_alpha(a - 1, b) without cancellation;
+        # the a = 1 elements divide by zero here and are replaced below.
+        above = (a + b - 1.0) / (a - 1.0) * special.betainc(b, a - 1.0, 1.0 - alpha)
+        value = below + alpha * above
+    for i in np.flatnonzero(a == 1.0):
+        j = np.arange(1.0, b[i])
+        series = special.xlogy(alpha[i], alpha[i]) + alpha[i] * np.sum((1.0 - alpha[i]) ** j / j)
+        value[i] = below[i] - b[i] * series
+    return np.where(b == 0.0, alpha, np.where(a == 0.0, 1.0, value))
+
+
+def _mean_exact(alpha, x, trials, weight):
+    """Mean of min(alpha/pi, 1) under the confidence distribution, in closed
+    form, and whether it reaches the cap 1.
+
+    The distribution is (1 - C) Beta(x + 1, N - x) + C Beta(x, N - x + 1).
+    Broadcasts over ``alpha`` and ``x``.
+    """
+    alpha, x = np.broadcast_arrays(np.asarray(alpha, dtype=float), np.asarray(x, dtype=float))
+    shape = x.shape
+    alpha, x = alpha.ravel(), x.ravel()
+    value = (1.0 - weight) * _beta_mean(alpha, x + 1.0, trials - x) + weight * _beta_mean(
+        alpha, x, trials - x + 1.0
+    )
+    bad = np.flatnonzero(~np.isfinite(value))
+    if bad.size:
+        i = bad[0]
+        raise NumericFailure(
+            f"the mean estimator evaluated to {value[i]} "
+            f"(alpha={alpha[i]}, x={int(x[i])}, N={trials}, C={weight})"
+        )
+    value = np.minimum(np.maximum(value, 0.0), 1.0).reshape(shape)
+    return value, value >= 1.0
+
+
+def _estimate(kind, alpha, x, trials, weight):
+    """Value and capped flag of the exact estimator ``kind`` at tail weight
+    ``weight`` (unused by the plug-in), broadcasting over ``alpha`` and ``x``."""
+    if kind == KIND_MLE:
+        return _mle(alpha, x, trials)
+    if kind == KIND_CORRECTED:
+        return _corrected(alpha, x, trials, weight)
+    if kind == KIND_MEAN:
+        return _mean_exact(alpha, x, trials, weight)
+    raise ValueError(f"kind must be one of {ESTIMATOR_KINDS}, got {kind!r}")
+
+
+def _check_weight(weight: float) -> None:
+    if not 0.0 <= weight <= 1.0:
+        raise ValueError(f"weight must lie in [0, 1], got {weight}")
+
+
 def mle_nfdr(alpha: float, x: int, trials: int) -> NfdrEstimate:
     """Capped plug-in ratio alpha / (x / N).
 
@@ -99,82 +187,30 @@ def mle_nfdr(alpha: float, x: int, trials: int) -> NfdrEstimate:
     against any null, and the ratio exceeds every bound anyway.
     """
     _check_basic(alpha, x, trials)
-    if x == 0:
-        return NfdrEstimate(1.0, KIND_MLE, alpha, x, trials, None, True)
-    raw = alpha * trials / x
-    return NfdrEstimate(min(raw, 1.0), KIND_MLE, alpha, x, trials, None, raw > 1.0)
-
-
-@lru_cache(maxsize=8192)
-def _median_scale(trials: int, x: int, weight: float) -> float:
-    """Median of the confidence distribution of the discovery probability.
-
-    Returns 0.0 when the median is undefined or degenerate, which callers
-    translate into the conservative value 1.
-    """
-    try:
-        return inverse_significance(ConfidenceDistribution(trials, x, weight), 0.5)
-    except SignificanceRangeError:
-        return 0.0
+    value, capped = _mle(alpha, x, trials)
+    return NfdrEstimate(float(value), KIND_MLE, alpha, x, trials, None, bool(capped))
 
 
 def corrected_nfdr(alpha: float, x: int, trials: int, weight: float = 1.0) -> NfdrEstimate:
     """Median-corrected estimator alpha / median(param distribution), capped at 1.
 
-    The median is undefined at x = 0 with weight >= 1/2 (the significance
-    function never dips to 1/2 there); that case and an exactly-zero median
-    both return 1.
+    The median is undefined at x = N with weight < 1/2 (the significance
+    function never rises to 1/2 there) and is the atom at 0 at x = 0 with
+    weight > 1/2; both cases return 1, flagged as capped.
     """
     _check_basic(alpha, x, trials)
-    if not 0.0 <= weight <= 1.0:
-        raise ValueError(f"weight must lie in [0, 1], got {weight}")
-    scale = _median_scale(trials, x, weight)
-    if scale <= 0.0:
-        return NfdrEstimate(1.0, KIND_CORRECTED, alpha, x, trials, weight, True)
-    raw = alpha / scale
+    _check_weight(weight)
+    value, capped = _corrected(alpha, x, trials, weight)
     return NfdrEstimate(
-        min(raw, 1.0), KIND_CORRECTED, alpha, x, trials, weight, raw > 1.0
+        float(value), KIND_CORRECTED, alpha, x, trials, weight, bool(capped)
     )
 
 
-def _capped_ratio(alpha: float, pi: np.ndarray) -> np.ndarray:
+def _capped_ratio(alpha, pi: np.ndarray) -> np.ndarray:
     """min(alpha / pi, 1) elementwise, with pi = 0 contributing the cap value 1."""
     pi = np.asarray(pi, dtype=float)
     ratio = np.divide(alpha, pi, out=np.full(pi.shape, np.inf), where=pi > 0.0)
     return np.minimum(ratio, 1.0)
-
-
-def _mean_exact(alpha: float, cd: ConfidenceDistribution) -> float:
-    """Mean of min(alpha/pi, 1) under the confidence distribution, in closed form.
-
-    The distribution is (1 - C) Beta(x + 1, N - x) + C Beta(x, N - x + 1).
-    Above alpha a Beta(a, b) component weights its density by 1/pi, which
-    is (a + b - 1)/(a - 1) times the Beta(a - 1, b) density; at a = 1 that
-    integral is b * sum_{j >= b} (1 - alpha)^j / j, summed as the full
-    series -log(alpha) less its first b - 1 terms (alpha = 0 gives 0).
-    """
-    def component(a: int, b: int) -> float:
-        if b == 0:  # the atom at pi = 1
-            return alpha
-        if a == 0:  # the atom at pi = 0, where the capped ratio is 1
-            return 1.0
-        below = special.betainc(a, b, alpha)
-        if a == 1:
-            j = np.arange(1.0, b)
-            series = special.xlogy(alpha, alpha) + alpha * np.sum((1.0 - alpha) ** j / j)
-            return below - b * series
-        # I_{1-alpha}(b, a - 1) is 1 - I_alpha(a - 1, b) without cancellation.
-        above = (a + b - 1) / (a - 1) * special.betainc(b, a - 1, 1.0 - alpha)
-        return below + alpha * above
-
-    x, n, c = cd.successes, cd.trials, cd.weight
-    value = float((1.0 - c) * component(x + 1, n - x) + c * component(x, n - x + 1))
-    if not np.isfinite(value):
-        raise NumericFailure(
-            f"the mean estimator evaluated to {value} "
-            f"(alpha={alpha}, x={x}, N={n}, C={c})"
-        )
-    return min(max(value, 0.0), 1.0)
 
 
 def mean_nfdr(
@@ -185,35 +221,23 @@ def mean_nfdr(
     method: str = "monte_carlo",
     draws: int = 100,
     seed: int = 0,
-    cap: str = CAP_PER_DRAW,
 ) -> NfdrEstimate:
     """Mean of the capped ratio min(alpha/pi, 1) over the confidence distribution.
 
     ``method`` is "monte_carlo" (average over ``draws`` inverse-CDF samples,
-    seeded) or "quadrature" (the exact mean of the per-draw-capped ratio,
-    from the Beta-mixture form of the confidence distribution).  ``cap``
-    chooses where the unit bound applies in the Monte Carlo average:
-    "per_draw" caps each sampled ratio, which bounds the variance where the
-    raw ratio integral diverges near pi = 0; "final" averages raw ratios and
-    caps the mean.
+    seeded, each ratio capped before averaging, which bounds the variance
+    where the raw ratio integral diverges near pi = 0) or "quadrature" (the
+    exact mean, from the Beta-mixture form of the confidence distribution).
     """
     _check_basic(alpha, x, trials)
-    if not 0.0 <= weight <= 1.0:
-        raise ValueError(f"weight must lie in [0, 1], got {weight}")
+    _check_weight(weight)
     if method not in ("monte_carlo", "quadrature"):
         raise ValueError(f"method must be 'monte_carlo' or 'quadrature', got {method!r}")
-    if cap not in (CAP_PER_DRAW, CAP_FINAL):
-        raise ValueError(f"cap must be {CAP_PER_DRAW!r} or {CAP_FINAL!r}, got {cap!r}")
-    cd = ConfidenceDistribution(trials, x, weight)
     if method == "quadrature":
-        value = _mean_exact(alpha, cd)
-        return NfdrEstimate(value, KIND_MEAN, alpha, x, trials, weight, value >= 1.0)
+        value, capped = _mean_exact(alpha, x, trials, weight)
+        return NfdrEstimate(float(value), KIND_MEAN, alpha, x, trials, weight, bool(capped))
     if draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
-    pi = sample_parameter(cd, draws, seed)
-    if cap == CAP_PER_DRAW:
-        value = float(np.mean(_capped_ratio(alpha, pi)))
-    else:
-        ratio = np.divide(alpha, pi, out=np.full(pi.shape, np.inf), where=pi > 0.0)
-        value = float(min(np.mean(ratio), 1.0))
+    pi = sample_parameter(ConfidenceDistribution(trials, x, weight), draws, seed)
+    value = float(np.mean(_capped_ratio(alpha, pi)))
     return NfdrEstimate(value, KIND_MEAN, alpha, x, trials, weight, value >= 1.0)

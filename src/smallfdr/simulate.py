@@ -15,24 +15,17 @@ import numpy as np
 from scipy import special
 
 from .distributions import (
-    BinomialParams,
     Chi2MixtureParams,
     _chi2_1df_isf_arrays,
     _chi2_1df_sf_arrays,
-    binomial_pmf,
+    _log_binomial_coef,
+    _log_binomial_pmf,
 )
 from .lfdr import _rank_estimates, _rank_order, _running_max, _tail_weight
-# Kept as a module attribute: perfbench/tracing.py wraps simulate.lfdr_estimates.
+from .nfdr import ESTIMATOR_KINDS, _check_weight, _estimate
+# Kept as module attributes: perfbench/tracing.py wraps these names in simulate.
 from .lfdr import lfdr_estimates  # noqa: F401
-from .nfdr import (
-    ESTIMATOR_KINDS,
-    KIND_CORRECTED,
-    KIND_MEAN,
-    KIND_MLE,
-    corrected_nfdr,
-    mean_nfdr,
-    mle_nfdr,
-)
+from .nfdr import corrected_nfdr, mean_nfdr, mle_nfdr  # noqa: F401
 
 DEFAULT_PI0_GRID = (0.5, 0.75, 0.9, 1.0)
 DEFAULT_N_GRID = (2, 4, 8, 16, 32)
@@ -69,8 +62,8 @@ class SimulationConfig:
         for n in self.n_grid:
             if n < 1:
                 raise ValueError(f"n grid values must be positive integers, got {n}")
-        if self.delta < 0.0:
-            raise ValueError(f"delta must be nonnegative, got {self.delta}")
+        if not 0.0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be finite and nonnegative, got {self.delta}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be at least 1, got {self.replicates}")
         if self.seed < 0:
@@ -226,43 +219,42 @@ def pearson_skewness(samples) -> float:
     return float(3.0 * (arr.mean() - np.median(arr)) / sd)
 
 
-def _point_estimate(
-    kind: str, alpha: float, x: int, trials: int, weight: float | None
-) -> float:
-    if kind == KIND_MLE:
-        return mle_nfdr(alpha, x, trials).value
-    w = _tail_weight(kind, weight)
-    if kind == KIND_CORRECTED:
-        return corrected_nfdr(alpha, x, trials, w).value
-    if kind == KIND_MEAN:
-        return mean_nfdr(alpha, x, trials, weight=w, method="quadrature").value
-    raise ValueError(f"kind must be one of {ESTIMATOR_KINDS}, got {kind!r}")
-
-
 def exact_small_n_coverage(
     trials: int,
-    alpha: float,
-    pi: float,
+    alpha,
+    pi,
     estimator_kind: str,
     weight: float | None = None,
-) -> float:
+):
     """Exact probability that the estimate reaches the bound alpha / pi.
 
     Enumerates all N + 1 discovery counts; no sampling is involved.  The
     bound is the ratio of the test level to the discovery probability, so
-    pi below alpha makes no sense and is rejected.
+    pi below alpha makes no sense and is rejected.  Broadcasts over
+    ``alpha`` and ``pi``, and scalars give a float: the estimates are
+    computed once per alpha and the binomial masses once per pi, and the
+    masses are added in order of x, as an element-by-element loop would.
     """
     if not 1 <= trials <= 5:
         raise ValueError(f"trials must lie in 1..5 for exact enumeration, got {trials}")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if pi < alpha or pi > 1.0:
-        raise ValueError(f"pi must lie in [alpha, 1] = [{alpha}, 1], got {pi}")
+    alpha = np.asarray(alpha, dtype=float)
+    pi = np.asarray(pi, dtype=float)
+    bad = ~((alpha > 0.0) & (alpha <= 1.0))
+    if bad.any():
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha[bad].flat[0]}")
+    a, p = np.broadcast_arrays(alpha, pi)
+    bad = ~((p >= a) & (p <= 1.0))
+    if bad.any():
+        low, value = a[bad].flat[0], p[bad].flat[0]
+        raise ValueError(f"pi must lie in [alpha, 1] = [{low}, 1], got {value}")
+    weight = _tail_weight(estimator_kind, weight)
+    if weight is not None:
+        _check_weight(weight)
+    xs = np.arange(trials + 1.0)
+    estimate, _ = _estimate(estimator_kind, alpha[..., None], xs, trials, weight)
+    pmf = np.exp(_log_binomial_pmf(trials, xs, pi[..., None], _log_binomial_coef(trials, xs)))
     bound = alpha / pi
-    params = BinomialParams(trials, pi)
-    total = 0.0
-    for x in range(trials + 1):
-        estimate = _point_estimate(estimator_kind, alpha, x, trials, weight)
-        if estimate >= bound:
-            total += binomial_pmf(params, x)
-    return total
+    total = np.zeros(bound.shape)
+    for k in range(trials + 1):
+        total += np.where(estimate[..., k] >= bound, pmf[..., k], 0.0)
+    return float(total) if total.ndim == 0 else total

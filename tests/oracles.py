@@ -102,6 +102,68 @@ def mean_capped_ratio_mp(alpha: float, x: int, n: int, weight: float) -> float:
         return float(a + a * total)
 
 
+def mean_exact_scalar(alpha: float, x: int, n: int, c: float) -> float:
+    """Mean of min(alpha/pi, 1) under (1 - c) Beta(x + 1, n - x) + c Beta(x, n - x + 1).
+
+    The closed form one element at a time: Python ints for the Beta
+    parameters, so the ratio (a + b - 1)/(a - 1) is an int true division,
+    and the a = 1 series as one np.sum per element.  The package's array
+    form must give the same bits.
+    """
+    def component(a: int, b: int) -> float:
+        if b == 0:  # the atom at pi = 1
+            return alpha
+        if a == 0:  # the atom at pi = 0, where the capped ratio is 1
+            return 1.0
+        below = special.betainc(a, b, alpha)
+        if a == 1:
+            j = np.arange(1.0, b)
+            series = special.xlogy(alpha, alpha) + alpha * np.sum((1.0 - alpha) ** j / j)
+            return below - b * series
+        above = (a + b - 1) / (a - 1) * special.betainc(b, a - 1, 1.0 - alpha)
+        return below + alpha * above
+
+    value = float((1.0 - c) * component(x + 1, n - x) + c * component(x, n - x + 1))
+    return min(max(value, 0.0), 1.0)
+
+
+def nfdr_scalar(kind: str, alpha: float, x: int, n: int, weight: float) -> float:
+    """One-count estimate of ``kind`` ("mle", "corrected_median", "posterior_mean").
+
+    The plug-in is min(alpha n / x, 1) with 1 at x = 0.  The corrected
+    estimate is min(alpha / median, 1) with the median from
+    ``bisection_quantile``, and 1 where no unique median exists: the
+    significance function is constant or 1/2 lies outside its range.  The
+    mean is ``mean_exact_scalar``.
+    """
+    if kind == "mle":
+        return 1.0 if x == 0 else min(alpha * n / x, 1.0)
+    if kind == "posterior_mean":
+        return mean_exact_scalar(alpha, x, n, weight)
+    low = weight if x == 0 else 0.0
+    high = 1.0 if x < n else weight
+    if low == high or not low <= 0.5 <= high:
+        return 1.0
+    return min(alpha / float(bisection_quantile(n, x, weight, 0.5)[0]), 1.0)
+
+
+def coverage_scalar(trials: int, alpha: float, pi: float, estimate) -> float:
+    """Pr_pi(estimate(x) >= alpha / pi) for X ~ Binomial(trials, pi), by a loop.
+
+    ``estimate`` maps a discovery count to the estimate; the binomial mass of
+    each count that reaches the bound is added in order of x.
+    """
+    from smallfdr import BinomialParams, binomial_pmf
+
+    bound = alpha / pi
+    params = BinomialParams(trials, pi)
+    total = 0.0
+    for x in range(trials + 1):
+        if estimate(x) >= bound:
+            total += binomial_pmf(params, x)
+    return total
+
+
 def bisection_quantile(trials, x, weight, u):
     """Plain 40-step bisection of Pr(X > x; pi) + weight * Pr(X = x; pi) = u.
 

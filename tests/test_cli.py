@@ -11,8 +11,9 @@ import pytest
 
 import smallfdr
 from smallfdr.cli import _emit_table, main
+from smallfdr.lfdr import _tail_weight
 
-from oracles import table_text
+from oracles import coverage_scalar, nfdr_scalar, table_text
 
 FIXTURE = Path(__file__).parent / "data" / "abundance_20protein.csv"
 
@@ -209,6 +210,13 @@ class TestSimulateCommand:
         code, _, err = run(["simulate", "--estimators", "magic"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_nonfinite_delta_is_usage_error(self, delta, capsys):
+        code, out, err = run(["simulate", "--n-grid", "2", "--reps", "1", "--delta", delta],
+                             capsys)
+        assert code == 2 and out == ""
+        assert err == f"smallfdr: error: delta must be finite and nonnegative, got {delta}\n"
+
 
 class TestCoverageExactCommand:
     def test_known_cell(self, tmp_path, capsys):
@@ -250,6 +258,31 @@ class TestCoverageExactCommand:
         lines = out.strip().splitlines()
         assert lines[1] == "0.5,0.1,"
         assert lines[2].startswith("0.5,0.9,") and lines[2].split(",")[2] != ""
+
+
+    @pytest.mark.parametrize("estimator", ["mle", "corrected", "mean"])
+    def test_tables_equal_scalar_loop(self, estimator, capsys):
+        kind = smallfdr.cli.ESTIMATOR_FLAGS[estimator]
+        weight = _tail_weight(kind, None)
+        alphas = [0.01, 0.05, 0.1, 0.2, 0.3, 0.5]
+        pis = smallfdr.cli._parse_float_grid("0.05:1.0:0.05", "--pi-grid")
+        for n in range(1, 6):
+            code, out, _ = run(
+                ["coverage-exact", "--n", n, "--estimator", estimator,
+                 "--alpha-grid", ",".join(map(str, alphas)), "--pi-grid", "0.05:1.0:0.05"],
+                capsys,
+            )
+            assert code == 0
+            lines = out.splitlines()
+            assert lines[0] == "alpha,pi,coverage" and len(lines) == 1 + len(alphas) * len(pis)
+            cells = iter(lines[1:])
+            for alpha in alphas:
+                estimates = [nfdr_scalar(kind, alpha, x, n, weight) for x in range(n + 1)]
+                for pi in pis:
+                    want = "" if pi < alpha else "%.12g" % coverage_scalar(
+                        n, alpha, pi, estimates.__getitem__
+                    )
+                    assert next(cells) == f"{alpha:.12g},{pi:.12g},{want}", (n, alpha, pi)
 
 
 class TestTtestCommand:

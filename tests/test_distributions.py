@@ -33,6 +33,9 @@ class TestParams:
             Chi2MixtureParams(1.2, 0.0)
         with pytest.raises(ValueError):
             Chi2MixtureParams(0.5, -1.0)
+        for delta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="delta"):
+                Chi2MixtureParams(0.5, delta)
 
 
 class TestBinomial:

@@ -2,15 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from smallfdr import (
+    ESTIMATOR_KINDS,
     BinomialParams,
     ConfidenceDistribution,
     MixtureTruth,
+    PValueSet,
     binomial_pmf,
     corrected_nfdr,
     inverse_significance,
+    lfdr_estimates,
     mean_nfdr,
     mle_nfdr,
     sample_parameter,
@@ -18,9 +23,10 @@ from smallfdr import (
 )
 
 from smallfdr.confidence import _quantile
+from smallfdr.nfdr import _estimate
 from smallfdr.simulate import exact_small_n_coverage
 
-from oracles import mean_capped_ratio_mp
+from oracles import mean_capped_ratio_mp, mean_exact_scalar, nfdr_scalar
 
 
 class TestTrueNfdr:
@@ -172,14 +178,6 @@ class TestMean:
         b = mean_nfdr(0.07, 3, 9, method="quadrature").value
         assert a == b
 
-    def test_cap_location_option(self):
-        per_draw = mean_nfdr(0.05, 1, 5, draws=1000, seed=5, cap="per_draw").value
-        final = mean_nfdr(0.05, 1, 5, draws=1000, seed=5, cap="final").value
-        assert 0.0 <= per_draw <= 1.0
-        assert 0.0 <= final <= 1.0
-        # raw ratios blow up near pi = 0, so the final-cap variant can only be larger
-        assert final >= per_draw - 1e-12
-
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(8)
         for _ in range(30):
@@ -195,8 +193,6 @@ class TestMean:
             mean_nfdr(0.1, 1, 2, method="bogus")
         with pytest.raises(ValueError):
             mean_nfdr(0.1, 1, 2, draws=0)
-        with pytest.raises(ValueError):
-            mean_nfdr(0.1, 1, 2, cap="sometimes")
 
 
 class TestLargeNConservatism:
@@ -224,3 +220,78 @@ class TestLargeNConservatism:
                                 cache[x] = mean_nfdr(alpha, x, n, draws=100, seed=x).value
                         hits += cache[x] >= target
                     assert hits / len(xs) > 0.99, (alpha, pi, pi0, kind)
+
+
+WEIGHTS = st.one_of(st.sampled_from([0.0, 0.3, 0.5, 1.0]), st.floats(0.0, 1.0))
+UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def one_count_cases(draw):
+    """N <= 60, discovery counts that always include 0, 1 and N, levels that
+    always include 0 and 1, and a tail weight."""
+    n = draw(st.integers(1, 60))
+    xs = sorted({0, 1, n} | set(draw(st.lists(st.integers(0, n), max_size=6))))
+    alphas = [0.0, 1.0] + draw(st.lists(UNIT, min_size=1, max_size=3))
+    return n, np.array(xs), np.array(alphas), draw(WEIGHTS)
+
+
+def scalar_estimate(kind, alpha, x, n, weight):
+    if kind == "mle":
+        return mle_nfdr(alpha, x, n)
+    if kind == "corrected_median":
+        return corrected_nfdr(alpha, x, n, weight)
+    return mean_nfdr(alpha, x, n, weight, method="quadrature")
+
+
+class TestKernelsMatchScalarReferences:
+    """The array kernels give the scalar API's and the references' bits."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 60), weight=WEIGHTS, alphas=st.lists(UNIT, max_size=3))
+    def test_mean_quadrature_equals_scalar_form(self, n, weight, alphas):
+        for alpha in [0.0, 1.0] + alphas:
+            for x in range(n + 1):
+                est = mean_nfdr(alpha, x, n, weight, method="quadrature")
+                want = mean_exact_scalar(alpha, x, n, weight)
+                assert est.value == want, (alpha, x, n, weight)
+                assert est.capped == (want >= 1.0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=one_count_cases())
+    def test_arrays_equal_scalar_calls(self, case):
+        n, xs, alphas, weight = case
+        for kind in ESTIMATOR_KINDS:
+            w = None if kind == "mle" else weight
+            values, capped = _estimate(kind, alphas[:, None], xs, n, w)
+            assert values.shape == capped.shape == (alphas.size, xs.size)
+            for i, alpha in enumerate(alphas.tolist()):
+                for j, x in enumerate(xs.tolist()):
+                    est = scalar_estimate(kind, alpha, x, n, w)
+                    assert values[i, j] == est.value, (kind, alpha, x, n, w)
+                    assert capped[i, j] == est.capped
+                    assert est.value == nfdr_scalar(kind, alpha, x, n, w)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        p=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), UNIT), min_size=1, max_size=60),
+        weight=WEIGHTS,
+    )
+    def test_lfdr_quadrature_equals_scalar_form(self, p, weight):
+        n = len(p)
+        pvals = PValueSet([f"h{i}" for i in range(n)], p)
+        res = lfdr_estimates(pvals, "posterior_mean", weight=weight, mean_method="quadrature")
+        want = [mean_exact_scalar(a, 2 * r, n, weight)
+                for r, a in enumerate(res.p[1::2].tolist(), start=1)]
+        assert res.raw()[: n // 2].tolist() == want
+        assert res.capped.tolist() == [v >= 1.0 for v in want]
+
+    def test_degenerate_medians_are_capped_at_one(self):
+        # no median (x = N, C < 1/2) and the atom at 0 (x = 0, C > 1/2) give
+        # 1, even at alpha = 0; x = 0 with C = 1/2 has a median just above 0
+        for alpha in (0.0, 0.3):
+            for x, c in ((4, 0.0), (4, 0.4), (0, 0.6), (0, 1.0)):
+                est = corrected_nfdr(alpha, x, 4, c)
+                assert est.value == 1.0 and est.capped, (alpha, x, c)
+        assert corrected_nfdr(0.0, 0, 4, 0.5).value == 0.0
+        assert corrected_nfdr(0.3, 0, 4, 0.5).value == 1.0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 
 from smallfdr import (
@@ -15,6 +17,9 @@ from smallfdr import (
     run_grid,
     true_lfdr,
 )
+from smallfdr.lfdr import _tail_weight
+
+from oracles import coverage_scalar, nfdr_scalar
 
 
 class TestGenerateDataset:
@@ -241,3 +246,55 @@ class TestExactCoverage:
             exact_small_n_coverage(6, 0.05, 0.5, "mle")
         with pytest.raises(ValueError):
             exact_small_n_coverage(2, 0.2, 0.1, "mle")
+        with pytest.raises(ValueError, match="weight"):
+            exact_small_n_coverage(2, 0.2, 0.5, "corrected_median", 1.5)
+        with pytest.raises(ValueError, match="kind"):
+            exact_small_n_coverage(2, 0.2, 0.5, "median")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_levels_rejected(self, bad):
+        cases = [
+            (bad, 0.5, "alpha"),
+            (0.1, bad, "pi"),
+            (np.array([0.1, bad]), 0.5, "alpha"),
+            (0.1, np.array([0.5, bad, 0.9]), "pi"),
+            (np.array([[0.1], [bad]]), np.array([0.5, 0.6]), "alpha"),
+        ]
+        for alpha, pi, name in cases:
+            for kind in ("mle", "corrected_median", "posterior_mean"):
+                with pytest.raises(ValueError, match=name):
+                    exact_small_n_coverage(3, alpha, pi, kind)
+
+    def test_scalars_give_float_arrays_give_arrays(self):
+        assert type(exact_small_n_coverage(2, 0.05, 0.8, "mle")) is float
+        grid = exact_small_n_coverage(
+            3, np.array([[0.05], [0.1], [0.3]]), np.array([0.5, 0.6, 0.9, 1.0]), "mle"
+        )
+        assert grid.shape == (3, 4)
+        assert grid[1, 2] == exact_small_n_coverage(3, 0.1, 0.9, "mle")
+        assert exact_small_n_coverage(3, np.array([]), 0.5, "mle").shape == (0,)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        trials=st.integers(1, 5),
+        cells=st.lists(
+            st.tuples(
+                st.one_of(st.just(1.0), st.floats(1e-6, 1.0)),
+                st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        kind=st.sampled_from(["mle", "corrected_median", "posterior_mean"]),
+        weight=st.one_of(st.none(), st.sampled_from([0.0, 0.3, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    )
+    def test_arrays_equal_scalar_loop(self, trials, cells, kind, weight):
+        # pi runs from alpha (t = 0) to 1 (t = 1)
+        alpha = np.array([a for a, _ in cells])
+        pi = np.array([min(a + (1.0 - a) * t, 1.0) for a, t in cells])
+        got = exact_small_n_coverage(trials, alpha, pi, kind, weight)
+        w = _tail_weight(kind, weight)
+        for i, (a, p) in enumerate(zip(alpha.tolist(), pi.tolist())):
+            assert got[i] == exact_small_n_coverage(trials, a, p, kind, weight)
+            want = coverage_scalar(trials, a, p, lambda x: nfdr_scalar(kind, a, x, trials, w))
+            assert got[i] == want, (trials, a, p, kind, weight)
