@@ -23,20 +23,32 @@ from .distributions import _log_binomial_coef, _log_binomial_pmf
 _BISECT_STEPS = 40
 
 # Relative margin by which the curve at each end of the bracket certified
-# around the estimate must clear u.  While one curve value is off by at most
+# around the estimate must clear u: _MARGIN_PER_UNIT (N - ln u) machine
+# epsilons, at most _MARGIN_CAP.  While one curve value is off by at most
 # half of it, every midpoint that bisection would have compared beyond an end
 # compares the same way, so skipping those comparisons changes no bit.
-# Against mpmath the rounding that varies with pi (the log-coefficient's is
-# shared by every pi of one x) was at most 3e-13 at N = 10**5 and 4e-15 at
-# N = 30, which leaves room for larger N.  The bracket's half-width is four
-# margins of u over the density, so a root within about three quarters of
-# it of the estimate still lets both ends clear.
-_CELL_MARGIN = 1e-11
+# Against mpmath, with the binomial coefficient taken as computed (its
+# rounding is shared by every pi of one x: it scales the mass term and leaves
+# the curve monotone), the rounding that varies with pi was at most
+# 1.3 (N - ln u) eps for N <= 2000, at roots of uniform u and of u down to
+# 1e-250 of either end.  The - ln u term is the log-space mass: in the lower
+# tail the rounding reached 25 N eps at N = 16.  The margin is 49 times that
+# bound, more than 16 times twice the rounding.  The cap is reached near
+# N = 700; at N = 10**5 the rounding reached 3.8e-12 (x <= 5, pi near x/N).
+# The bracket's half-width is four margins of u over the density, so a root
+# within about three quarters of it of the estimate still lets both ends
+# clear.
+_MARGIN_PER_UNIT = 64.0
+_MARGIN_CAP = 1e-11
 
-# Newton stops once a step is this short, far inside the certified bracket;
-# an element still moving after _NEWTON_STEPS evaluations is left to the check.
-_NEWTON_TOL = 1e-13
-_NEWTON_STEPS = 8
+# A Halley step shorter than this share of the distance to the nearer end of
+# [0, 1] is the last, taken without evaluating the curve again: its error is
+# about cubic in the step, far inside the certified bracket.  (An absolute
+# 1e-6 failed the check for one draw in seven at N = 10**5, where the curve
+# bends on the scale of the Beta spread, not of pi.)  An element still moving
+# after _HALLEY_STEPS evaluations is left to the check.
+_HALLEY_TOL = 1e-6
+_HALLEY_STEPS = 8
 
 SIDE_LOWER = "lower_bounded"
 SIDE_UPPER = "upper_bounded"
@@ -114,30 +126,45 @@ def attainable_range(cd: ConfidenceDistribution) -> tuple[float, float]:
     return low, high
 
 
+def _margin(trials, u):
+    """The relative margin of the bracket check for each level ``u``."""
+    with np.errstate(divide="ignore"):
+        scale = trials - np.log(u)
+    return np.minimum(_MARGIN_CAP, _MARGIN_PER_UNIT * np.finfo(float).eps * scale)
+
+
 def _solve(trials, x, weight, u):
     """Midpoint of the 2**-40 cell that bisecting [0, 1] on curve(pi) < u reaches.
 
     ``x`` and ``u`` are flat and every curve is non-constant with u in its
     range.  For C in {0, 1} the curve is the Clopper-Pearson Beta(x + 1 - C,
     N - x + C) distribution function, whose quantile is the root itself, so
-    no Newton step runs.  For C in (0, 1) the curve is C pi**N at x = N and
-    1 - (1 - C)(1 - pi)**N at x = 0, whose roots are in closed form, again
-    without Newton.  The other elements start from the normal approximation
-    to logit pi under Beta(a, b) = Beta(x + 1 - C, N - x + C): mean
-    digamma(a) - digamma(b) and variance trigamma(a) + trigamma(b), computed
-    once per distinct x.  A bracketed Newton solve refines that start; the
-    density (1 - C) Beta(x + 1, N - x) + C Beta(x, N - x + 1) is the
-    binomial mass times (1 - C)(N - x)/(1 - pi) + C x/pi.
+    no Halley step runs.  For C in (0, 1) the curve is C pi**N at x = N and
+    1 - (1 - C)(1 - pi)**N at x = 0, whose roots are in closed form, and
+    u = 0 and u = 1 have the roots 0 and 1, again without Halley.  The other
+    elements start from the normal approximation to logit pi under
+    Beta(a, b) = Beta(x + 1 - C, N - x + C): mean digamma(a) - digamma(b)
+    and variance trigamma(a) + trigamma(b), computed once per distinct x.
+    Bracketed Halley steps refine that start.  The density is the mixture
+    (1 - C) f1 + C f2 of f1 = Beta(x + 1, N - x) and f2 = Beta(x, N - x + 1),
+    the binomial mass times (N - x)/(1 - pi) and x/pi, and its slope is
+    (1 - C) f1 (x/pi - (N - x - 1)/(1 - pi)) + C f2 ((x - 1)/pi - (N - x)/(1 - pi)).
+    A step shorter than _HALLEY_TOL min(pi, 1 - pi) is the last; one that
+    leaves the bracket of the evaluated points halves it instead.
 
     The estimate is then bracketed by [L, R], a half-width of four margins of
     u over the density (at least a few ulps) on either side, and the curve is
-    evaluated at both ends (an end at 0 or 1 needs no check).  When both ends
-    clear u by the margin, every bisection midpoint <= L compares below and
-    every one >= R does not; otherwise the bracket is [0, 1].  Bisection
-    reaches the deepest dyadic cell holding [L, R] without an evaluation, and
-    below it only the midpoints strictly inside (L, R) are evaluated.  Every
-    comparison that is made is one that plain bisection makes, so the result
-    is the same to the bit.
+    evaluated at both ends (an end at 0 or 1 needs no check).  The margin,
+    _MARGIN_PER_UNIT (N - ln u) epsilons capped at _MARGIN_CAP, covers the
+    curve's rounding.  When the curve at L is below u by the margin and the
+    curve at R is at least u by it, every bisection midpoint <= L compares
+    below and every one >= R does not; otherwise the bracket is [0, 1].  At
+    u = 0 the root is the estimate 0 itself and R is a few ulps above it:
+    the curve, a sum of nonnegative terms, never compares below 0.
+    Bisection reaches the deepest dyadic cell holding [L, R] without an
+    evaluation, and below it only the midpoints strictly inside (L, R) are
+    evaluated.  Every comparison that is made is one that plain bisection
+    makes, so the result is the same to the bit.
     """
     curve = _Curve(trials, x, weight)
     if weight in (0.0, 1.0):
@@ -152,9 +179,9 @@ def _solve(trials, x, weight, u):
         top, bottom = np.flatnonzero(x == trials), np.flatnonzero(x == 0)
         pi[top] = (u[top] / weight) ** (1.0 / trials)
         pi[bottom] = 1.0 - ((1.0 - u[bottom]) / (1.0 - weight)) ** (1.0 / trials)
-        active = np.flatnonzero((x > 0) & (x < trials))
+        active = np.flatnonzero((x > 0) & (x < trials) & (u > 0.0) & (u < 1.0))
     lo, hi = np.zeros(x.size), np.ones(x.size)
-    for _ in range(_NEWTON_STEPS):
+    for _ in range(_HALLEY_STEPS):
         if active.size == 0:
             break
         sub, p = curve.take(active), pi[active]
@@ -164,22 +191,30 @@ def _solve(trials, x, weight, u):
         lo[active] = np.where(below, p, lo[active])
         hi[active] = np.where(below, hi[active], p)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            scale = (1.0 - weight) * (trials - sub.x) / (1.0 - p) + weight * sub.x / p
-            density = pmf * scale
-            step = p - excess / density
-        inside = (lo[active] <= step) & (step <= hi[active])
-        pi[active] = np.where(inside, step, 0.5 * (lo[active] + hi[active]))
-        active = active[~(np.abs(pi[active] - p) <= _NEWTON_TOL)]
+            f1 = (1.0 - weight) * pmf * (trials - sub.x) / (1.0 - p)
+            f2 = weight * pmf * sub.x / p
+            density = f1 + f2
+            slope = f1 * (sub.x / p - (trials - sub.x - 1.0) / (1.0 - p)) + f2 * (
+                (sub.x - 1.0) / p - (trials - sub.x) / (1.0 - p)
+            )
+            newton = excess / density
+            step = newton / (1.0 - 0.5 * newton * slope / density)
+            new = p - step
+        inside = (lo[active] <= new) & (new <= hi[active])
+        pi[active] = np.where(inside, new, 0.5 * (lo[active] + hi[active]))
+        active = active[~(inside & (np.abs(step) <= _HALLEY_TOL * np.minimum(p, 1.0 - p)))]
 
-    # the density as in the Newton step, a term whose coefficient is 0 taken
+    # the density as in the Halley step, a term whose coefficient is 0 taken
     # as 0 so that a root at 0 or 1 keeps a finite width; a width that is
     # not finite (no density, or a nan estimate) gives the bracket [0, 1]
+    margin = _margin(trials, u)
     pmf = np.exp(_log_binomial_pmf(trials, x, pi, curve.log_coef))
     upper, lower = (1.0 - weight) * (trials - x), weight * x
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         scale = np.where(upper > 0.0, upper / (1.0 - pi), 0.0)
         scale += np.where(lower > 0.0, lower / pi, 0.0)
-        width = np.maximum(4.0 * _CELL_MARGIN * u / (pmf * scale), 4.0 * np.spacing(pi))
+        width = np.where(u > 0.0, 4.0 * margin * u / (pmf * scale), 0.0)
+        width = np.maximum(width, 4.0 * np.spacing(pi))
         left, right = np.fmax(pi - width, 0.0), np.fmin(pi + width, 1.0)
     # bisection never compares at 0 or 1, so an end there needs no check
     at_left, at_right = np.flatnonzero(left > 0.0), np.flatnonzero(right < 1.0)
@@ -187,8 +222,8 @@ def _solve(trials, x, weight, u):
         np.concatenate([left[at_left], right[at_right]])
     )
     clear = np.ones(x.size, dtype=bool)
-    clear[at_left] = ends[: at_left.size] < u[at_left] * (1.0 - _CELL_MARGIN)
-    clear[at_right] &= ends[at_left.size :] > u[at_right] * (1.0 + _CELL_MARGIN)
+    clear[at_left] = ends[: at_left.size] < u[at_left] * (1.0 - margin[at_left])
+    clear[at_right] &= ends[at_left.size :] >= u[at_right] * (1.0 + margin[at_right])
     left, right = np.where(clear, left, 0.0), np.where(clear, right, 1.0)
 
     # The deepest dyadic cell holding [L, R] shares the high bits of the
@@ -214,7 +249,7 @@ def _quantile(trials, x, weight, u):
     The value is the midpoint of the 2**-40 cell that bisecting [0, 1] on
     significance < u reaches; ``_solve`` finds it to the same bits from a
     start that is the root (the Beta quantile for C in {0, 1}, a closed form
-    at x = 0 and x = N) or a closed-form approximation refined by Newton
+    at x = 0 and x = N) or a closed-form approximation refined by Halley
     steps, then a bracket certified around it, inside which only the few
     midpoints bisection compares are evaluated.  Each element
     depends only on its own (x, u), so a stack of rows gives exactly the

@@ -129,10 +129,10 @@ def noncentral_chi2_1df_pdf(t: float, delta: float) -> float:
     At delta = 0 this reduces to the central chi-square density with one
     degree of freedom.
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError(f"t must be positive, got {t}")
-    if delta < 0.0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and nonnegative, got {delta}")
     rt = math.sqrt(t)
     rd = math.sqrt(delta)
     return (_std_normal_pdf(rt - rd) + _std_normal_pdf(rt + rd)) / (2.0 * rt)

@@ -2,10 +2,11 @@
 
 These deliberately avoid the code paths under test: the incomplete beta
 uses a hand-rolled continued fraction, the mean estimator integrates the
-binomial tail polynomial term by term in mpmath, the significance-function
-inverse is the plain 40-step bisection, the step-up rule is the plain
-textbook loop, p-value sets, lfdr results and output tables are built one
-row at a time, and tables are written with csv.writer and json.dump.
+binomial tail polynomial term by term in mpmath, the significance function
+is a sum of binomial terms in mpmath and its inverse the plain 40-step
+bisection, the step-up rule is the plain textbook loop, p-value sets, lfdr
+results and output tables are built one row at a time, and tables are
+written with csv.writer and json.dump.
 """
 
 import csv
@@ -196,6 +197,44 @@ def bisection_quantile(trials, x, weight, u):
     low = np.where(x == 0, weight, 0.0)
     high = np.where(x < trials, 1.0, weight)
     return np.where(u < low, 0.0, np.where(u > high, 1.0, 0.5 * (lo + hi)))
+
+
+def significance_mp(trials: int, x: int, weight: float, pi: float, log_coef: float):
+    """Pr(X > x; pi) + weight * Pr(X = x; pi) in mpmath at 45 digits.
+
+    The strict tail is a sum of binomial terms stepped by their ratio from
+    the mass at x: upward when x is at or above the mean, otherwise as 1
+    minus the terms from x downward, until a term no longer counts.  The
+    weighted mass term takes its binomial coefficient as exp(log_coef), so a
+    caller can pass the rounded coefficient that the package computes once
+    per x and compare only the rounding that varies with pi.
+    """
+    with mpmath.workdps(45):
+        p = mpmath.mpf(pi)
+        q = 1 - p
+        power = p**x * q ** (trials - x)
+        term = mpmath.binomial(trials, x) * power
+        ratio = p / q
+        negligible = mpmath.mpf(10) ** -44
+        total, k = mpmath.mpf(0), x
+        if x >= trials * p:
+            while k < trials:
+                term = term * (trials - k) / (k + 1) * ratio
+                k += 1
+                total += term
+                if k > (trials + 1) * p and term < total * negligible:
+                    break
+            tail = total
+        else:
+            total = term
+            while k > 0:
+                term = term * k / (trials - k + 1) / ratio
+                k -= 1
+                total += term
+                if term < total * negligible:
+                    break
+            tail = 1 - total
+        return tail + weight * mpmath.exp(mpmath.mpf(log_coef)) * power
 
 
 def textbook_bh(p_values, q: float) -> set[int]:

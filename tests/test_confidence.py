@@ -15,9 +15,10 @@ from smallfdr import (
     sample_parameter,
     significance,
 )
-from smallfdr.confidence import _Curve, _quantile
+from smallfdr.confidence import _Curve, _margin, _quantile
+from smallfdr.distributions import _log_binomial_coef
 
-from oracles import bisection_quantile
+from oracles import bisection_quantile, significance_mp
 
 
 def brute_tail(n, pi, x, inclusive):
@@ -265,7 +266,7 @@ class TestQuantileMatchesBisection:
     )
     def test_every_x_and_edge_levels(self, weight):
         rng = np.random.default_rng(31)
-        # at 5e-324, the least subnormal, the Beta quantile that starts Newton is nan
+        # at 5e-324, the least subnormal, the Beta quantile is nan
         edges = [0.0, 5e-324, 2.0**-53, 0.5, weight, 1.0 - 2.0**-53, 1.0]
         for n in (1, 2, 3, 5, 8, 13, 32, 100, 317, 1000):
             xs = np.arange(n + 1)
@@ -333,7 +334,7 @@ class TestSolverWork:
         # The Beta quantile at C in {0, 1} and the closed forms at x = 0 and
         # x = N for C in (0, 1) are the root, so the curve is evaluated only
         # at the two bracket ends and at the few midpoints between them; at
-        # this N one Newton evaluation per element would exceed 3.
+        # this N one Halley evaluation per element would exceed 3.
         points = _evaluated_points(monkeypatch)
         u = np.random.default_rng(41).random(50)
         n = 20_000
@@ -360,7 +361,17 @@ class TestSolverWork:
         n, draws = 500, 100
         u = np.random.default_rng(43).random((n // 2, draws))
         got = _quantile(n, 2 * np.arange(1, n // 2 + 1)[:, None], 0.5, u)
-        assert sum(p.size for p in points) <= 8.5 * got.size
+        assert sum(p.size for p in points) <= 6.5 * got.size
+
+    def test_simulation_grid_draws_take_few_evaluations(self, monkeypatch):
+        # the Monte Carlo draws of the default simulate grid: x = 2r for each
+        # N, C = 1/2, 100 draws per x
+        points = _evaluated_points(monkeypatch)
+        total = 0
+        for n in (2, 4, 8, 16, 32):
+            u = np.random.default_rng(44).random((n // 2, 100))
+            total += _quantile(n, 2 * np.arange(1, n // 2 + 1)[:, None], 0.5, u).size
+        assert sum(p.size for p in points) <= 5 * total
 
     def test_fractional_weight_calls_no_beta_inverse(self, monkeypatch):
         def refuse(*args):
@@ -382,10 +393,43 @@ class TestSolverWork:
         # with C near 1 the curve is so flat that the certified bracket is
         # about 0.04 / N wide and some 30 midpoints inside it are evaluated
         + [(n, n, c, c) for n in (1, 2, 8, 100) for c in (1e-9, 0.3, 0.5, 1.0 - 1e-9)]
-        + [(n, 0, c, c) for n in (1, 2, 8, 100) for c in (1e-9, 0.3, 0.5)],
+        + [(n, 0, c, c) for n in (1, 2, 8, 100) for c in (1e-9, 0.3, 0.5)]
+        # u = 0 at x > 0: the root is 0, where the density is 0 as well, and
+        # no midpoint compares below u (the bisection result is 2**-41); these
+        # take at most 3 evaluations
+        + [(8, 3, c, 0.0) for c in (0.0, 0.5, 1.0)] + [(8, 8, 0.5, 0.0)],
     )
     def test_roots_on_the_bisection_grid_are_certified(self, monkeypatch, n, x, weight, u):
         points = _evaluated_points(monkeypatch)
         got = _quantile(n, x, weight, u)
-        assert sum(p.size for p in points) <= 12
+        assert sum(p.size for p in points) <= (3 if u == 0.0 else 12)
         assert np.array_equal(got, bisection_quantile(n, x, weight, u))
+
+    def test_margin_covers_rounding(self):
+        # The bracket check needs the curve's rounding that varies with pi to
+        # stay within half the margin; ask for a sixteenth, at roots of u
+        # across the range and down to 1e-200 of either end, and 1e-9 below
+        # them.  The binomial coefficient's rounding is shared by every pi of
+        # one x (it scales the mass term and leaves the curve monotone), so
+        # the reference takes the computed one.
+        levels = np.array([1e-200, 1e-20, 0.01, 0.5, 1.0 - 1e-6])
+        for n in (1, 2, 3, 5, 8, 13, 20, 32, 64, 128, 317, 1000, 2000):
+            for x in sorted({0, 1, 2, n // 3, n // 2, n - 1, n} & set(range(n + 1))):
+                log_coef = float(_log_binomial_coef(n, x))
+                for weight in (0.0, 0.3, 0.5, 1.0):
+                    if _constant_curve(n, x, weight):
+                        continue
+                    curve = _Curve(n, np.array([float(x)]), weight)
+                    low = weight if x == 0 else 0.0
+                    high = weight if x == n else 1.0
+                    u = low + (high - low) * levels
+                    u = u[(u > low) & (u < high)]
+                    roots = _quantile(n, x, weight, u)
+                    for level, root in zip(u, roots):
+                        bound = _margin(n, level) / 16
+                        for pi in (root, root * (1 - 1e-9)):
+                            if not 0.0 < pi < 1.0:
+                                continue
+                            want = significance_mp(n, x, weight, pi, log_coef)
+                            got = curve(np.array([pi]))[0]
+                            assert abs(got - want) <= bound * want, (n, x, weight, pi)

@@ -167,6 +167,15 @@ class TestNoncentralChi2Pdf:
         with pytest.raises(ValueError):
             noncentral_chi2_1df_pdf(1.0, -0.1)
 
+    def test_nonfinite_arguments(self):
+        # the same rule and message as Chi2MixtureParams; nan compares false
+        # with every bound, so it must be rejected, not passed through
+        for delta in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="delta must be finite and nonnegative"):
+                noncentral_chi2_1df_pdf(1.0, delta)
+        with pytest.raises(ValueError, match="t must be positive"):
+            noncentral_chi2_1df_pdf(math.nan, 1.0)
+
 
 class TestStudentT:
     def test_symmetry(self):
