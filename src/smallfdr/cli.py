@@ -225,27 +225,27 @@ def _json_text(header: list[str], columns: list):
     yield "[]\n" if first else "\n]\n"
 
 
-def _emit_table(header: list[str], columns: list, args, command: str,
-                params: dict, inputs: list[str]) -> None:
+def _emit_table(header: list[str], columns: list, args, params: dict,
+                inputs: list[str]) -> None:
     """Write a CSV table to --out (with manifest, optional JSON mirror) or stdout.
 
     ``columns`` holds one sequence or array per header name.  Each row is
     one %-formatted line, with the bytes csv.writer would write, except that
     a cell holding a CR is quoted too.
     """
-    out = getattr(args, "out", None)
+    out = args.out
     if out is None:
         sys.stdout.writelines(_csv_text(header, columns))
         return
     with open(out, "w", encoding="utf-8", newline="") as handle:
         handle.writelines(_csv_text(header, columns))
     outputs = [out]
-    if getattr(args, "json", False):
+    if args.json:
         mirror = os.path.splitext(out)[0] + ".json"
         with open(mirror, "w", encoding="utf-8") as handle:
             handle.writelines(_json_text(header, columns))
         outputs.append(mirror)
-    _write_manifest(out, command, params, inputs, outputs)
+    _write_manifest(out, args.command, params, inputs, outputs)
 
 
 def cmd_lfdr(args) -> int:
@@ -272,12 +272,7 @@ def cmd_lfdr(args) -> int:
         "no_monotone": args.no_monotone,
     }
     _emit_table(
-        ["id", "p", "rank", "raw_lfdr", "monotone_lfdr"],
-        columns,
-        args,
-        "lfdr",
-        params,
-        [args.input],
+        ["id", "p", "rank", "raw_lfdr", "monotone_lfdr"], columns, args, params, [args.input]
     )
     return EXIT_OK
 
@@ -313,8 +308,7 @@ def cmd_bh(args) -> int:
         n, k = pvals.n, len(rejection.rejected_ids)
         columns = [pvals.sorted_ids(), pvals.sorted_p(), range(1, n + 1), [1] * k + [0] * (n - k)]
         params = {"input": args.input, "q": args.q, "seed": seed}
-        _emit_table(["id", "p", "rank", "rejected"], columns, args, "bh", params,
-                    [args.input])
+        _emit_table(["id", "p", "rank", "rejected"], columns, args, params, [args.input])
     return EXIT_OK
 
 
@@ -342,18 +336,6 @@ def cmd_simulate(args) -> int:
         raise UsageError(str(err)) from None
     metrics = run_grid(config)
     metrics.sort(key=lambda row: (row.pi0, row.n, row.estimator))
-    rows = [
-        (
-            row.pi0,
-            row.n,
-            row.estimator,
-            row.rmse,
-            row.conservatism_proportion,
-            row.bias,
-            row.replicate_count,
-        )
-        for row in metrics
-    ]
     params = {
         "pi0_grid": list(config.pi0_grid),
         "n_grid": list(config.n_grid),
@@ -364,14 +346,10 @@ def cmd_simulate(args) -> int:
         "mc_draws": config.mc_draws,
         "pooling": config.pooling,
     }
-    _emit_table(
-        ["pi0", "n", "estimator", "rmse", "conservatism_proportion", "bias", "replicates"],
-        list(zip(*rows)),
-        args,
-        "simulate",
-        params,
-        [],
-    )
+    fields = ("pi0", "n", "estimator", "rmse", "conservatism_proportion", "bias",
+              "replicate_count")
+    columns = [[getattr(row, field) for row in metrics] for field in fields]
+    _emit_table(list(fields[:-1]) + ["replicates"], columns, args, params, [])
     return EXIT_OK
 
 
@@ -400,7 +378,7 @@ def cmd_coverage_exact(args) -> int:
         "estimator": args.estimator,
     }
     columns = [alpha_column, pi_column, coverage.tolist()]
-    _emit_table(["alpha", "pi", "coverage"], columns, args, "coverage-exact", params, [])
+    _emit_table(["alpha", "pi", "coverage"], columns, args, params, [])
     return EXIT_OK
 
 
@@ -411,7 +389,7 @@ def cmd_ttest(args) -> int:
         matrix = shift_log_transform(matrix)
     pvals = two_sample_t_pvalues(matrix, tie_break_seed=seed)
     params = {"input": args.input, "transform": args.transform, "seed": seed}
-    _emit_table(["id", "p"], [pvals.ids, pvals.p_values], args, "ttest", params, [args.input])
+    _emit_table(["id", "p"], [pvals.ids, pvals.p_values], args, params, [args.input])
     return EXIT_OK
 
 
@@ -425,49 +403,49 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    seed_help = f"random seed (default: ${SEED_ENV_VAR} or 0)"
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None,
+                        help=f"random seed (default: ${SEED_ENV_VAR} or 0)")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None,
+                        help="write the table to this CSV path, with a manifest "
+                             "(default: stdout; bh then writes no table)")
+    output.add_argument("--json", action="store_true",
+                        help="also write a JSON mirror next to --out")
 
-    p_lfdr = sub.add_parser("lfdr", help="estimate local FDRs from an 'id,p' table")
+    p_lfdr = sub.add_parser("lfdr", parents=[seeded, output],
+                            help="estimate local FDRs from an 'id,p' table")
     p_lfdr.add_argument("input", help="p-value CSV with header 'id,p'")
     p_lfdr.add_argument(
         "--estimator", choices=sorted(ESTIMATOR_FLAGS), default="corrected"
     )
     p_lfdr.add_argument("--mc-draws", type=int, default=100,
                         help="Monte Carlo draws for the mean estimator")
-    p_lfdr.add_argument("--seed", type=int, default=None, help=seed_help)
     p_lfdr.add_argument("--no-monotone", action="store_true",
                         help="skip monotonicity enforcement in the output column")
-    p_lfdr.add_argument("--out", default=None, help="output CSV path (default: stdout)")
-    p_lfdr.add_argument("--json", action="store_true",
-                        help="also write a JSON mirror next to --out")
     p_lfdr.set_defaults(func=cmd_lfdr)
 
-    p_bh = sub.add_parser("bh", help="step-up rejection report at level q")
+    p_bh = sub.add_parser("bh", parents=[seeded, output],
+                          help="step-up rejection report at level q")
     p_bh.add_argument("input", help="p-value CSV with header 'id,p'")
     p_bh.add_argument("--q", type=float, required=True, help="control level in (0, 1)")
-    p_bh.add_argument("--seed", type=int, default=None, help=seed_help)
-    p_bh.add_argument("--out", default=None, help="optional per-hypothesis CSV")
-    p_bh.add_argument("--json", action="store_true",
-                      help="also write a JSON mirror next to --out")
     p_bh.set_defaults(func=cmd_bh)
 
-    p_sim = sub.add_parser("simulate", help="mixture-model error metrics over a grid")
+    p_sim = sub.add_parser("simulate", parents=[seeded, output],
+                           help="mixture-model error metrics over a grid")
     p_sim.add_argument("--pi0-grid", default="0.5,0.75,0.9,1.0")
     p_sim.add_argument("--n-grid", default="2,4,8,16,32")
     p_sim.add_argument("--delta", type=float, default=2.0)
     p_sim.add_argument("--reps", type=int, default=100)
-    p_sim.add_argument("--seed", type=int, default=None, help=seed_help)
     p_sim.add_argument("--estimators", default="mle,corrected,mean")
     p_sim.add_argument("--mc-draws", type=int, default=100)
     p_sim.add_argument("--per-replicate", action="store_true",
                        help="average metrics per replicate instead of pooling")
-    p_sim.add_argument("--out", default=None, help="output CSV path (default: stdout)")
-    p_sim.add_argument("--json", action="store_true",
-                       help="also write a JSON mirror next to --out")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cov = sub.add_parser(
-        "coverage-exact", help="exact small-N probability of reaching the bound"
+        "coverage-exact", parents=[output],
+        help="exact small-N probability of reaching the bound",
     )
     p_cov.add_argument("--n", type=int, required=True, choices=range(1, 6),
                        help="number of hypotheses (1..5)")
@@ -476,18 +454,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cov.add_argument(
         "--estimator", choices=sorted(ESTIMATOR_FLAGS), default="corrected"
     )
-    p_cov.add_argument("--out", default=None, help="output CSV path (default: stdout)")
-    p_cov.add_argument("--json", action="store_true",
-                       help="also write a JSON mirror next to --out")
     p_cov.set_defaults(func=cmd_coverage_exact)
 
-    p_tt = sub.add_parser("ttest", help="abundance table to p-value table")
+    p_tt = sub.add_parser("ttest", parents=[seeded, output],
+                          help="abundance table to p-value table")
     p_tt.add_argument("input", help="abundance CSV with header 'feature,<id>:<group>,...'")
     p_tt.add_argument("--transform", choices=("shift-log", "none"), default="shift-log")
-    p_tt.add_argument("--seed", type=int, default=None, help=seed_help)
-    p_tt.add_argument("--out", default=None, help="output CSV path (default: stdout)")
-    p_tt.add_argument("--json", action="store_true",
-                      help="also write a JSON mirror next to --out")
     p_tt.set_defaults(func=cmd_ttest)
 
     return parser
@@ -497,7 +469,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "json", False) and args.out is None:
+        if args.json and args.out is None:
             raise UsageError("--json writes its mirror next to --out; give --out as well")
         return args.func(args)
     except UsageError as err:
@@ -506,10 +478,7 @@ def main(argv=None) -> int:
     except (TableFormatError, OSError) as err:
         print(f"smallfdr: data error: {err}", file=sys.stderr)
         return EXIT_DATA
-    except NumericFailure as err:
-        print(f"smallfdr: numeric failure: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except FloatingPointError as err:
+    except (NumericFailure, FloatingPointError, MemoryError) as err:
         print(f"smallfdr: numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as err:

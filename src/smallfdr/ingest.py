@@ -291,7 +291,10 @@ def load_pvalues_csv(path, tie_break_seed: int = 0) -> PValueSet:
             p = np.fromiter(map(float, cells[3::2]), dtype=float, count=len(ids))
         except ValueError:
             p = None
-        if p is not None and ((p >= 0.0) & (p <= 1.0)).all() and len(set(ids)) == len(ids):
-            return PValueSet(ids, p, tie_break_seed)
+        if p is not None and ((p >= 0.0) & (p <= 1.0)).all():
+            try:
+                return PValueSet(ids, p, tie_break_seed)
+            except ValueError:
+                pass  # a repeated id, whose line the row-by-row read names
     ids, ps = _pvalue_rows(path)
     return PValueSet(ids, ps, tie_break_seed)

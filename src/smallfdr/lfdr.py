@@ -16,7 +16,6 @@ import numpy as np
 
 from .confidence import _quantile
 from .nfdr import (
-    ESTIMATOR_KINDS,
     KIND_CORRECTED,
     KIND_MEAN,
     KIND_MLE,
@@ -43,7 +42,7 @@ def _rank_order(p: np.ndarray, tie_break_seed: int) -> np.ndarray:
 
 
 class PValueSet:
-    """P-values with stable labels and pseudorandomly tie-broken ranks.
+    """P-values with distinct labels and pseudorandomly tie-broken ranks.
 
     ``ranks[i]`` is the 1-based rank of entry i after sorting by p-value,
     ties resolved by a seeded random permutation so that ranks are always a
@@ -59,6 +58,12 @@ class PValueSet:
         p = np.array(p_values, dtype=float)
         if p.shape != (len(self.ids),):
             raise ValueError(f"expected one p-value per id, got shape {p.shape}")
+        if len(set(self.ids)) != len(self.ids):
+            seen = set()
+            for label in self.ids:
+                if label in seen:
+                    raise ValueError(f"duplicate id {label!r}")
+                seen.add(label)
         if p.size == 0:
             raise ValueError("at least one p-value is required")
         bad = ~((p >= 0.0) & (p <= 1.0))
@@ -224,8 +229,6 @@ def _rank_estimates(
     the Monte Carlo uniforms of every (row, rank) come from their own
     substream seeded by (seed, rank) and go through one inverse call.
     """
-    if kind not in ESTIMATOR_KINDS:
-        raise ValueError(f"kind must be one of {ESTIMATOR_KINDS}, got {kind!r}")
     if weight is not None:
         _check_weight(weight)
     if kind == KIND_MEAN:

@@ -55,15 +55,12 @@ class SimulationConfig:
         if not self.pi0_grid:
             raise ValueError("pi0_grid must be nonempty")
         for v in self.pi0_grid:
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"pi0 grid values must lie in [0, 1], got {v}")
+            Chi2MixtureParams(v, self.delta)
         if not self.n_grid:
             raise ValueError("n_grid must be nonempty")
         for n in self.n_grid:
             if n < 1:
                 raise ValueError(f"n grid values must be positive integers, got {n}")
-        if not 0.0 <= self.delta < math.inf:
-            raise ValueError(f"delta must be finite and nonnegative, got {self.delta}")
         if self.replicates < 1:
             raise ValueError(f"replicates must be at least 1, got {self.replicates}")
         if self.seed < 0:
@@ -173,6 +170,8 @@ def run_grid(config: SimulationConfig) -> list[MetricsRow]:
     monotone ones; hypotheses of every rank are pooled, including the
     trailing ranks whose estimates default to 1.
     """
+    # None pools a cell's (replicates, N) errors; 1 takes each replicate's metric
+    axis = None if config.pooling == POOLING_POOLED else 1
     rows: list[MetricsRow] = []
     for i0, pi0 in enumerate(config.pi0_grid):
         for i1, n in enumerate(config.n_grid):
@@ -193,15 +192,9 @@ def run_grid(config: SimulationConfig) -> list[MetricsRow]:
                     p_sorted, est, None, config.mc_draws, mc_seeds, "monte_carlo"
                 )
                 diffs = _running_max(raw) - truth_sorted
-                if config.pooling == POOLING_POOLED:
-                    pooled = diffs.ravel()
-                    rmse = float(np.sqrt(np.mean(pooled**2)))
-                    conservatism = float(np.mean(pooled >= 0.0))
-                    bias = float(np.mean(pooled))
-                else:
-                    rmse = float(np.mean([np.sqrt(np.mean(d**2)) for d in diffs]))
-                    conservatism = float(np.mean([np.mean(d >= 0.0) for d in diffs]))
-                    bias = float(np.mean([np.mean(d) for d in diffs]))
+                rmse = float(np.mean(np.sqrt(np.mean(diffs**2, axis=axis))))
+                conservatism = float(np.mean(np.mean(diffs >= 0.0, axis=axis)))
+                bias = float(np.mean(np.mean(diffs, axis=axis)))
                 rows.append(
                     MetricsRow(pi0, n, est, rmse, conservatism, bias, config.replicates)
                 )

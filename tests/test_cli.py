@@ -210,6 +210,25 @@ class TestSimulateCommand:
         code, _, err = run(["simulate", "--estimators", "magic"], capsys)
         assert code == 2
 
+    def test_invalid_pi0_names_the_value(self, capsys):
+        code, out, err = run(["simulate", "--pi0-grid", "0.5,1.7"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "smallfdr: error: pi0 must lie in [0, 1], got 1.7\n"
+
+    def test_failed_allocation_is_numeric_failure(self, monkeypatch, capsys):
+        # the grid below would need 7.28 TiB; the refusal is simulated, not requested
+        message = ("Unable to allocate 7.28 TiB for an array with shape "
+                   "(1000000, 1000000) and data type float64")
+
+        def refuse(config):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("smallfdr.cli.run_grid", refuse)
+        code, out, err = run(["simulate", "--reps", "1000000", "--n-grid", "1000000",
+                              "--pi0-grid", "0.9", "--estimators", "mle"], capsys)
+        assert (code, out) == (4, "")
+        assert err == f"smallfdr: numeric failure: {message}\n"
+
     @pytest.mark.parametrize("delta", ["nan", "inf"])
     def test_nonfinite_delta_is_usage_error(self, delta, capsys):
         code, out, err = run(["simulate", "--n-grid", "2", "--reps", "1", "--delta", delta],
@@ -376,6 +395,17 @@ class TestGlobalBehavior:
         assert "0.123456789012" in out
 
 
+class TestHelp:
+    @pytest.mark.parametrize("command", ["lfdr", "bh", "simulate", "coverage-exact", "ttest"])
+    def test_every_subcommand_lists_the_shared_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--out OUT" in out and "--json" in out
+        assert ("--seed SEED" in out) == (command != "coverage-exact")
+
+
 class TestJsonNeedsOut:
     @pytest.mark.parametrize(
         "argv",
@@ -409,8 +439,8 @@ class TestEmitMatchesRowWriter:
 
     def emit(self, tmp_path, header, columns):
         out = tmp_path / "t.csv"
-        args = argparse.Namespace(out=str(out), json=True)
-        _emit_table(header, columns, args, "test", {}, [])
+        args = argparse.Namespace(out=str(out), json=True, command="test")
+        _emit_table(header, columns, args, {}, [])
         return out.read_bytes(), (tmp_path / "t.json").read_bytes()
 
     def expected(self, header, rows):
@@ -449,5 +479,5 @@ class TestEmitMatchesRowWriter:
 
     def test_stdout_matches_file(self, tmp_path, capsys):
         columns = [("a", "b,c"), np.array([0.5, 0.25])]
-        _emit_table(["id", "p"], columns, argparse.Namespace(out=None), "test", {}, [])
+        _emit_table(["id", "p"], columns, argparse.Namespace(out=None), {}, [])
         assert capsys.readouterr().out == table_text(["id", "p"], list(zip(*columns)))[0]

@@ -132,6 +132,14 @@ class TestTTest:
         assert ps.p_values[0] == 1.0
         assert any("zero pooled variance" in str(w.message) for w in caught)
 
+    def test_duplicate_features_rejected(self):
+        subjects = tuple(Subject(f"s{i}", g) for i, g in
+                         enumerate(("case", "case", "control", "control")))
+        values = np.random.default_rng(6).normal(0.0, 1.0, (3, 4))
+        m = AbundanceMatrix(("f0", "f1", "f0"), subjects, values)
+        with pytest.raises(ValueError, match="duplicate id 'f0'"):
+            two_sample_t_pvalues(m)
+
     def test_constant_groups_are_zero_variance(self):
         # six copies of 0.1 have a computed variance of about 2e-34, so groups
         # constant at 0.1 and 0.6 would give an enormous |t| and p ~ 1e-165;

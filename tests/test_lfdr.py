@@ -57,6 +57,19 @@ class TestPValueSet:
         with pytest.raises(ValueError):
             pset([float("nan")])
 
+    # each constructor names the first id that repeats an earlier one
+    def test_duplicate_ids_from_sequences(self):
+        with pytest.raises(ValueError, match="duplicate id 'a'"):
+            PValueSet(["a", "a", "b"], [0.01, 0.5, 0.02])
+
+    def test_duplicate_ids_from_arrays(self):
+        with pytest.raises(ValueError, match="duplicate id 'b'"):
+            PValueSet(("c", "b", "a", "b", "c"), np.array([0.1, 0.2, 0.3, 0.4, 0.5]))
+
+    def test_duplicate_ids_from_pairs(self):
+        with pytest.raises(ValueError, match="duplicate id 'h1'"):
+            PValueSet.from_pairs([("h1", 0.3), ("h2", 0.3), ("h1", 0.3)], tie_break_seed=4)
+
 
 class TestMonotonicity:
     def test_examples(self):
@@ -199,9 +212,10 @@ class TestLfdrEstimates:
         quad = lfdr_estimates(ps, "posterior_mean", mean_method="quadrature").raw()
         assert np.allclose(mc, quad, atol=0.05)
 
-    def test_bad_kind(self):
-        with pytest.raises(ValueError):
-            lfdr_estimates(pset([0.1]), "shrunk")
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_bad_kind(self, n):
+        with pytest.raises(ValueError, match="kind must be one of"):
+            lfdr_estimates(pset([0.1, 0.4][:n]), "shrunk")
 
     @pytest.mark.parametrize("kind", ["mle", "corrected_median", "posterior_mean"])
     @pytest.mark.parametrize("weight", [-0.1, 2.0, float("nan")])

@@ -106,13 +106,15 @@ class TestRunGrid:
             assert 0.0 <= row.conservatism_proportion <= 1.0
             assert row.rmse >= abs(row.bias)
 
+    # N = 1 estimates no rank, and pi0 = 0 or 1 makes the truth constant
+    @pytest.mark.parametrize("pi0, n", [(0.0, 1), (1.0, 2), (0.75, 6)])
     @pytest.mark.parametrize("pooling", ["pooled", "per_replicate"])
     @pytest.mark.parametrize("estimator", ["mle", "corrected_median", "posterior_mean"])
-    def test_replicate_streams_follow_documented_split(self, estimator, pooling):
+    def test_replicate_streams_follow_documented_split(self, estimator, pooling, pi0, n):
         # rebuild one cell by hand from the (seed, pi0-index, n-index,
         # replicate-index) splitting contract, one lfdr_estimates call per
         # replicate, and match the batched grid's metrics bit for bit
-        pi0, n, reps, seed = 0.75, 6, 8, 33
+        reps, seed = 8, 33
         cfg = SimulationConfig(
             pi0_grid=(pi0,), n_grid=(n,), replicates=reps, seed=seed,
             estimators=(estimator,), mc_draws=40, pooling=pooling,
@@ -164,6 +166,10 @@ class TestRunGrid:
             SimulationConfig(estimators=("bogus",))
         with pytest.raises(ValueError):
             SimulationConfig(pooling="sometimes")
+        with pytest.raises(ValueError, match=r"pi0 must lie in \[0, 1\], got 1.7"):
+            SimulationConfig(pi0_grid=(0.5, 1.7))
+        with pytest.raises(ValueError, match="delta must be finite and nonnegative"):
+            SimulationConfig(delta=-1.0)
 
 
 class TestPearsonSkewness:
