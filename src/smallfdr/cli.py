@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -336,20 +337,10 @@ def cmd_simulate(args) -> int:
         raise UsageError(str(err)) from None
     metrics = run_grid(config)
     metrics.sort(key=lambda row: (row.pi0, row.n, row.estimator))
-    params = {
-        "pi0_grid": list(config.pi0_grid),
-        "n_grid": list(config.n_grid),
-        "delta": config.delta,
-        "replicates": config.replicates,
-        "seed": seed,
-        "estimators": list(config.estimators),
-        "mc_draws": config.mc_draws,
-        "pooling": config.pooling,
-    }
     fields = ("pi0", "n", "estimator", "rmse", "conservatism_proportion", "bias",
               "replicate_count")
     columns = [[getattr(row, field) for row in metrics] for field in fields]
-    _emit_table(list(fields[:-1]) + ["replicates"], columns, args, params, [])
+    _emit_table(list(fields[:-1]) + ["replicates"], columns, args, asdict(config), [])
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .distributions import _log_binomial_coef, _log_binomial_pmf
+from .distributions import _check_count, _check_unit, _log_binomial_coef, _log_binomial_pmf
 
 # The inverse is the midpoint of the cell of width 2**-40 < 1e-12 that 40
 # halvings of [0, 1] reach; every cell along the way is a dyadic interval.
@@ -67,14 +67,9 @@ class ConfidenceDistribution:
     weight: float
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be a positive integer, got {self.trials}")
-        if not 0 <= self.successes <= self.trials:
-            raise ValueError(
-                f"successes must lie in [0, {self.trials}], got {self.successes}"
-            )
-        if not 0.0 <= self.weight <= 1.0:
-            raise ValueError(f"weight must lie in [0, 1], got {self.weight}")
+        _check_count("trials", self.trials, 1)
+        _check_count("successes", self.successes, 0, self.trials)
+        _check_unit("weight", self.weight)
 
 
 class _Curve:
@@ -109,8 +104,7 @@ class _Curve:
 
 def significance(cd: ConfidenceDistribution, pi: float) -> float:
     """Weighted upper-tail probability at success probability ``pi``."""
-    if not 0.0 <= pi <= 1.0:
-        raise ValueError(f"pi must lie in [0, 1], got {pi}")
+    _check_unit("pi", pi)
     curve = _Curve(cd.trials, np.asarray([float(cd.successes)]), cd.weight)
     return float(curve(np.asarray([pi], dtype=float))[0])
 
@@ -330,7 +324,5 @@ def sample_parameter(cd: ConfidenceDistribution, n_draws: int, seed) -> np.ndarr
     The generator is owned by this call; the same seed always reproduces the
     same draws.
     """
-    if n_draws < 1:
-        raise ValueError(f"n_draws must be at least 1, got {n_draws}")
-    rng = np.random.default_rng(seed)
-    return _quantile(cd.trials, cd.successes, cd.weight, rng.random(n_draws))
+    u = np.random.default_rng(seed).random(_check_count("n_draws", n_draws, 1))
+    return _quantile(cd.trials, cd.successes, cd.weight, u)

@@ -9,6 +9,7 @@ standard-normal identities, which are exact for that special case.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,31 @@ from scipy import special
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_NORM_CONST = -0.5 * math.log(2.0 * math.pi)
+
+
+def _check_count(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` as an int when it is a whole number in [low, high] (no upper
+    bound when ``high`` is None), else a ValueError naming ``name``.
+
+    Whole-valued floats such as 2.0 and numpy integers count as whole.
+    """
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer()
+    )
+    if not (whole and low <= value and (high is None or value <= high)):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be a whole number {bounds}, got {value}")
+    return int(value)
+
+
+def _check_unit(name: str, value) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+
+
+def _check_choice(name: str, value, choices: tuple) -> None:
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -26,10 +52,8 @@ class BinomialParams:
     success_prob: float
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be a positive integer, got {self.trials}")
-        if not 0.0 <= self.success_prob <= 1.0:
-            raise ValueError(f"success_prob must lie in [0, 1], got {self.success_prob}")
+        _check_count("trials", self.trials, 1)
+        _check_unit("success_prob", self.success_prob)
 
 
 @dataclass(frozen=True)
@@ -40,15 +64,9 @@ class Chi2MixtureParams:
     delta: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.pi0 <= 1.0:
-            raise ValueError(f"pi0 must lie in [0, 1], got {self.pi0}")
+        _check_unit("pi0", self.pi0)
         if not 0.0 <= self.delta < math.inf:
             raise ValueError(f"delta must be finite and nonnegative, got {self.delta}")
-
-
-def _check_count(params: BinomialParams, x: int) -> None:
-    if not 0 <= x <= params.trials:
-        raise ValueError(f"x must lie in [0, {params.trials}], got {x}")
 
 
 def _log_binomial_coef(trials, x):
@@ -75,7 +93,7 @@ def _log_binomial_pmf(trials, x, p, log_coef):
 
 def binomial_pmf(params: BinomialParams, x: int) -> float:
     """Pr(X = x) for X binomial with the given parameters."""
-    _check_count(params, x)
+    _check_count("x", x, 0, params.trials)
     n, k = params.trials, float(x)
     log_pmf = _log_binomial_pmf(n, k, params.success_prob, _log_binomial_coef(n, k))
     return float(np.exp(log_pmf))
@@ -83,7 +101,7 @@ def binomial_pmf(params: BinomialParams, x: int) -> float:
 
 def binomial_sf(params: BinomialParams, x: int) -> float:
     """Strict upper tail Pr(X > x); exactly 0 at x = trials."""
-    _check_count(params, x)
+    _check_count("x", x, 0, params.trials)
     if x >= params.trials:
         return 0.0
     return float(special.betainc(x + 1.0, float(params.trials - x), params.success_prob))
@@ -141,8 +159,7 @@ def noncentral_chi2_1df_pdf(t: float, delta: float) -> float:
 def student_t_sf(t, df: int):
     """Pr(T > t) for Student's t, via the regularized incomplete beta function;
     broadcasts over ``t``, and a scalar ``t`` gives a float."""
-    if df < 1:
-        raise ValueError(f"df must be a positive integer, got {df}")
+    _check_count("df", df, 1)
     t = np.asarray(t, dtype=float)
     upper = 0.5 * special.betainc(0.5 * df, 0.5, df / (df + t * t))
     sf = np.where(t >= 0.0, upper, 1.0 - upper)

@@ -14,15 +14,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .confidence import _quantile
+from .distributions import _check_choice, _check_count, _check_unit
 from .nfdr import (
     KIND_CORRECTED,
     KIND_MEAN,
     KIND_MLE,
+    MEAN_METHODS,
     NfdrEstimate,
-    _capped_ratio,
-    _check_weight,
     _estimate,
+    _mean_mc,
+    _mle,
     mle_nfdr,
 )
 # Kept as a module attribute: perfbench/tracing.py wraps lfdr.mean_nfdr.
@@ -54,7 +55,8 @@ class PValueSet:
     """
 
     def __init__(self, ids, p_values, tie_break_seed: int = 0):
-        self.ids = tuple(ids)
+        # tolist turns the numpy scalars of an id array into plain Python values
+        self.ids = tuple(ids.tolist() if isinstance(ids, np.ndarray) else ids)
         p = np.array(p_values, dtype=float)
         if p.shape != (len(self.ids),):
             raise ValueError(f"expected one p-value per id, got shape {p.shape}")
@@ -204,12 +206,12 @@ def enforce_monotonicity(estimates) -> list[float]:
 
 
 def _tail_weight(kind: str, weight: float | None) -> float | None:
-    """Weight C of a kind: None for the plug-in, by default 1 (corrected) or 1/2 (mean)."""
-    if kind == KIND_MLE:
-        return None
-    if weight is not None:
-        return weight
-    return 1.0 if kind == KIND_CORRECTED else 0.5
+    """Weight C of a kind: None for the plug-in, by default 1 (corrected) or 1/2
+    (mean).  A given weight is checked for every kind, the plug-in's too."""
+    if weight is None:
+        weight = 1.0 if kind == KIND_CORRECTED else 0.5
+    _check_unit("weight", weight)
+    return None if kind == KIND_MLE else weight
 
 
 def _rank_estimates(
@@ -229,35 +231,24 @@ def _rank_estimates(
     the Monte Carlo uniforms of every (row, rank) come from their own
     substream seeded by (seed, rank) and go through one inverse call.
     """
-    if weight is not None:
-        _check_weight(weight)
+    w = _tail_weight(kind, weight)
     if kind == KIND_MEAN:
-        if mean_method not in ("monte_carlo", "quadrature"):
-            raise ValueError(
-                f"mean_method must be 'monte_carlo' or 'quadrature', got {mean_method!r}"
-            )
-        if mean_method == "monte_carlo":
-            for seed in seeds:
-                if seed < 0:
-                    raise ValueError(f"seed must be nonnegative, got {seed}")
-            if mc_draws < 1:
-                raise ValueError(f"mc_draws must be at least 1, got {mc_draws}")
+        _check_choice("mean_method", mean_method, MEAN_METHODS)
     rows, n = p_sorted.shape
     m = n // 2
     xs = 2 * np.arange(1, m + 1)
     alphas = p_sorted[:, xs - 1]
-    w = _tail_weight(kind, weight)
     if kind == KIND_MEAN and mean_method == "monte_carlo":
+        seeds = [_check_count("seed", seed, 0) for seed in seeds]
+        mc_draws = _check_count("mc_draws", mc_draws, 1)
         u = np.array(
             [
                 np.random.default_rng(np.random.SeedSequence([seed, r])).random(mc_draws)
                 for seed in seeds
                 for r in range(1, m + 1)
             ]
-        ).reshape(rows * m, mc_draws)
-        pi = _quantile(n, np.tile(xs, rows)[:, None], w, u)
-        head = _capped_ratio(alphas.reshape(-1, 1), pi).mean(axis=1).reshape(rows, m)
-        capped = head >= 1.0
+        ).reshape(rows, m, mc_draws)
+        head, capped = _mean_mc(alphas, xs, n, w, u)
     else:
         head, capped = _estimate(kind, alphas, xs, n, w)
     return np.hstack([head, np.ones((rows, n - m))]), capped
@@ -309,8 +300,7 @@ def bh_reject(pvals: PValueSet, q: float) -> BhRejection:
     n = pvals.n
     p_sorted = pvals.sorted_p()
     ids_sorted = pvals.sorted_ids()
-    ranks = np.arange(1, n + 1)
-    estimates = np.minimum(p_sorted * n / ranks, 1.0)
+    estimates, _ = _mle(p_sorted, np.arange(1, n + 1), n)
     passing = np.nonzero(estimates <= q)[0]
     if passing.size == 0:
         return BhRejection((), 0, None)

@@ -8,8 +8,9 @@ discovery probability, and the mean estimator averages the capped ratio
 over that whole distribution.
 
 Each estimator is one array function (``_mle``, ``_corrected``,
-``_mean_exact``) that broadcasts over the level and the count; the scalar
-functions, the rank-doubling estimates and the exact coverage all call it.
+``_mean_exact`` and the Monte Carlo ``_mean_mc``) that broadcasts over the
+level and the count; the scalar functions, the rank-doubling estimates, the
+step-up rule and the exact coverage all call it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .confidence import ConfidenceDistribution, _quantile, sample_parameter
+from .confidence import _quantile
+from .distributions import _check_choice, _check_count, _check_unit
 # Kept as a module attribute: perfbench/tracing.py wraps nfdr.inverse_significance.
 from .confidence import inverse_significance  # noqa: F401
 
@@ -27,6 +29,7 @@ KIND_MLE = "mle"
 KIND_CORRECTED = "corrected_median"
 KIND_MEAN = "posterior_mean"
 ESTIMATOR_KINDS = (KIND_MLE, KIND_CORRECTED, KIND_MEAN)
+MEAN_METHODS = ("monte_carlo", "quadrature")
 
 
 class NumericFailure(RuntimeError):
@@ -62,9 +65,7 @@ class MixtureTruth:
 
     def __post_init__(self) -> None:
         for name in ("pi0", "null_prob", "marginal_prob"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+            _check_unit(name, getattr(self, name))
         # Bayes consistency: the marginal cannot fall below the null part.
         if self.marginal_prob < self.pi0 * self.null_prob - 1e-12:
             raise ValueError(
@@ -81,12 +82,9 @@ def true_nfdr(truth: MixtureTruth) -> float:
 
 
 def _check_basic(alpha: float, x: int, trials: int) -> None:
-    if trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials}")
-    if not 0 <= x <= trials:
-        raise ValueError(f"x must lie in [0, {trials}], got {x}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    _check_count("trials", trials, 1)
+    _check_count("x", x, 0, trials)
+    _check_unit("alpha", alpha)
 
 
 def _mle(alpha, x, trials):
@@ -163,21 +161,30 @@ def _mean_exact(alpha, x, trials, weight):
     return value, value >= 1.0
 
 
+def _mean_mc(alpha, x, trials, weight, u):
+    """Monte Carlo mean of min(alpha/pi, 1), and whether it reaches the cap 1.
+
+    The draws pi invert the significance function at the uniforms ``u``;
+    each ratio is capped before the mean along the last axis of ``u``, whose
+    leading axes broadcast with ``alpha`` and ``x``; pi = 0 gives the capped
+    ratio 1.  Every mean depends only on its own level, count and uniforms.
+    """
+    pi = _quantile(trials, np.asarray(x)[..., None], weight, u)
+    alpha = np.asarray(alpha, dtype=float)[..., None]
+    ratio = np.divide(alpha, pi, out=np.full(pi.shape, np.inf), where=pi > 0.0)
+    value = np.minimum(ratio, 1.0).mean(axis=-1)
+    return value, value >= 1.0
+
+
 def _estimate(kind, alpha, x, trials, weight):
     """Value and capped flag of the exact estimator ``kind`` at tail weight
     ``weight`` (unused by the plug-in), broadcasting over ``alpha`` and ``x``."""
+    _check_choice("kind", kind, ESTIMATOR_KINDS)
     if kind == KIND_MLE:
         return _mle(alpha, x, trials)
     if kind == KIND_CORRECTED:
         return _corrected(alpha, x, trials, weight)
-    if kind == KIND_MEAN:
-        return _mean_exact(alpha, x, trials, weight)
-    raise ValueError(f"kind must be one of {ESTIMATOR_KINDS}, got {kind!r}")
-
-
-def _check_weight(weight: float) -> None:
-    if not 0.0 <= weight <= 1.0:
-        raise ValueError(f"weight must lie in [0, 1], got {weight}")
+    return _mean_exact(alpha, x, trials, weight)
 
 
 def mle_nfdr(alpha: float, x: int, trials: int) -> NfdrEstimate:
@@ -199,18 +206,11 @@ def corrected_nfdr(alpha: float, x: int, trials: int, weight: float = 1.0) -> Nf
     weight > 1/2; both cases return 1, flagged as capped.
     """
     _check_basic(alpha, x, trials)
-    _check_weight(weight)
+    _check_unit("weight", weight)
     value, capped = _corrected(alpha, x, trials, weight)
     return NfdrEstimate(
         float(value), KIND_CORRECTED, alpha, x, trials, weight, bool(capped)
     )
-
-
-def _capped_ratio(alpha, pi: np.ndarray) -> np.ndarray:
-    """min(alpha / pi, 1) elementwise, with pi = 0 contributing the cap value 1."""
-    pi = np.asarray(pi, dtype=float)
-    ratio = np.divide(alpha, pi, out=np.full(pi.shape, np.inf), where=pi > 0.0)
-    return np.minimum(ratio, 1.0)
 
 
 def mean_nfdr(
@@ -230,14 +230,11 @@ def mean_nfdr(
     exact mean, from the Beta-mixture form of the confidence distribution).
     """
     _check_basic(alpha, x, trials)
-    _check_weight(weight)
-    if method not in ("monte_carlo", "quadrature"):
-        raise ValueError(f"method must be 'monte_carlo' or 'quadrature', got {method!r}")
+    _check_unit("weight", weight)
+    _check_choice("method", method, MEAN_METHODS)
     if method == "quadrature":
         value, capped = _mean_exact(alpha, x, trials, weight)
-        return NfdrEstimate(float(value), KIND_MEAN, alpha, x, trials, weight, bool(capped))
-    if draws < 1:
-        raise ValueError(f"draws must be at least 1, got {draws}")
-    pi = sample_parameter(ConfidenceDistribution(trials, x, weight), draws, seed)
-    value = float(np.mean(_capped_ratio(alpha, pi)))
-    return NfdrEstimate(value, KIND_MEAN, alpha, x, trials, weight, value >= 1.0)
+    else:
+        u = np.random.default_rng(seed).random(_check_count("draws", draws, 1))
+        value, capped = _mean_mc(alpha, x, trials, weight, u)
+    return NfdrEstimate(float(value), KIND_MEAN, alpha, x, trials, weight, bool(capped))

@@ -16,13 +16,16 @@ from scipy import special
 
 from .distributions import (
     Chi2MixtureParams,
+    _check_choice,
+    _check_count,
+    _check_unit,
     _chi2_1df_isf_arrays,
     _chi2_1df_sf_arrays,
     _log_binomial_coef,
     _log_binomial_pmf,
 )
 from .lfdr import _rank_estimates, _rank_order, _running_max, _tail_weight
-from .nfdr import ESTIMATOR_KINDS, _check_weight, _estimate
+from .nfdr import ESTIMATOR_KINDS, _estimate
 # Kept as module attributes: perfbench/tracing.py wraps these names in simulate.
 from .lfdr import lfdr_estimates  # noqa: F401
 from .nfdr import corrected_nfdr, mean_nfdr, mle_nfdr  # noqa: F401
@@ -52,31 +55,23 @@ class SimulationConfig:
     pooling: str = POOLING_POOLED
 
     def __post_init__(self) -> None:
-        if not self.pi0_grid:
-            raise ValueError("pi0_grid must be nonempty")
+        # each metrics row is keyed by one value of each axis
+        for name in ("pi0_grid", "n_grid", "estimators"):
+            axis = getattr(self, name)
+            if not axis:
+                raise ValueError(f"{name} must be nonempty")
+            if len(set(axis)) < len(axis):
+                raise ValueError(f"{name} values must be distinct, got {axis}")
         for v in self.pi0_grid:
             Chi2MixtureParams(v, self.delta)
-        if not self.n_grid:
-            raise ValueError("n_grid must be nonempty")
-        for n in self.n_grid:
-            if n < 1:
-                raise ValueError(f"n grid values must be positive integers, got {n}")
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be at least 1, got {self.replicates}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if not self.estimators:
-            raise ValueError("estimators must be nonempty")
         for est in self.estimators:
-            if est not in ESTIMATOR_KINDS:
-                raise ValueError(f"unknown estimator {est!r}; choose from {ESTIMATOR_KINDS}")
-        if self.mc_draws < 1:
-            raise ValueError(f"mc_draws must be at least 1, got {self.mc_draws}")
-        if self.pooling not in (POOLING_POOLED, POOLING_PER_REPLICATE):
-            raise ValueError(
-                f"pooling must be {POOLING_POOLED!r} or {POOLING_PER_REPLICATE!r}, "
-                f"got {self.pooling!r}"
-            )
+            _check_choice("kind", est, ESTIMATOR_KINDS)
+        # counts are stored as ints, so that a whole float such as 2.0 sizes arrays
+        for name, low in (("replicates", 1), ("seed", 0), ("mc_draws", 1)):
+            object.__setattr__(self, name, _check_count(name, getattr(self, name), low))
+        n_grid = tuple(_check_count("n_grid", n, 1) for n in self.n_grid)
+        object.__setattr__(self, "n_grid", n_grid)
+        _check_choice("pooling", self.pooling, (POOLING_POOLED, POOLING_PER_REPLICATE))
 
 
 @dataclass(frozen=True)
@@ -118,8 +113,7 @@ def generate_dataset(pi0: float, n: int, delta: float, seed) -> SimulatedDataset
     (Z + sqrt(delta))**2; true nulls (label 0) contribute plain Z**2.
     """
     Chi2MixtureParams(pi0, delta)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    n = _check_count("n", n, 1)
     rng = np.random.default_rng(seed)
     labels = (rng.random(n) < 1.0 - pi0).astype(int)
     z = rng.standard_normal(n)
@@ -153,8 +147,7 @@ def _true_lfdr_arrays(p: np.ndarray, pi0: float, delta: float) -> np.ndarray:
 
 def true_lfdr(p: float, pi0: float, delta: float) -> float:
     """Scalar oracle local FDR; p = 0 is handled as the t -> inf limit."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    _check_unit("p", p)
     return float(_true_lfdr_arrays(np.asarray([p]), pi0, delta)[0])
 
 
@@ -228,8 +221,7 @@ def exact_small_n_coverage(
     computed once per alpha and the binomial masses once per pi, and the
     masses are added in order of x, as an element-by-element loop would.
     """
-    if not 1 <= trials <= 5:
-        raise ValueError(f"trials must lie in 1..5 for exact enumeration, got {trials}")
+    trials = _check_count("trials", trials, 1, 5)
     alpha = np.asarray(alpha, dtype=float)
     pi = np.asarray(pi, dtype=float)
     bad = ~((alpha > 0.0) & (alpha <= 1.0))
@@ -241,8 +233,6 @@ def exact_small_n_coverage(
         low, value = a[bad].flat[0], p[bad].flat[0]
         raise ValueError(f"pi must lie in [alpha, 1] = [{low}, 1], got {value}")
     weight = _tail_weight(estimator_kind, weight)
-    if weight is not None:
-        _check_weight(weight)
     xs = np.arange(trials + 1.0)
     estimate, _ = _estimate(estimator_kind, alpha[..., None], xs, trials, weight)
     pmf = np.exp(_log_binomial_pmf(trials, xs, pi[..., None], _log_binomial_coef(trials, xs)))

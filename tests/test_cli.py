@@ -210,6 +210,13 @@ class TestSimulateCommand:
         code, _, err = run(["simulate", "--estimators", "magic"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("flag, grid", [("--n-grid", "2,2"), ("--pi0-grid", "0.5,0.9,0.5")])
+    def test_repeated_grid_value_is_usage_error(self, flag, grid, capsys):
+        # a repeated value would write two rows with the same key
+        code, out, err = run(["simulate", flag, grid, "--reps", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("smallfdr: error: ") and "must be distinct" in err
+
     def test_invalid_pi0_names_the_value(self, capsys):
         code, out, err = run(["simulate", "--pi0-grid", "0.5,1.7"], capsys)
         assert (code, out) == (2, "")

@@ -8,10 +8,21 @@ from scipy import integrate, stats
 from smallfdr import (
     BinomialParams,
     Chi2MixtureParams,
+    ConfidenceDistribution,
+    PValueSet,
+    SimulationConfig,
     binomial_pmf,
     binomial_sf,
     chi2_1df_sf,
+    corrected_nfdr,
+    exact_small_n_coverage,
+    generate_dataset,
+    lfdr_estimates,
+    mean_nfdr,
+    mle_nfdr,
     noncentral_chi2_1df_pdf,
+    run_grid,
+    sample_parameter,
     std_normal_cdf,
     student_t_sf,
 )
@@ -36,6 +47,66 @@ class TestParams:
         for delta in (math.nan, math.inf):
             with pytest.raises(ValueError, match="delta"):
                 Chi2MixtureParams(0.5, delta)
+
+
+_PVALUES = PValueSet(["a", "b", "c", "d"], [0.01, 0.2, 0.5, 0.7])
+
+# every library entry point that takes a count, the count's name and a call
+# that passes it a non-whole value v
+COUNT_ENTRY_POINTS = {
+    "BinomialParams": ("trials", lambda v: BinomialParams(v, 0.3)),
+    "binomial_pmf": ("x", lambda v: binomial_pmf(BinomialParams(5, 0.3), v)),
+    "binomial_sf": ("x", lambda v: binomial_sf(BinomialParams(5, 0.3), v)),
+    "student_t_sf": ("df", lambda v: student_t_sf(1.0, v)),
+    "ConfidenceDistribution-trials": ("trials", lambda v: ConfidenceDistribution(v, 1, 0.5)),
+    "ConfidenceDistribution-successes": (
+        "successes", lambda v: ConfidenceDistribution(5, v, 0.5)
+    ),
+    "sample_parameter": (
+        "n_draws", lambda v: sample_parameter(ConfidenceDistribution(5, 2, 0.5), v, 0)
+    ),
+    "mle_nfdr": ("trials", lambda v: mle_nfdr(0.1, 2, v)),
+    "corrected_nfdr": ("x", lambda v: corrected_nfdr(0.1, v, 4)),
+    "mean_nfdr-x": ("x", lambda v: mean_nfdr(0.1, v, 4)),
+    "mean_nfdr-quadrature": ("x", lambda v: mean_nfdr(0.1, v, 4, method="quadrature")),
+    "mean_nfdr-draws": ("draws", lambda v: mean_nfdr(0.1, 2, 4, draws=v)),
+    "lfdr_estimates-mc_draws": (
+        "mc_draws", lambda v: lfdr_estimates(_PVALUES, "posterior_mean", mc_draws=v)
+    ),
+    "lfdr_estimates-seed": (
+        "seed", lambda v: lfdr_estimates(_PVALUES, "posterior_mean", seed=v)
+    ),
+    "generate_dataset": ("n", lambda v: generate_dataset(0.5, v, 2.0, 0)),
+    "exact_small_n_coverage": ("trials", lambda v: exact_small_n_coverage(v, 0.1, 0.5, "mle")),
+    "SimulationConfig-n_grid": ("n_grid", lambda v: SimulationConfig(n_grid=(2, v))),
+    "SimulationConfig-replicates": ("replicates", lambda v: SimulationConfig(replicates=v)),
+    "SimulationConfig-seed": ("seed", lambda v: SimulationConfig(seed=v)),
+    "SimulationConfig-mc_draws": ("mc_draws", lambda v: SimulationConfig(mc_draws=v)),
+}
+
+
+class TestCounts:
+    @pytest.mark.parametrize("value", [2.5, math.nan])
+    @pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+    def test_non_whole_count_names_the_parameter(self, entry, value):
+        name, call = COUNT_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
+            call(value)
+
+    def test_whole_floats_and_numpy_integers_are_counts(self):
+        assert binomial_pmf(BinomialParams(np.int64(5), 0.3), 2.0) == binomial_pmf(
+            BinomialParams(5, 0.3), 2
+        )
+        assert mle_nfdr(0.1, np.int32(2), 4.0) == mle_nfdr(0.1, 2, 4.0)
+        assert mean_nfdr(0.1, 2.0, 4, draws=np.int64(7)).value == mean_nfdr(0.1, 2, 4, draws=7).value
+        config = SimulationConfig(
+            pi0_grid=(0.5,), n_grid=(2.0, np.int64(3)), replicates=2.0, seed=np.uint32(1),
+            mc_draws=5.0,
+        )
+        assert (config.n_grid, config.replicates, config.seed, config.mc_draws) == ((2, 3), 2, 1, 5)
+        assert all(type(v) is int for v in config.n_grid + (config.replicates, config.seed))
+        ints = SimulationConfig(pi0_grid=(0.5,), n_grid=(2, 3), replicates=2, seed=1, mc_draws=5)
+        assert run_grid(config) == run_grid(ints)
 
 
 class TestBinomial:

@@ -10,6 +10,7 @@ from smallfdr import (
     bh_reject,
     enforce_monotonicity,
     lfdr_estimates,
+    mean_nfdr,
     run_grid,
 )
 from smallfdr.lfdr import _rank_estimates
@@ -65,6 +66,15 @@ class TestPValueSet:
     def test_duplicate_ids_from_arrays(self):
         with pytest.raises(ValueError, match="duplicate id 'b'"):
             PValueSet(("c", "b", "a", "b", "c"), np.array([0.1, 0.2, 0.3, 0.4, 0.5]))
+
+    def test_numpy_string_ids_are_plain_strings(self):
+        ps = PValueSet(np.array(["b", "a"]), [0.2, 0.1])
+        assert ps.ids == ("b", "a") and ps.sorted_ids() == ("a", "b")
+        assert all(type(label) is str for label in ps.ids + ps.sorted_ids())
+        with pytest.raises(ValueError, match=r"^p-value for 'b' must lie in \[0, 1\], got 2.0$"):
+            PValueSet(np.array(["a", "b"]), [0.1, 2.0])
+        with pytest.raises(ValueError, match="^duplicate id 'a'$"):
+            PValueSet(np.array(["a", "a"]), [0.1, 0.2])
 
     def test_duplicate_ids_from_pairs(self):
         with pytest.raises(ValueError, match="duplicate id 'h1'"):
@@ -211,6 +221,21 @@ class TestLfdrEstimates:
         mc = lfdr_estimates(ps, "posterior_mean", mc_draws=4000, seed=2).raw()
         quad = lfdr_estimates(ps, "posterior_mean", mean_method="quadrature").raw()
         assert np.allclose(mc, quad, atol=0.05)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_mean_monte_carlo_rank_is_scalar_mean(self, seed):
+        # rank r's raw estimate is mean_nfdr at (p_(2r), 2r, N) on the
+        # substream seeded by (seed, r), bit for bit
+        ps = pset(list(np.random.default_rng(19).random(33) ** 2))
+        result = lfdr_estimates(ps, "posterior_mean", mc_draws=40, seed=seed)
+        p_sorted = ps.sorted_p()
+        for r in range(1, ps.n // 2 + 1):
+            want = mean_nfdr(
+                float(p_sorted[2 * r - 1]), 2 * r, ps.n, draws=40,
+                seed=np.random.SeedSequence([seed, r]),
+            )
+            assert result.raw()[r - 1] == want.value
+            assert result.capped[r - 1] == want.capped
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_bad_kind(self, n):

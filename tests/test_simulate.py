@@ -162,8 +162,12 @@ class TestRunGrid:
             SimulationConfig(pi0_grid=())
         with pytest.raises(ValueError):
             SimulationConfig(n_grid=(0,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="kind must be one of"):
             SimulationConfig(estimators=("bogus",))
+        with pytest.raises(ValueError, match=r"^n_grid values must be distinct, got \(2, 4, 2\)"):
+            SimulationConfig(n_grid=(2, 4, 2))
+        with pytest.raises(ValueError, match="^pi0_grid values must be distinct"):
+            SimulationConfig(pi0_grid=(0.5, 0.9, 0.5))
         with pytest.raises(ValueError):
             SimulationConfig(pooling="sometimes")
         with pytest.raises(ValueError, match=r"pi0 must lie in \[0, 1\], got 1.7"):
