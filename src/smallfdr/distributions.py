@@ -112,24 +112,19 @@ def std_normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
-def _std_normal_sf(z: float) -> float:
-    return 0.5 * math.erfc(z / _SQRT2)
-
-
-def chi2_1df_sf(t: float) -> float:
-    """Pr(chi2 with 1 df > t).
+def chi2_1df_sf(t):
+    """Pr(chi2 with 1 df > t); broadcasts over ``t``, and a scalar gives a float.
 
     A squared standard normal exceeds t exactly when |Z| > sqrt(t), so this
-    equals 2 * (1 - Phi(sqrt(t))), evaluated through erfc to keep far tails
-    accurate.
+    equals 2 * (1 - Phi(sqrt(t))) = erfc(sqrt(t / 2)), evaluated through erfc
+    to keep far tails accurate.
     """
-    if t < 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    return 2.0 * _std_normal_sf(math.sqrt(t))
-
-
-def _chi2_1df_sf_arrays(t: np.ndarray) -> np.ndarray:
-    return special.erfc(np.sqrt(0.5 * np.asarray(t, dtype=float)))
+    t = np.asarray(t, dtype=float)
+    bad = ~(t >= 0.0)
+    if bad.any():
+        raise ValueError(f"t must be nonnegative, got {t[bad].flat[0]}")
+    sf = special.erfc(np.sqrt(0.5 * t))
+    return float(sf) if sf.ndim == 0 else sf
 
 
 def _chi2_1df_isf_arrays(p: np.ndarray) -> np.ndarray:

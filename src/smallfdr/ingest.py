@@ -1,5 +1,10 @@
 """Loading, transforming, and testing feature-by-subject abundance tables.
 
+The abundance table and the 'id,p' table are read by one rule: a leading
+UTF-8 byte-order mark and all-blank rows are dropped, row labels are
+stripped, and the table is built a column at a time.  A file with a bad line
+is read again row by row to name its first bad line, counting non-blank rows.
+
 The shift-log transform adds the 25th percentile of the pooled control
 values (one scalar across all features and control subjects) and takes the
 natural logarithm; equal-variance t-tests, one array pass over every
@@ -9,6 +14,7 @@ feature, then produce the p-values consumed by the rank-based estimators.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass
 
@@ -143,22 +149,90 @@ def two_sample_t_pvalues(matrix: AbundanceMatrix, tie_break_seed: int = 0) -> PV
     return PValueSet(matrix.features, p, tie_break_seed)
 
 
-def _read_rows(path) -> list[list[str]]:
-    """The csv rows of a file, leaving out rows whose cells are all blank.
+def _read_text(path) -> tuple[bytes, str]:
+    """A file's bytes and its UTF-8 text, less a leading byte-order mark."""
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        return raw, raw.decode("utf-8-sig")
+    except UnicodeDecodeError as err:
+        raise TableFormatError(f"{path}: not UTF-8 text ({err})") from None
 
-    A leading UTF-8 byte-order mark, as spreadsheet exports write, is dropped.
-    """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        rows = [row for row in csv.reader(handle)]
-    return [row for row in rows if row and any(cell.strip() for cell in row)]
+
+def _csv_rows(text: str) -> list[list[str]]:
+    """The csv rows of ``text``, leaving out rows whose cells are all blank."""
+    rows = csv.reader(io.StringIO(text, newline=""))
+    return [row for row in rows if any(cell.strip() for cell in row)]
+
+
+def _read_table(path, expected: str) -> tuple[list[str], list[list[str]] | None]:
+    """The header cells of a csv table and the columns below them, the first
+    column (the row labels) stripped; the columns are None when rows differ in
+    width, and a file with no rows, which should start with ``expected``,
+    raises.  A plain file (no quote, NUL or lone carriage return, as many
+    commas on every line as on the first, no blank label) is split at its
+    commas and line ends without per-line work, as the csv module would."""
+    raw, text = _read_text(path)
+    if not text.endswith("\n"):  # end the last line, as the csv module does
+        raw, text = raw + b"\n", text + "\n"
+    codes = np.frombuffer(raw, dtype=np.uint8)
+    seps = codes[(codes == ord(",")) | (codes == ord("\n"))]
+    width = int(np.argmax(seps == ord("\n"))) + 1
+    crlf, header = b"\r" in raw, None
+    if (
+        b'"' not in raw and b"\0" not in raw
+        and (not crlf or raw.count(b"\r") == raw.count(b"\r\n"))
+        and seps.size % width == 0 and (seps.reshape(-1, width) == seps[:width]).all()
+    ):
+        cells = (text.replace("\r\n", "\n") if crlf else text).replace("\n", ",").split(",")
+        cells.pop()  # the empty cell after the last line end
+        labels = list(map(str.strip, cells[width::width]))
+        if cells[0].strip() and all(labels):
+            header = cells[:width]
+    if header is None:
+        rows = _csv_rows(text)
+        if not rows:
+            raise TableFormatError(f"{path}: empty file; expected {expected}")
+        header, width = rows[0], len(rows[0])
+        if any(len(row) != width for row in rows):
+            return header, None
+        cells = [cell for row in rows for cell in row]
+        labels = list(map(str.strip, cells[width::width]))
+    return header, [labels] + [cells[width + j :: width] for j in range(1, width)]
+
+
+def _first_bad_line(path, label_name: str, cell_fault) -> TableFormatError:
+    """The error naming the first bad line of ``path``, read again row by row:
+    a wrong cell count, a repeated stripped label, or what ``cell_fault``
+    returns as the rest of the message."""
+    rows = _csv_rows(_read_text(path)[1])
+    seen: set[str] = set()
+    for lineno, row in enumerate(rows[1:], start=2):
+        label = row[0].strip()
+        if len(row) != len(rows[0]):
+            fault = f": expected {len(rows[0])} cells, got {len(row)}"
+        elif label in seen:
+            fault = f": duplicate {label_name} {label!r}"
+        else:
+            fault = cell_fault(row)
+        if fault is not None:
+            return TableFormatError(f"{path}, line {lineno}{fault}")
+        seen.add(label)
+    return TableFormatError(f"{path}: the file changed while it was read")
+
+
+def _abundance_fault(row: list[str]) -> str | None:
+    for j, cell in enumerate(row[1:], start=2):
+        try:
+            float(cell)
+        except ValueError:
+            return f", column {j}: non-numeric value {cell!r}"
+    return None
 
 
 def load_abundance_csv(path) -> AbundanceMatrix:
     """Parse a 'feature,<subject_id>:<group>,...' abundance table."""
-    rows = _read_rows(path)
-    if not rows:
-        raise TableFormatError(f"{path}: empty file; expected a header line")
-    header = rows[0]
+    header, columns = _read_table(path, "a header line")
     if header[0].strip() != "feature":
         raise TableFormatError(
             f"{path}, line 1: first header column must be 'feature', got {header[0]!r}"
@@ -174,127 +248,38 @@ def load_abundance_csv(path) -> AbundanceMatrix:
                 f"got {cell!r}"
             )
         subjects.append(Subject(sid, group))
-    if len(rows) == 1:
+    if columns is not None and not columns[0]:
         raise TableFormatError(f"{path}: header only; no feature rows found")
-    features: list[str] = []
-    seen: set[str] = set()
-    grid: list[list[float]] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise TableFormatError(
-                f"{path}, line {lineno}: expected {len(header)} cells, got {len(row)}"
-            )
-        feature = row[0].strip()
-        if feature in seen:
-            raise TableFormatError(
-                f"{path}, line {lineno}: duplicate feature label {feature!r}"
-            )
-        seen.add(feature)
+    if columns is not None and len(set(columns[0])) == len(columns[0]):
         try:
-            values = list(map(float, row[1:]))
+            # C-contiguous, as two_sample_t_pvalues expects of the value grid
+            values = np.column_stack([np.fromiter(map(float, c), float) for c in columns[1:]])
         except ValueError:
-            # rescan the row one cell at a time only to name the bad cell
-            for j, cell in enumerate(row[1:], start=2):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise TableFormatError(
-                        f"{path}, line {lineno}, column {j}: non-numeric value {cell!r}"
-                    ) from None
-        features.append(feature)
-        grid.append(values)
-    return AbundanceMatrix(tuple(features), tuple(subjects), np.asarray(grid))
+            pass  # a non-numeric cell, whose line the row-by-row read names
+        else:
+            return AbundanceMatrix(tuple(columns[0]), tuple(subjects), values)
+    raise _first_bad_line(path, "feature label", _abundance_fault)
 
 
-def _two_column_cells(path) -> list[str] | None:
-    """The cells of a file whose every line is 'a,b', in file order, or None.
-
-    With no quote, NUL or lone carriage return, which the csv module treats
-    specially, such a file splits at its commas and line ends exactly as the
-    csv module splits it, without per-line work.  Any other file gives None.
-    A leading UTF-8 byte-order mark is dropped, as ``_read_rows`` drops it.
-    """
-    with open(path, "rb") as handle:
-        raw = handle.read().replace(b"\r\n", b"\n")
-    if not raw.endswith(b"\n"):
-        raw += b"\n"
-    if b'"' in raw or b"\r" in raw or b"\0" in raw:
-        return None
-    codes = np.frombuffer(raw, dtype=np.uint8)
-    seps = codes[(codes == ord(",")) | (codes == ord("\n"))]
-    del codes
-    if seps.size % 2 or (seps[0::2] != ord(",")).any() or (seps[1::2] != ord("\n")).any():
-        return None
+def _pvalue_fault(row: list[str]) -> str | None:
     try:
-        text = raw.decode("utf-8-sig")
-    except UnicodeDecodeError:
-        return None
-    del raw
-    cells = text.replace("\n", ",").split(",")
-    cells.pop()  # the empty cell after the last line end
-    return cells
-
-
-def _pvalue_rows(path) -> tuple[list[str], list[float]]:
-    """Ids and p-values of an 'id,p' table, checked row by row.
-
-    Raises at the first bad row in file order; row numbers count non-blank
-    rows.
-    """
-    rows = _read_rows(path)
-    if not rows:
-        raise TableFormatError(f"{path}: empty file; expected an 'id,p' header")
-    header = [cell.strip() for cell in rows[0]]
-    if header != ["id", "p"]:
-        raise TableFormatError(f"{path}, line 1: expected header 'id,p', got {rows[0]!r}")
-    if len(rows) == 1:
-        raise TableFormatError(f"{path}: header only; no p-value rows found")
-    ids: list[str] = []
-    ps: list[float] = []
-    seen: set[str] = set()
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            raise TableFormatError(
-                f"{path}, line {lineno}: expected 2 cells, got {len(row)}"
-            )
-        label = row[0].strip()
-        if label in seen:
-            raise TableFormatError(f"{path}, line {lineno}: duplicate id {label!r}")
-        seen.add(label)
-        try:
-            p = float(row[1])
-        except ValueError:
-            raise TableFormatError(
-                f"{path}, line {lineno}: non-numeric p-value {row[1]!r}"
-            ) from None
-        if not 0.0 <= p <= 1.0:
-            raise TableFormatError(
-                f"{path}, line {lineno}: p-value {p} outside [0, 1]"
-            )
-        ids.append(label)
-        ps.append(p)
-    return ids, ps
+        p = float(row[1])
+    except ValueError:
+        return f": non-numeric p-value {row[1]!r}"
+    return None if 0.0 <= p <= 1.0 else f": p-value {p} outside [0, 1]"
 
 
 def load_pvalues_csv(path, tie_break_seed: int = 0) -> PValueSet:
-    """Parse an 'id,p' table into a tie-broken p-value set.
-
-    The cells are checked a column at a time: the header, ids all distinct,
-    and every p-value numeric and in [0, 1].  A file that fails a check, or
-    whose cells need the csv module (quotes, blank lines), is read again row
-    by row, which names the first bad line in file order.
-    """
-    cells = _two_column_cells(path)
-    if cells is not None and len(cells) > 2 and [c.strip() for c in cells[:2]] == ["id", "p"]:
-        ids = list(map(str.strip, cells[2::2]))
+    """Parse an 'id,p' table into a tie-broken p-value set."""
+    header, columns = _read_table(path, "an 'id,p' header")
+    if [cell.strip() for cell in header] != ["id", "p"]:
+        raise TableFormatError(f"{path}, line 1: expected header 'id,p', got {header!r}")
+    if columns is not None and not columns[0]:
+        raise TableFormatError(f"{path}: header only; no p-value rows found")
+    if columns is not None:
         try:
-            p = np.fromiter(map(float, cells[3::2]), dtype=float, count=len(ids))
+            p = np.fromiter(map(float, columns[1]), float, len(columns[1]))
+            return PValueSet(columns[0], p, tie_break_seed)
         except ValueError:
-            p = None
-        if p is not None and ((p >= 0.0) & (p <= 1.0)).all():
-            try:
-                return PValueSet(ids, p, tie_break_seed)
-            except ValueError:
-                pass  # a repeated id, whose line the row-by-row read names
-    ids, ps = _pvalue_rows(path)
-    return PValueSet(ids, ps, tie_break_seed)
+            pass  # a bad cell or a repeated id, whose line the row-by-row read names
+    raise _first_bad_line(path, "id", _pvalue_fault)

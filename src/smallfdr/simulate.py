@@ -18,11 +18,10 @@ from .distributions import (
     Chi2MixtureParams,
     _check_choice,
     _check_count,
-    _check_unit,
     _chi2_1df_isf_arrays,
-    _chi2_1df_sf_arrays,
     _log_binomial_coef,
     _log_binomial_pmf,
+    chi2_1df_sf,
 )
 from .lfdr import _rank_estimates, _rank_order, _running_max, _tail_weight
 from .nfdr import ESTIMATOR_KINDS, _estimate
@@ -118,37 +117,30 @@ def generate_dataset(pi0: float, n: int, delta: float, seed) -> SimulatedDataset
     labels = (rng.random(n) < 1.0 - pi0).astype(int)
     z = rng.standard_normal(n)
     statistics = (z + math.sqrt(delta) * labels) ** 2
-    p_values = _chi2_1df_sf_arrays(statistics)
+    p_values = chi2_1df_sf(statistics)
     return SimulatedDataset(statistics, labels, p_values, _seed_path_of(seed))
 
 
-def _true_lfdr_arrays(p: np.ndarray, pi0: float, delta: float) -> np.ndarray:
-    """Oracle posterior probability that the null is true at each p-value.
+def true_lfdr(p, pi0: float, delta: float):
+    """Oracle posterior probability that the null is true at each p-value;
+    broadcasts over ``p``, and a scalar gives a float.
 
     The density ratio of the two components at the statistic t mapped back
     from p reduces to exp(-delta/2) * cosh(sqrt(t * delta)), evaluated in
     log space so the p -> 0 (t -> inf) limit comes out exactly.
     """
     p = np.asarray(p, dtype=float)
-    if np.any((p < 0.0) | (p > 1.0)):
-        raise ValueError("p-values must lie in [0, 1]")
+    bad = ~((p >= 0.0) & (p <= 1.0))
+    if bad.any():
+        raise ValueError(f"p must lie in [0, 1], got {p[bad].flat[0]}")
     Chi2MixtureParams(pi0, delta)
-    if pi0 == 1.0:
-        return np.ones(p.shape)
-    if pi0 == 0.0:
-        return np.zeros(p.shape)
-    if delta == 0.0:
-        return np.full(p.shape, pi0)
-    t = _chi2_1df_isf_arrays(p)
-    s = np.sqrt(t * delta)
-    log_ratio = -0.5 * delta + np.logaddexp(s, -s) - math.log(2.0)
-    return special.expit(-(math.log((1.0 - pi0) / pi0) + log_ratio))
-
-
-def true_lfdr(p: float, pi0: float, delta: float) -> float:
-    """Scalar oracle local FDR; p = 0 is handled as the t -> inf limit."""
-    _check_unit("p", p)
-    return float(_true_lfdr_arrays(np.asarray([p]), pi0, delta)[0])
+    if pi0 == 1.0 or pi0 == 0.0 or delta == 0.0:
+        lfdr = np.full(p.shape, pi0)
+    else:
+        s = np.sqrt(_chi2_1df_isf_arrays(p) * delta)
+        log_ratio = -0.5 * delta + np.logaddexp(s, -s) - math.log(2.0)
+        lfdr = special.expit(-(math.log((1.0 - pi0) / pi0) + log_ratio))
+    return float(lfdr) if lfdr.ndim == 0 else lfdr
 
 
 def run_grid(config: SimulationConfig) -> list[MetricsRow]:
@@ -175,7 +167,7 @@ def run_grid(config: SimulationConfig) -> list[MetricsRow]:
                 root = np.random.SeedSequence([config.seed, i0, i1, rep])
                 k_data, k_tie, k_mc = root.spawn(3)
                 dataset = generate_dataset(pi0, n, config.delta, seed=k_data)
-                truth = _true_lfdr_arrays(dataset.p_values, pi0, config.delta)
+                truth = true_lfdr(dataset.p_values, pi0, config.delta)
                 mc_seeds.append(int(k_mc.generate_state(1)[0]))
                 order = _rank_order(dataset.p_values, int(k_tie.generate_state(1)[0]))
                 p_sorted[rep] = dataset.p_values[order]

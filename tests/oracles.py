@@ -5,8 +5,9 @@ uses a hand-rolled continued fraction, the mean estimator integrates the
 binomial tail polynomial term by term in mpmath, the significance function
 is a sum of binomial terms in mpmath and its inverse the plain 40-step
 bisection, the step-up rule is the plain textbook loop, p-value sets, lfdr
-results and output tables are built one row at a time, and tables are
-written with csv.writer and json.dump.
+results and output tables are built one row at a time, tables are written
+with csv.writer and json.dump, and input tables are read with csv.reader
+one row at a time.
 """
 
 import csv
@@ -293,3 +294,25 @@ def pvalue_tuples(pairs, tie_break_seed: int = 0):
     ranks = np.empty(len(ps), dtype=int)
     ranks[order] = np.arange(1, len(ps) + 1)
     return ids, ps, tuple(int(r) for r in ranks)
+
+
+def csv_table_rows(path) -> list[list[str]]:
+    """The csv rows of a file, less a leading byte-order mark and the rows
+    whose cells are all blank."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        return [row for row in csv.reader(handle) if any(cell.strip() for cell in row)]
+
+
+def pvalue_rows(path) -> tuple[list[str], list[float]]:
+    """Stripped ids and p-values of a well-formed 'id,p' table, row by row."""
+    rows = csv_table_rows(path)
+    return [row[0].strip() for row in rows[1:]], [float(row[1]) for row in rows[1:]]
+
+
+def abundance_rows(path):
+    """(features, (subject id, group) pairs, value rows) of a well-formed
+    abundance table, read row by row."""
+    rows = csv_table_rows(path)
+    subjects = [tuple(cell.strip().split(":")) for cell in rows[0][1:]]
+    features = [row[0].strip() for row in rows[1:]]
+    return features, subjects, [[float(cell) for cell in row[1:]] for row in rows[1:]]

@@ -183,6 +183,13 @@ class TestChi2:
         with pytest.raises(ValueError):
             chi2_1df_sf(-0.5)
 
+    def test_broadcasts_and_rejects_nan(self):
+        t = np.array([0.0, 0.5, 3.0, np.inf])
+        assert chi2_1df_sf(t).tolist() == [chi2_1df_sf(float(v)) for v in t]
+        assert isinstance(chi2_1df_sf(0.5), float)
+        with pytest.raises(ValueError, match="got nan"):
+            chi2_1df_sf(np.array([1.0, np.nan]))
+
     def test_quantile(self):
         # 0.95 quantile of the chi-square distribution with 1 df
         assert chi2_1df_sf(3.841458820694124) == pytest.approx(0.05, abs=1e-12)

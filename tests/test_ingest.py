@@ -1,5 +1,8 @@
+import csv
 import itertools
 import math
+import re
+import types
 import warnings
 from pathlib import Path
 
@@ -19,10 +22,32 @@ from smallfdr import (
     shift_log_transform,
     two_sample_t_pvalues,
 )
+from smallfdr import ingest
 from smallfdr.cli import main
-from smallfdr.ingest import _pvalue_rows, _two_column_cells
+
+from oracles import abundance_rows, pvalue_rows
 
 FIXTURE = Path(__file__).parent / "data" / "abundance_20protein.csv"
+ABUNDANCE_HEADER = "feature,a:case,b:case,c:control,d:control"
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """Counts of the file reads and csv.reader calls made inside the loaders."""
+    counts = {"files": 0, "csv": 0}
+    read_text = ingest._read_text
+
+    def counting_read_text(path):
+        counts["files"] += 1
+        return read_text(path)
+
+    def counting_reader(*args, **kwargs):
+        counts["csv"] += 1
+        return csv.reader(*args, **kwargs)
+
+    monkeypatch.setattr(ingest, "_read_text", counting_read_text)
+    monkeypatch.setattr(ingest, "csv", types.SimpleNamespace(reader=counting_reader))
+    return counts
 
 
 def tiny_matrix(values, groups=("case", "case", "control", "control")):
@@ -251,6 +276,27 @@ class TestLoaders:
         with pytest.raises(TableFormatError, match="no feature rows"):
             load_abundance_csv(header_only)
 
+    # Three faults, each with the rest of its message; a duplicate needs the
+    # label "f" that the first data line holds.
+    ABUNDANCE_FAULTS = {
+        "cell-count": ("d,1,2,3", ": expected 5 cells, got 4"),
+        "duplicate": ("f,5,6,7,8", ": duplicate feature label 'f'"),
+        "non-numeric": ("g,1,x,3,4", ", column 3: non-numeric value 'x'"),
+    }
+
+    @pytest.mark.parametrize("faults", list(itertools.permutations(ABUNDANCE_FAULTS)))
+    def test_abundance_first_bad_line_wins(self, tmp_path, reads, faults):
+        lines = [ABUNDANCE_HEADER, "f,1,2,3,4"]
+        for i, fault in enumerate(faults):
+            lines += [f"ok{i},1,2,3,{i + 5}", self.ABUNDANCE_FAULTS[fault][0]]
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TableFormatError) as err:
+            load_abundance_csv(path)
+        # the first fault sits on line 4: header, "f,1,2,3,4", one good line
+        assert str(err.value) == f"{path}, line 4{self.ABUNDANCE_FAULTS[faults[0]][1]}"
+        assert reads["files"] == 2
+
     def test_pvalues_round_trip(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("id,p\na,0.1\nb,0.9\n")
@@ -284,7 +330,7 @@ class TestLoaders:
     }
 
     @pytest.mark.parametrize("faults", list(itertools.permutations(FAULTS))[::5])
-    def test_pvalues_first_bad_line_wins(self, tmp_path, faults):
+    def test_pvalues_first_bad_line_wins(self, tmp_path, reads, faults):
         lines = ["id,p", "a,0.1"]
         for i, fault in enumerate(faults):
             lines += [f"ok{i},0.{i + 2}", self.FAULTS[fault][0]]
@@ -294,18 +340,20 @@ class TestLoaders:
             load_pvalues_csv(path)
         # the first fault sits on line 4: header, "a,0.1", one good line
         assert str(err.value) == f"{path}, line 4: {self.FAULTS[faults[0]][1]}"
+        assert reads["files"] == 2
 
     @pytest.mark.parametrize(
         "text, split_without_csv",
         [("id,p\na,0.1\nb,0.9\n", True), ('id,p\n"x,y",0.1\nb,0.9\n', False)],
         ids=["split", "csv"],
     )
-    def test_pvalues_byte_order_mark(self, tmp_path, capsys, text, split_without_csv):
+    def test_pvalues_byte_order_mark(self, tmp_path, capsys, reads, text, split_without_csv):
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
         plain.write_bytes(text.encode("utf-8"))
         marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
-        assert (_two_column_cells(marked) is not None) == split_without_csv
-        assert load_pvalues_csv(marked, tie_break_seed=3) == load_pvalues_csv(plain, 3)
+        got = load_pvalues_csv(marked, tie_break_seed=3)
+        assert reads == {"files": 1, "csv": 0 if split_without_csv else 1}
+        assert got == load_pvalues_csv(plain, 3)
         outputs = []
         for path in (plain, marked):
             assert main(["lfdr", str(path), "--estimator", "corrected"]) == 0
@@ -329,14 +377,67 @@ class TestLoaders:
             "spaces", "non-ascii",
         ],
     )
-    def test_pvalues_columns_match_row_reader(self, tmp_path, text, split_without_csv):
+    def test_pvalues_columns_match_row_reader(self, tmp_path, reads, text, split_without_csv):
         path = tmp_path / "p.csv"
         path.write_bytes(text.encode("utf-8"))
-        assert (_two_column_cells(path) is not None) == split_without_csv
-        ids, ps = _pvalue_rows(path)
-        expected = PValueSet(ids, ps, 3)
         got = load_pvalues_csv(path, tie_break_seed=3)
+        assert reads == {"files": 1, "csv": 0 if split_without_csv else 1}
+        ids, ps = pvalue_rows(path)
+        expected = PValueSet(ids, ps, 3)
         assert got == expected
         assert (got.ids, got.p_values, got.ranks) == (
             expected.ids, expected.p_values, expected.ranks
         )
+
+    @pytest.mark.parametrize(
+        "text, split_without_csv",
+        [
+            (f"{ABUNDANCE_HEADER}\nf1,1,2,3,4\nf2,5,6,7,8", True),
+            (f"{ABUNDANCE_HEADER}\r\nf1,1,2,3,4\r\nf2,5,6,7,8\r\n", True),
+            (f"{ABUNDANCE_HEADER}\rf1,1,2,3,4\rf2,5,6,7,8\r", False),
+            (f'{ABUNDANCE_HEADER}\n"x,y",1,2,3,4\n"q""uote",5,"6",7,8\n', False),
+            (f'{ABUNDANCE_HEADER}\n"a b",1,2,3,4\n"c",5,6,7,8\n', False),
+            (f"{ABUNDANCE_HEADER}\n\nf1,1,2,3,4\n   \n , , , , \nf2,5,6,7,8\n\n", False),
+            (
+                " feature , a:case , b:case ,c:control, d:control \n"
+                " f1 ,1 , 2,1e-300,4\nf2, 5,-0.0,7,1_0e-1\n",
+                True,
+            ),
+            (
+                "feature,\u00e9:case,b:case,\u4e2d:control,d:control\n"
+                "\u00e9t\u00e9,1,2,3,4\n\u4e2d,5,6,7,8\n",
+                True,
+            ),
+            (f"\ufeff{ABUNDANCE_HEADER}\nf1,1,2,3,4\nf2,5,6,7,8\n", True),
+        ],
+        ids=[
+            "no-final-newline", "crlf", "cr", "quoted", "quoted-no-comma", "blank-rows",
+            "spaces", "non-ascii", "byte-order-mark",
+        ],
+    )
+    def test_abundance_columns_match_row_reader(self, tmp_path, reads, text, split_without_csv):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got = load_abundance_csv(path)
+        assert reads == {"files": 1, "csv": 0 if split_without_csv else 1}
+        features, subjects, values = abundance_rows(path)
+        assert got.features == tuple(features)
+        assert [(s.id, s.group) for s in got.subjects] == subjects
+        assert got.values.tolist() == values
+        assert got.values.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "command, load, text",
+        [
+            ("lfdr", load_pvalues_csv, b"id,p\na,0.1\n\xffb,0.2\n"),
+            ("ttest", load_abundance_csv, f"{ABUNDANCE_HEADER}\nf\xff,1,2,3,4\n".encode("cp1252")),
+        ],
+        ids=["pvalues", "abundance"],
+    )
+    def test_not_utf8_names_the_file(self, tmp_path, capsys, command, load, text):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text)
+        with pytest.raises(TableFormatError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            load(path)
+        assert main([command, str(path)]) == 3
+        assert f"smallfdr: data error: {path}: not UTF-8 text" in capsys.readouterr().err

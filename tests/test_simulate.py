@@ -83,6 +83,17 @@ class TestTrueLfdr:
         with pytest.raises(ValueError):
             true_lfdr(1.5, 0.9, 2.0)
 
+    def test_rejects_nan_in_an_array(self):
+        with pytest.raises(ValueError, match="got nan"):
+            true_lfdr(np.array([np.nan, 0.5]), 0.9, 2.0)
+
+    def test_broadcasts_like_the_scalar(self):
+        grid = np.array([[0.0, 0.001], [0.3, 1.0]])
+        got = true_lfdr(grid, 0.85, 2.0)
+        assert got.shape == grid.shape
+        assert got.tolist() == [[true_lfdr(float(p), 0.85, 2.0) for p in row] for row in grid]
+        assert isinstance(true_lfdr(0.3, 0.85, 2.0), float)
+
 
 class TestRunGrid:
     def test_determinism_and_shape(self):
@@ -120,14 +131,12 @@ class TestRunGrid:
             estimators=(estimator,), mc_draws=40, pooling=pooling,
         )
         row = run_grid(cfg)[0]
-        from smallfdr.simulate import _true_lfdr_arrays
-
         diffs = []
         for rep in range(reps):
             root = np.random.SeedSequence([seed, 0, 0, rep])
             k_data, k_tie, k_mc = root.spawn(3)
             ds = generate_dataset(pi0, n, 2.0, seed=k_data)
-            truth = _true_lfdr_arrays(ds.p_values, pi0, 2.0)
+            truth = true_lfdr(ds.p_values, pi0, 2.0)
             pset = PValueSet.from_pairs(
                 ((f"h{j}", float(p)) for j, p in enumerate(ds.p_values)),
                 tie_break_seed=int(k_tie.generate_state(1)[0]),
@@ -215,9 +224,7 @@ class TestPearsonSkewness:
         exact_skew = 3.0 * (exact_mean - exact_median) / exact_sd
 
         ds = generate_dataset(pi0, 400_000, delta, seed=100)
-        from smallfdr.simulate import _true_lfdr_arrays
-
-        conditional = _true_lfdr_arrays(ds.p_values[ds.p_values <= alpha], pi0, delta)
+        conditional = true_lfdr(ds.p_values[ds.p_values <= alpha], pi0, delta)
         observed = pearson_skewness(conditional)
         assert observed == pytest.approx(exact_skew, abs=0.05)
         assert exact_skew < 0.0
