@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from . import _special as special
 from .distributions import _check_count, _check_unit, _log_binomial_coef, _log_binomial_pmf
 
 # The inverse is the midpoint of the cell of width 2**-40 < 1e-12 that 40

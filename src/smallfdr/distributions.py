@@ -13,7 +13,8 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+
+from . import _special as special
 
 _SQRT2 = math.sqrt(2.0)
 _LOG_NORM_CONST = -0.5 * math.log(2.0 * math.pi)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -224,9 +225,11 @@ def _first_bad_line(path, label_name: str, cell_fault) -> TableFormatError:
 def _abundance_fault(row: list[str]) -> str | None:
     for j, cell in enumerate(row[1:], start=2):
         try:
-            float(cell)
+            value = float(cell)
         except ValueError:
             return f", column {j}: non-numeric value {cell!r}"
+        if not math.isfinite(value):
+            return f", column {j}: non-finite value {cell!r}"
     return None
 
 
@@ -247,6 +250,8 @@ def load_abundance_csv(path) -> AbundanceMatrix:
                 f"{path}, line 1, column {j}: expected '<subject_id>:<case|control>', "
                 f"got {cell!r}"
             )
+        if any(subject.id == sid for subject in subjects):
+            raise TableFormatError(f"{path}, line 1, column {j}: duplicate subject id {sid!r}")
         subjects.append(Subject(sid, group))
     if columns is not None and not columns[0]:
         raise TableFormatError(f"{path}: header only; no feature rows found")
@@ -257,7 +262,8 @@ def load_abundance_csv(path) -> AbundanceMatrix:
         except ValueError:
             pass  # a non-numeric cell, whose line the row-by-row read names
         else:
-            return AbundanceMatrix(tuple(columns[0]), tuple(subjects), values)
+            if np.isfinite(values).all():  # else the read names the inf or nan cell
+                return AbundanceMatrix(tuple(columns[0]), tuple(subjects), values)
     raise _first_bad_line(path, "feature label", _abundance_fault)
 
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from . import _special as special
 from .confidence import _quantile
 from .distributions import _check_choice, _check_count, _check_unit
 # Kept as a module attribute: perfbench/tracing.py wraps nfdr.inverse_significance.

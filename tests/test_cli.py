@@ -343,6 +343,14 @@ class TestTtestCommand:
         for line in out.strip().splitlines()[1:]:
             assert line.split(",")[4] == "1"
 
+    def test_repeated_subject_id_fails(self, tmp_path, capsys):
+        src = tmp_path / "a.csv"
+        src.write_text("feature,a:case,a:case,c:control,c:control\nf1,1,2,3,4\nf2,1,5,3,4\n")
+        code, out, err = run(["ttest", src], capsys)
+        assert code == 3
+        assert out == ""
+        assert "line 1, column 3: duplicate subject id 'a'" in err
+
     def test_missing_group_label_fails(self, tmp_path, capsys):
         src = tmp_path / "a.csv"
         src.write_text("feature,a:case,b:case\nf1,1.0,2.0\n")

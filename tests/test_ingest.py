@@ -69,6 +69,11 @@ class TestAbundanceMatrix:
         with pytest.raises(ValueError):
             tiny_matrix([[1.0, 2.0, 3.0, 4.0]], groups=("case", "case", "ctrl", "control"))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_value(self, value):
+        with pytest.raises(ValueError, match="abundance values must be finite"):
+            tiny_matrix([[1.0, value, 3.0, 4.0]])
+
 
 class TestShiftLog:
     def test_constant_matrix(self):
@@ -276,12 +281,34 @@ class TestLoaders:
         with pytest.raises(TableFormatError, match="no feature rows"):
             load_abundance_csv(header_only)
 
-    # Three faults, each with the rest of its message; a duplicate needs the
+    @pytest.mark.parametrize(
+        "header, column",
+        [("feature,a:case,a:case,c:control,d:control", 3),
+         ("feature,a:case,b:case,c:control,a:control", 5)],
+    )
+    def test_abundance_repeated_subject_id(self, tmp_path, header, column):
+        path = tmp_path / "m.csv"
+        path.write_text(f"{header}\nf,1,2,3,4\ng,1,5,3,4\n")
+        with pytest.raises(TableFormatError) as err:
+            load_abundance_csv(path)
+        assert str(err.value) == f"{path}, line 1, column {column}: duplicate subject id 'a'"
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_abundance_non_finite_cell(self, tmp_path, reads, cell):
+        path = tmp_path / "m.csv"
+        path.write_text(f"{ABUNDANCE_HEADER}\nf,1,2,3,4\ng,1,{cell},3,4\n")
+        with pytest.raises(TableFormatError) as err:
+            load_abundance_csv(path)
+        assert str(err.value) == f"{path}, line 3, column 3: non-finite value {cell!r}"
+        assert reads["files"] == 2
+
+    # Four faults, each with the rest of its message; a duplicate needs the
     # label "f" that the first data line holds.
     ABUNDANCE_FAULTS = {
         "cell-count": ("d,1,2,3", ": expected 5 cells, got 4"),
         "duplicate": ("f,5,6,7,8", ": duplicate feature label 'f'"),
         "non-numeric": ("g,1,x,3,4", ", column 3: non-numeric value 'x'"),
+        "non-finite": ("h,1,2,inf,4", ", column 4: non-finite value 'inf'"),
     }
 
     @pytest.mark.parametrize("faults", list(itertools.permutations(ABUNDANCE_FAULTS)))
