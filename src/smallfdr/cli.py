@@ -23,7 +23,6 @@ import numpy as np
 
 from . import __version__
 from .ingest import (
-    TableFormatError,
     load_abundance_csv,
     load_pvalues_csv,
     shift_log_transform,
@@ -90,6 +89,11 @@ def _parse_float_grid(text: str, flag: str) -> list[float]:
                 start, stop, step = (float(v) for v in pieces)
             except ValueError:
                 raise UsageError(f"{flag}: non-numeric range piece in {part!r}") from None
+            for piece, value in zip(pieces, (start, stop, step)):
+                if not np.isfinite(value):
+                    raise UsageError(
+                        f"{flag}: non-finite range piece {piece.strip()!r} in {part!r}"
+                    )
             if step <= 0.0:
                 raise UsageError(f"{flag}: range step must be positive, got {step}")
             v = start
@@ -466,15 +470,12 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"smallfdr: error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (TableFormatError, OSError) as err:
+    except (OSError, ValueError) as err:
         print(f"smallfdr: data error: {err}", file=sys.stderr)
         return EXIT_DATA
     except (NumericFailure, FloatingPointError, MemoryError) as err:
         print(f"smallfdr: numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as err:
-        print(f"smallfdr: data error: {err}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

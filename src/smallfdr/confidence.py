@@ -109,15 +109,16 @@ def significance(cd: ConfidenceDistribution, pi: float) -> float:
     return float(curve(np.asarray([pi], dtype=float))[0])
 
 
-def attainable_range(cd: ConfidenceDistribution) -> tuple[float, float]:
-    """Closed range of the significance function over pi in [0, 1].
+def _range(trials, x, weight):
+    """Ends of the significance function's range over pi in [0, 1], broadcasting
+    over ``x``: C at x = 0 (otherwise 0) and C at x = trials (otherwise 1)."""
+    return np.where(x == 0, weight, 0.0), np.where(x < trials, 1.0, weight)
 
-    The lower end is C when x = 0 (otherwise 0); the upper end is C when
-    x = trials (otherwise 1).
-    """
-    low = cd.weight if cd.successes == 0 else 0.0
-    high = 1.0 if cd.successes < cd.trials else cd.weight
-    return low, high
+
+def attainable_range(cd: ConfidenceDistribution) -> tuple[float, float]:
+    """Closed range of the significance function over pi in [0, 1]."""
+    low, high = _range(cd.trials, cd.successes, cd.weight)
+    return float(low), float(high)
 
 
 def _margin(trials, u):
@@ -256,8 +257,7 @@ def _quantile(trials, x, weight, u):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     shape = np.broadcast_shapes(x.shape, u.shape)
-    low = np.where(x == 0, weight, 0.0)
-    high = np.where(x < trials, 1.0, weight)
+    low, high = _range(trials, x, weight)
     to_zero = np.broadcast_to((u < low) | (low == 1.0), shape)
     to_one = np.broadcast_to((u > high) | (high == 0.0), shape)
     pi = np.where(to_zero, 0.0, 1.0)
@@ -297,24 +297,14 @@ def one_sided_interval(
     The tail weight is forced per side regardless of cd.weight: the strict
     tail (C = 0) bounds from above, the inclusive tail (C = 1) from below.
     Degenerate data (x = trials for the upper side, x = 0 for the lower)
-    yield the trivial endpoint.
+    give the constant curve's atom, the trivial endpoint.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if side == SIDE_UPPER:
-        strict = ConfidenceDistribution(cd.trials, cd.successes, 0.0)
-        try:
-            upper = inverse_significance(strict, 1.0 - alpha)
-        except SignificanceRangeError:
-            upper = 1.0
-        return 0.0, upper
+        return 0.0, float(_quantile(cd.trials, cd.successes, 0.0, 1.0 - alpha)[0])
     if side == SIDE_LOWER:
-        inclusive = ConfidenceDistribution(cd.trials, cd.successes, 1.0)
-        try:
-            lower = inverse_significance(inclusive, alpha)
-        except SignificanceRangeError:
-            lower = 0.0
-        return lower, 1.0
+        return float(_quantile(cd.trials, cd.successes, 1.0, alpha)[0]), 1.0
     raise ValueError(f"side must be {SIDE_LOWER!r} or {SIDE_UPPER!r}, got {side!r}")
 
 

@@ -57,12 +57,16 @@ class AbundanceMatrix:
             )
         if len(self.features) < 1:
             raise ValueError("at least one feature is required")
+        seen = set()
         for subject in self.subjects:
             if subject.group not in GROUP_LABELS:
                 raise ValueError(
                     f"subject {subject.id!r} has group {subject.group!r}; "
                     f"expected one of {GROUP_LABELS}"
                 )
+            if subject.id in seen:
+                raise ValueError(f"duplicate subject id {subject.id!r}")
+            seen.add(subject.id)
         for group in GROUP_LABELS:
             count = sum(1 for s in self.subjects if s.group == group)
             if count < 2:

@@ -24,10 +24,10 @@ from .nfdr import (
     _estimate,
     _mean_mc,
     _mle,
-    mle_nfdr,
 )
-# Kept as a module attribute: perfbench/tracing.py wraps lfdr.mean_nfdr.
-from .nfdr import mean_nfdr  # noqa: F401
+# Kept as module attributes: perfbench/tracing.py wraps lfdr.mle_nfdr and
+# lfdr.mean_nfdr.
+from .nfdr import mean_nfdr, mle_nfdr  # noqa: F401
 
 
 def _rank_order(p: np.ndarray, tie_break_seed: int) -> np.ndarray:
@@ -305,9 +305,7 @@ def bh_reject(pvals: PValueSet, q: float) -> BhRejection:
     if passing.size == 0:
         return BhRejection((), 0, None)
     k_star = int(passing[-1]) + 1
-    threshold = float(p_sorted[k_star - 1])
-    count = int(np.sum(p_sorted <= threshold))
-    return BhRejection(tuple(ids_sorted[:count]), k_star, threshold)
+    return BhRejection(tuple(ids_sorted[:k_star]), k_star, float(p_sorted[k_star - 1]))
 
 
 @dataclass(frozen=True)
@@ -330,6 +328,7 @@ class BhLfdrLink:
 def bh_lfdr_link(pvals: PValueSet, q: float) -> BhLfdrLink:
     """Report the plug-in LFDR estimate at the median rejected p-value.
 
+    The estimate is the raw plug-in ``lfdr_estimates`` value at that rank.
     Even-sized rejection sets use the lower median so the reported rank
     stays inside the rejection set.  The near-equality of the estimate with
     q is reported, never asserted; monotonicity violations and odd set sizes
@@ -339,18 +338,11 @@ def bh_lfdr_link(pvals: PValueSet, q: float) -> BhLfdrLink:
     if rejection.k_star == 0:
         return BhLfdrLink(q, rejection, None, None, None, None)
     median_rank = (rejection.k_star + 1) // 2
-    n = pvals.n
-    p_sorted = pvals.sorted_p()
-    ids_sorted = pvals.sorted_ids()
-    if 2 * median_rank <= n:
-        estimate = mle_nfdr(float(p_sorted[2 * median_rank - 1]), 2 * median_rank, n).value
-    else:
-        estimate = 1.0
     return BhLfdrLink(
         q,
         rejection,
         median_rank,
-        ids_sorted[median_rank - 1],
-        float(p_sorted[median_rank - 1]),
-        float(estimate),
+        pvals.sorted_ids()[median_rank - 1],
+        float(pvals.sorted_p()[median_rank - 1]),
+        float(lfdr_estimates(pvals, KIND_MLE).raw()[median_rank - 1]),
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _special as special
-from .confidence import _quantile
+from .confidence import _quantile, _range
 from .distributions import _check_choice, _check_count, _check_unit
 # Kept as a module attribute: perfbench/tracing.py wraps nfdr.inverse_significance.
 from .confidence import inverse_significance  # noqa: F401
@@ -104,12 +104,12 @@ def _corrected(alpha, x, trials, weight):
 
     Broadcasts over ``alpha`` and ``x``, with one median solved per element
     of ``x``.  The median counts as 0, which gives the capped value 1, when
-    it does not exist (x = N with C < 1/2, where the significance function
-    stays below 1/2) or is the atom at 0 (x = 0 with C > 1/2).
+    it does not exist (1/2 above the top of the significance function's
+    range: x = N with C < 1/2) or is the atom at 0 (x = 0 with C > 1/2).
     """
     x = np.asarray(x)
     median = _quantile(trials, x, weight, 0.5).reshape(x.shape)
-    degenerate = (median == 0.0) | ((x == trials) & (weight < 0.5))
+    degenerate = (median == 0.0) | (_range(trials, x, weight)[1] < 0.5)
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = np.where(degenerate, np.inf, alpha / median)
     return np.minimum(raw, 1.0), raw > 1.0

@@ -168,6 +168,25 @@ class TestBhCommand:
         code, _, err = run(["bh", src, "--q", "1.5"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("q", ["0.05", "0.2", "0.5"])
+    def test_median_estimate_is_the_mle_raw_lfdr_at_that_rank(self, tmp_path, capsys, q):
+        # the control rule read as an LFDR estimate: the line bh prints is the
+        # raw plug-in value lfdr --estimator mle writes at the median rank
+        rng = np.random.default_rng(17)
+        src = tmp_path / "p.csv"
+        values = np.concatenate([rng.random(40) * 1e-3, rng.random(60)])
+        write_pvalues(src, [(f"h{i}", repr(float(p))) for i, p in enumerate(values)])
+        code, out, _ = run(["bh", src, "--q", q], capsys)
+        assert code == 0
+        report = dict(line.split(": ", 1) for line in out.splitlines())
+        rank = int(report["median_rejected_rank"])
+        code, table, _ = run(["lfdr", src, "--estimator", "mle"], capsys)
+        assert code == 0
+        row = dict(zip(["id", "p", "rank", "raw_lfdr", "monotone_lfdr"],
+                       table.splitlines()[rank].split(",")))
+        assert row["rank"] == str(rank) and row["id"] == report["median_rejected_id"]
+        assert report["mle_lfdr_at_median_rank"] == row["raw_lfdr"]
+
 
 class TestSimulateCommand:
     def test_minimal_run_well_formed(self, tmp_path, capsys):
@@ -209,6 +228,18 @@ class TestSimulateCommand:
         assert code == 2
         code, _, err = run(["simulate", "--estimators", "magic"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("grid, piece", [
+        ("0:inf:0.5", "inf"), ("-inf:1:0.5", "-inf"), ("0:1:nan", "nan"),
+        ("0.5, 0: NaN :1", "NaN"),
+    ])
+    def test_nonfinite_range_piece_is_usage_error(self, grid, piece, capsys):
+        # an infinite stop would expand the range until memory runs out
+        code, out, err = run(["simulate", f"--pi0-grid={grid}", "--n-grid", "2", "--reps", "1"],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("smallfdr: error: --pi0-grid: non-finite range piece ")
+        assert repr(piece) in err
 
     @pytest.mark.parametrize("flag, grid", [("--n-grid", "2,2"), ("--pi0-grid", "0.5,0.9,0.5")])
     def test_repeated_grid_value_is_usage_error(self, flag, grid, capsys):
@@ -285,6 +316,20 @@ class TestCoverageExactCommand:
         assert lines[1] == "0.5,0.1,"
         assert lines[2].startswith("0.5,0.9,") and lines[2].split(",")[2] != ""
 
+    @pytest.mark.parametrize("grid", ["0.5:inf:1", "0.5:nan:1", "inf:1:0.1", "0.1:1:inf"])
+    def test_nonfinite_range_piece_is_usage_error(self, grid, capsys):
+        code, out, err = run(["coverage-exact", "--n", "1", "--pi-grid", grid], capsys)
+        assert (code, out) == (2, "")
+        assert "--pi-grid: non-finite range piece" in err and repr(grid) in err
+
+    @pytest.mark.parametrize("grid, values", [
+        ("0.05:1.0:0.05", [round(0.05 * k, 12) for k in range(1, 21)]),
+        ("0:1:0.5", [0.0, 0.5, 1.0]),
+        ("0.1:0.3:0.1,0.9", [0.1, 0.2, 0.3, 0.9]),
+        ("1e-3:2e-3:1e-3", [0.001, 0.002]),
+    ])
+    def test_finite_ranges_keep_their_values(self, grid, values):
+        assert smallfdr.cli._parse_float_grid(grid, "--pi-grid") == values
 
     @pytest.mark.parametrize("estimator", ["mle", "corrected", "mean"])
     def test_tables_equal_scalar_loop(self, estimator, capsys):

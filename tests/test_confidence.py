@@ -147,6 +147,28 @@ class TestOneSidedInterval:
             ConfidenceDistribution(4, 4, 0.5), 0.05, "upper_bounded"
         ) == (0.0, 1.0)
 
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
+    def test_clopper_pearson_limits(self, alpha):
+        # independent reference: the Beta quantiles of Clopper and Pearson (1934),
+        # upper Beta(x + 1, N - x) at 1 - alpha and lower Beta(x, N - x + 1) at
+        # alpha, with the trivial ends 1 at x = N and 0 at x = 0; the limits are
+        # the midpoints of 2**-40 cells, so within 2**-41 of them
+        for n in range(1, 61):
+            xs = np.arange(n + 1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                upper_want = np.where(xs == n, 1.0, stats.beta.ppf(1.0 - alpha, xs + 1, n - xs))
+                lower_want = np.where(xs == 0, 0.0, stats.beta.ppf(alpha, xs, n - xs + 1))
+            for x in xs.tolist():
+                # the forced tail weight ignores cd.weight
+                cd = ConfidenceDistribution(n, x, (0.0, 0.5, 1.0)[(n + x) % 3])
+                lo_up, upper = one_sided_interval(cd, alpha, "upper_bounded")
+                lower, hi_low = one_sided_interval(cd, alpha, "lower_bounded")
+                assert (lo_up, hi_low) == (0.0, 1.0)
+                assert abs(upper - upper_want[x]) <= 1e-12, (n, x, upper, upper_want[x])
+                assert abs(lower - lower_want[x]) <= 1e-12, (n, x, lower, lower_want[x])
+                assert upper == 1.0 or x < n
+                assert lower == 0.0 or x > 0
+
     def test_bad_arguments(self):
         cd = ConfidenceDistribution(4, 2, 0.5)
         with pytest.raises(ValueError):

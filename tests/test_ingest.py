@@ -69,6 +69,14 @@ class TestAbundanceMatrix:
         with pytest.raises(ValueError):
             tiny_matrix([[1.0, 2.0, 3.0, 4.0]], groups=("case", "case", "ctrl", "control"))
 
+    @pytest.mark.parametrize("groups", [("case", "case", "control", "control"),
+                                        ("case", "control", "case", "control")])
+    def test_repeated_subject_id(self, groups):
+        # two columns of one subject would make two_sample_t_pvalues count it twice
+        subjects = tuple(Subject(sid, g) for sid, g in zip("aacc", groups))
+        with pytest.raises(ValueError, match="duplicate subject id 'a'"):
+            AbundanceMatrix(("f", "g"), subjects, [[1, 2, 3, 4], [1, 5, 3, 4]])
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_value(self, value):
         with pytest.raises(ValueError, match="abundance values must be finite"):

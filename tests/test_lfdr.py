@@ -288,6 +288,20 @@ class TestBh:
         with pytest.raises(ValueError):
             bh_reject(pset([0.1]), 0.0)
 
+    def test_tied_sets_reject_every_p_at_or_below_the_threshold(self):
+        # a tie just after rank k* would pass the step-up test too, so the first
+        # k* ranks are exactly the p-values at or below p_(k*)
+        rng = np.random.default_rng(4242)
+        for trial in range(300):
+            n = int(rng.integers(1, 40))
+            values = rng.choice([0.001, 0.01, 0.02, 0.05, 0.2, 0.5], size=n)
+            ps = pset(list(values), seed=trial)
+            rej = bh_reject(ps, float(rng.choice([0.05, 0.1, 0.3])))
+            at_or_below = {f"h{i}" for i, p in enumerate(values)
+                           if rej.k_star and p <= rej.threshold_p}
+            assert len(rej.rejected_ids) == rej.k_star
+            assert set(rej.rejected_ids) == at_or_below
+
 
 class TestBhLfdrLink:
     def test_even_rejection_count_identity(self):
@@ -316,6 +330,31 @@ class TestBhLfdrLink:
         link = bh_lfdr_link(pset(values), 0.05)
         assert link.rejection.k_star == 3
         assert link.median_rank == 2
+
+    def test_estimate_is_the_mle_raw_estimate_at_the_median_rank(self):
+        # N = 1, k* with 2m > N (estimate 1) and heavy ties are all included
+        rng = np.random.default_rng(90210)
+        sets = [[0.01], [0.001, 0.002], [0.001, 0.002, 0.003], [0.01] * 7 + [0.5] * 3]
+        for trial in range(300):
+            n = int(rng.integers(1, 60))
+            if trial % 3 == 0:
+                sets.append(list(rng.choice([1e-4, 1e-3, 0.01, 0.5], size=n)))
+            else:
+                sets.append(list(rng.beta(0.3, 4.0, n)))
+        seen_past_half = 0
+        for k, values in enumerate(sets):
+            ps = pset(values, seed=k)
+            for q in (0.05, 0.2, 0.6):
+                link = bh_lfdr_link(ps, q)
+                if not link.applicable:
+                    continue
+                m, n = link.median_rank, ps.n
+                raw = lfdr_estimates(ps, "mle").raw()[m - 1]
+                assert link.lfdr_at_median == raw  # bit for bit
+                textbook = 1.0 if 2 * m > n else min(ps.sorted_p()[2 * m - 1] * n / (2 * m), 1.0)
+                assert link.lfdr_at_median == textbook
+                seen_past_half += 2 * m > n
+        assert seen_past_half > 0
 
 
 class TestConservativePrediction:
