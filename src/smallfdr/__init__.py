@@ -5,7 +5,7 @@ FDRs from ranked p-values via rank doubling, runs the mixture simulation
 study behind those estimators, and ships a small CSV pipeline plus CLI.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .confidence import (
     ConfidenceDistribution,
@@ -17,13 +17,8 @@ from .confidence import (
     significance,
 )
 from .distributions import (
-    BinomialParams,
     Chi2MixtureParams,
-    binomial_pmf,
-    binomial_sf,
     chi2_1df_sf,
-    noncentral_chi2_1df_pdf,
-    std_normal_cdf,
     student_t_sf,
 )
 from .ingest import (
@@ -52,13 +47,11 @@ from .nfdr import (
     KIND_CORRECTED,
     KIND_MEAN,
     KIND_MLE,
-    MixtureTruth,
     NfdrEstimate,
     NumericFailure,
     corrected_nfdr,
     mean_nfdr,
     mle_nfdr,
-    true_nfdr,
 )
 from .simulate import (
     DEFAULT_N_GRID,
@@ -68,7 +61,6 @@ from .simulate import (
     SimulationConfig,
     exact_small_n_coverage,
     generate_dataset,
-    pearson_skewness,
     run_grid,
     true_lfdr,
 )
@@ -77,7 +69,6 @@ __all__ = [
     "AbundanceMatrix",
     "BhLfdrLink",
     "BhRejection",
-    "BinomialParams",
     "Chi2MixtureParams",
     "ConfidenceDistribution",
     "DEFAULT_N_GRID",
@@ -89,7 +80,6 @@ __all__ = [
     "LfdrResult",
     "LfdrRow",
     "MetricsRow",
-    "MixtureTruth",
     "NfdrEstimate",
     "NumericFailure",
     "PValueSet",
@@ -101,8 +91,6 @@ __all__ = [
     "attainable_range",
     "bh_lfdr_link",
     "bh_reject",
-    "binomial_pmf",
-    "binomial_sf",
     "chi2_1df_sf",
     "corrected_nfdr",
     "enforce_monotonicity",
@@ -114,17 +102,13 @@ __all__ = [
     "load_pvalues_csv",
     "mean_nfdr",
     "mle_nfdr",
-    "noncentral_chi2_1df_pdf",
     "one_sided_interval",
-    "pearson_skewness",
     "pooled_t_statistic",
     "run_grid",
     "sample_parameter",
     "shift_log_transform",
     "significance",
-    "std_normal_cdf",
     "student_t_sf",
     "true_lfdr",
-    "true_nfdr",
     "two_sample_t_pvalues",
 ]

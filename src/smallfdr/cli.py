@@ -47,6 +47,9 @@ SEED_ENV_VAR = "SMALLFDR_SEED"
 
 ESTIMATOR_FLAGS = {"mle": KIND_MLE, "corrected": KIND_CORRECTED, "mean": KIND_MEAN}
 
+# values in one grid flag, and (alpha, pi) cells of coverage-exact
+MAX_GRID_SIZE = 10**6
+
 
 class UsageError(Exception):
     """Bad flag values discovered after argparse."""
@@ -74,8 +77,17 @@ def _resolve_seed(args) -> int:
     return seed
 
 
+def _check_grid_size(what: str, count, unit: str = "values") -> None:
+    if count > MAX_GRID_SIZE:
+        raise UsageError(f"{what} has {count:.15g} {unit}, more than {MAX_GRID_SIZE}")
+
+
 def _parse_float_grid(text: str, flag: str) -> list[float]:
-    """Comma-separated values; 'start:stop:step' pieces expand to ranges."""
+    """Comma-separated values; 'start:stop:step' pieces expand to ranges.
+
+    A range's points are counted before it expands, so that a tiny step is a
+    usage error rather than a loop that runs until memory runs out.
+    """
     values: list[float] = []
     for part in text.split(","):
         part = part.strip()
@@ -96,6 +108,8 @@ def _parse_float_grid(text: str, flag: str) -> list[float]:
                     )
             if step <= 0.0:
                 raise UsageError(f"{flag}: range step must be positive, got {step}")
+            points = max(np.floor((stop - start) / step) + 1.0, 0.0)
+            _check_grid_size(flag, len(values) + points)
             v = start
             while v <= stop + 1e-12:
                 values.append(round(v, 12))
@@ -107,6 +121,7 @@ def _parse_float_grid(text: str, flag: str) -> list[float]:
                 raise UsageError(f"{flag}: non-numeric value {part!r}") from None
     if not values:
         raise UsageError(f"{flag}: empty grid")
+    _check_grid_size(flag, len(values))
     return values
 
 
@@ -352,6 +367,7 @@ def cmd_coverage_exact(args) -> int:
     alphas = _parse_float_grid(args.alpha_grid, "--alpha-grid")
     pis = _parse_float_grid(args.pi_grid, "--pi-grid")
     kind = ESTIMATOR_FLAGS[args.estimator]
+    _check_grid_size("--alpha-grid x --pi-grid", len(alphas) * len(pis), "(alpha, pi) cells")
     cells = []
     for alpha in alphas:
         if not 0.0 < alpha <= 1.0:

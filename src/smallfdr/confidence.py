@@ -166,11 +166,16 @@ def _solve(trials, x, weight, u):
         pi = special.betaincinv(x + 1.0 - weight, trials - x + weight, u)
         active = np.arange(0)
     else:
-        distinct, index = np.unique(x, return_inverse=True)
+        # the normal start only where 0 < x < N: at x = N, b is the weight,
+        # whose digamma overflows when it is subnormal, and both ends have
+        # closed forms
+        pi = np.empty(x.size)
+        interior = np.flatnonzero((x > 0) & (x < trials))
+        distinct, index = np.unique(x[interior], return_inverse=True)
         a, b = distinct + 1.0 - weight, trials - distinct + weight
         mean = special.digamma(a) - special.digamma(b)
         sd = np.sqrt(special.polygamma(1, a) + special.polygamma(1, b))
-        pi = special.expit(mean[index] + sd[index] * special.ndtri(u))
+        pi[interior] = special.expit(mean[index] + sd[index] * special.ndtri(u[interior]))
         top, bottom = np.flatnonzero(x == trials), np.flatnonzero(x == 0)
         pi[top] = (u[top] / weight) ** (1.0 / trials)
         pi[bottom] = 1.0 - ((1.0 - u[bottom]) / (1.0 - weight)) ** (1.0 / trials)

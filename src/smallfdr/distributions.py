@@ -1,9 +1,10 @@
 """Distribution primitives shared by every estimator in the package.
 
-Binomial probabilities are evaluated in log space so trial counts up to
-about 10**6 stay finite; tail sums go through the regularized incomplete
-beta function.  Chi-square quantities with one degree of freedom use the
-standard-normal identities, which are exact for that special case.
+The argument checks every public function applies live here.  Binomial
+masses are evaluated in log space so trial counts up to about 10**6 stay
+finite.  Chi-square quantities with one degree of freedom use the
+standard-normal identities, which are exact for that special case, and the
+Student t tail goes through the regularized incomplete beta function.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _special as special
-
-_SQRT2 = math.sqrt(2.0)
-_LOG_NORM_CONST = -0.5 * math.log(2.0 * math.pi)
 
 
 def _check_count(name: str, value, low: int, high: int | None = None) -> int:
@@ -43,18 +41,6 @@ def _check_unit(name: str, value) -> None:
 def _check_choice(name: str, value, choices: tuple) -> None:
     if value not in choices:
         raise ValueError(f"{name} must be one of {choices}, got {value!r}")
-
-
-@dataclass(frozen=True)
-class BinomialParams:
-    """Trial count and per-trial success probability."""
-
-    trials: int
-    success_prob: float
-
-    def __post_init__(self) -> None:
-        _check_count("trials", self.trials, 1)
-        _check_unit("success_prob", self.success_prob)
 
 
 @dataclass(frozen=True)
@@ -92,27 +78,6 @@ def _log_binomial_pmf(trials, x, p, log_coef):
     return log_coef + special.xlogy(x, p) + special.xlog1py(trials - x, -p)
 
 
-def binomial_pmf(params: BinomialParams, x: int) -> float:
-    """Pr(X = x) for X binomial with the given parameters."""
-    _check_count("x", x, 0, params.trials)
-    n, k = params.trials, float(x)
-    log_pmf = _log_binomial_pmf(n, k, params.success_prob, _log_binomial_coef(n, k))
-    return float(np.exp(log_pmf))
-
-
-def binomial_sf(params: BinomialParams, x: int) -> float:
-    """Strict upper tail Pr(X > x); exactly 0 at x = trials."""
-    _check_count("x", x, 0, params.trials)
-    if x >= params.trials:
-        return 0.0
-    return float(special.betainc(x + 1.0, float(params.trials - x), params.success_prob))
-
-
-def std_normal_cdf(z: float) -> float:
-    """Standard normal distribution function, in complementary-error-function form."""
-    return 0.5 * math.erfc(-z / _SQRT2)
-
-
 def chi2_1df_sf(t):
     """Pr(chi2 with 1 df > t); broadcasts over ``t``, and a scalar gives a float.
 
@@ -131,25 +96,6 @@ def chi2_1df_sf(t):
 def _chi2_1df_isf_arrays(p: np.ndarray) -> np.ndarray:
     """Inverse of the chi-square(1 df) survival function; p = 0 maps to inf."""
     return 2.0 * special.erfcinv(np.asarray(p, dtype=float)) ** 2
-
-
-def _std_normal_pdf(z: float) -> float:
-    return math.exp(_LOG_NORM_CONST - 0.5 * z * z)
-
-
-def noncentral_chi2_1df_pdf(t: float, delta: float) -> float:
-    """Density at t > 0 of (Z + sqrt(delta))**2 with Z standard normal.
-
-    At delta = 0 this reduces to the central chi-square density with one
-    degree of freedom.
-    """
-    if not t > 0.0:
-        raise ValueError(f"t must be positive, got {t}")
-    if not 0.0 <= delta < math.inf:
-        raise ValueError(f"delta must be finite and nonnegative, got {delta}")
-    rt = math.sqrt(t)
-    rd = math.sqrt(delta)
-    return (_std_normal_pdf(rt - rd) + _std_normal_pdf(rt + rd)) / (2.0 * rt)
 
 
 def student_t_sf(t, df: int):

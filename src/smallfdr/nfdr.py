@@ -55,32 +55,6 @@ class NfdrEstimate:
     capped: bool
 
 
-@dataclass(frozen=True)
-class MixtureTruth:
-    """True mixture quantities: null weight, null and marginal discovery probabilities."""
-
-    pi0: float
-    null_prob: float
-    marginal_prob: float
-
-    def __post_init__(self) -> None:
-        for name in ("pi0", "null_prob", "marginal_prob"):
-            _check_unit(name, getattr(self, name))
-        # Bayes consistency: the marginal cannot fall below the null part.
-        if self.marginal_prob < self.pi0 * self.null_prob - 1e-12:
-            raise ValueError(
-                f"marginal_prob={self.marginal_prob} is below "
-                f"pi0 * null_prob = {self.pi0 * self.null_prob}"
-            )
-
-
-def true_nfdr(truth: MixtureTruth) -> float:
-    """Posterior probability that a rejected hypothesis is null, by Bayes's rule."""
-    if truth.marginal_prob <= 0.0:
-        raise ValueError("marginal_prob must be positive; cannot condition on a null event")
-    return min(truth.pi0 * truth.null_prob / truth.marginal_prob, 1.0)
-
-
 def _check_basic(alpha: float, x: int, trials: int) -> None:
     _check_count("trials", trials, 1)
     _check_count("x", x, 0, trials)

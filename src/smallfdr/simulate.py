@@ -76,12 +76,11 @@ class SimulationConfig:
 @dataclass(frozen=True)
 class SimulatedDataset:
     """One replicate: statistics, false-null indicators (1 = null false),
-    the matching p-values, and the seed material that produced them."""
+    and the matching p-values."""
 
     statistics: np.ndarray
     truth_labels: np.ndarray
     p_values: np.ndarray
-    seed_path: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -93,16 +92,6 @@ class MetricsRow:
     conservatism_proportion: float
     bias: float
     replicate_count: int
-
-
-def _seed_path_of(seed) -> tuple[int, ...]:
-    if isinstance(seed, np.random.SeedSequence):
-        entropy = seed.entropy
-        parts = list(entropy) if isinstance(entropy, (list, tuple)) else [entropy]
-        return tuple(int(v) for v in parts) + tuple(int(k) for k in seed.spawn_key)
-    if isinstance(seed, (list, tuple)):
-        return tuple(int(v) for v in seed)
-    return (int(seed),)
 
 
 def generate_dataset(pi0: float, n: int, delta: float, seed) -> SimulatedDataset:
@@ -118,7 +107,7 @@ def generate_dataset(pi0: float, n: int, delta: float, seed) -> SimulatedDataset
     z = rng.standard_normal(n)
     statistics = (z + math.sqrt(delta) * labels) ** 2
     p_values = chi2_1df_sf(statistics)
-    return SimulatedDataset(statistics, labels, p_values, _seed_path_of(seed))
+    return SimulatedDataset(statistics, labels, p_values)
 
 
 def true_lfdr(p, pi0: float, delta: float):
@@ -184,17 +173,6 @@ def run_grid(config: SimulationConfig) -> list[MetricsRow]:
                     MetricsRow(pi0, n, est, rmse, conservatism, bias, config.replicates)
                 )
     return rows
-
-
-def pearson_skewness(samples) -> float:
-    """3 * (mean - median) / sample standard deviation."""
-    arr = np.asarray(list(samples), dtype=float)
-    if arr.size < 2:
-        raise ValueError("at least two samples are required")
-    sd = float(arr.std(ddof=1))
-    if sd == 0.0:
-        raise ValueError("samples have zero variance")
-    return float(3.0 * (arr.mean() - np.median(arr)) / sd)
 
 
 def exact_small_n_coverage(

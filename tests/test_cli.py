@@ -241,6 +241,11 @@ class TestSimulateCommand:
         assert err.startswith("smallfdr: error: --pi0-grid: non-finite range piece ")
         assert repr(piece) in err
 
+    def test_oversized_range_is_usage_error(self, capsys):
+        code, out, err = run(["simulate", "--pi0-grid", "0:1:1e-9", "--n-grid", "2"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("smallfdr: error: --pi0-grid has 1000000000 values")
+
     @pytest.mark.parametrize("flag, grid", [("--n-grid", "2,2"), ("--pi0-grid", "0.5,0.9,0.5")])
     def test_repeated_grid_value_is_usage_error(self, flag, grid, capsys):
         # a repeated value would write two rows with the same key
@@ -330,6 +335,26 @@ class TestCoverageExactCommand:
     ])
     def test_finite_ranges_keep_their_values(self, grid, values):
         assert smallfdr.cli._parse_float_grid(grid, "--pi-grid") == values
+
+    @pytest.mark.parametrize("argv, what, count", [
+        (["--pi-grid", "0:1:1e-300"], "--pi-grid", "1e+300"),
+        (["--pi-grid", "0.5,0:1:1e-6"], "--pi-grid", "1000002"),
+        (["--pi-grid", "0:1e308:5e-324"], "--pi-grid", "inf"),
+        (["--alpha-grid", "0.01:1:1e-7"], "--alpha-grid", "9900001"),
+        (["--alpha-grid", "0.001:1:0.001", "--pi-grid", "0:1:0.0009"],
+         "--alpha-grid x --pi-grid", "1112000"),
+    ])
+    def test_oversized_grid_is_usage_error(self, argv, what, count, capsys):
+        # counted before anything expands, so these return at once
+        code, out, err = run(["coverage-exact", "--n", "1"] + argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"smallfdr: error: {what} has {count} ")
+
+    def test_grid_size_limit_is_inclusive(self):
+        limit = smallfdr.cli.MAX_GRID_SIZE
+        assert len(smallfdr.cli._parse_float_grid(f"1:{limit}:1", "--pi-grid")) == limit
+        with pytest.raises(smallfdr.cli.UsageError, match=f"--pi-grid has {limit + 1} values"):
+            smallfdr.cli._parse_float_grid(f"0,1:{limit}:1", "--pi-grid")
 
     @pytest.mark.parametrize("estimator", ["mle", "corrected", "mean"])
     def test_tables_equal_scalar_loop(self, estimator, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,11 +7,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from smallfdr import (
-    BinomialParams,
     ConfidenceDistribution,
     SignificanceRangeError,
     attainable_range,
-    binomial_pmf,
     inverse_significance,
     one_sided_interval,
     sample_parameter,
@@ -23,9 +23,8 @@ from oracles import bisection_quantile, significance_mp
 
 
 def brute_tail(n, pi, x, inclusive):
-    params = BinomialParams(n, pi)
     start = x if inclusive else x + 1
-    return sum(binomial_pmf(params, k) for k in range(start, n + 1))
+    return sum(stats.binom.pmf(k, n, pi) for k in range(start, n + 1))
 
 
 class TestSignificance:
@@ -320,6 +319,18 @@ class TestQuantileMatchesBisection:
         levels = np.array([0.0, 0.5, 1.0])
         assert np.array_equal(_quantile(8, 0, 1.0, levels), np.zeros(3))
         assert np.array_equal(_quantile(8, 8, 0.0, levels), np.ones(3))
+
+    @pytest.mark.parametrize("weight", [5e-324, 2.2e-311, 1e-310])
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_subnormal_weight_at_x_equal_n(self, n, weight):
+        # at x = N a Beta parameter of the normal start is the weight itself,
+        # whose digamma overflows; the closed form there needs no start
+        levels = np.array([0.0, weight / 2.0, weight])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _quantile(n, n, weight, levels)
+            assert inverse_significance(ConfidenceDistribution(n, n, weight), 0.0) == got[0]
+        assert np.array_equal(got, bisection_quantile(n, n, weight, levels))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data(), u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))

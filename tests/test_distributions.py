@@ -3,16 +3,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import stats
 
 from smallfdr import (
-    BinomialParams,
     Chi2MixtureParams,
     ConfidenceDistribution,
     PValueSet,
     SimulationConfig,
-    binomial_pmf,
-    binomial_sf,
     chi2_1df_sf,
     corrected_nfdr,
     exact_small_n_coverage,
@@ -20,25 +17,17 @@ from smallfdr import (
     lfdr_estimates,
     mean_nfdr,
     mle_nfdr,
-    noncentral_chi2_1df_pdf,
     run_grid,
     sample_parameter,
-    std_normal_cdf,
     student_t_sf,
 )
+
+from smallfdr.distributions import _log_binomial_coef, _log_binomial_pmf
 
 from oracles import betainc_cf
 
 
 class TestParams:
-    def test_binomial_validation(self):
-        with pytest.raises(ValueError):
-            BinomialParams(0, 0.5)
-        with pytest.raises(ValueError):
-            BinomialParams(3, 1.2)
-        with pytest.raises(ValueError):
-            BinomialParams(3, -0.1)
-
     def test_mixture_validation(self):
         with pytest.raises(ValueError):
             Chi2MixtureParams(1.2, 0.0)
@@ -54,9 +43,6 @@ _PVALUES = PValueSet(["a", "b", "c", "d"], [0.01, 0.2, 0.5, 0.7])
 # every library entry point that takes a count, the count's name and a call
 # that passes it a non-whole value v
 COUNT_ENTRY_POINTS = {
-    "BinomialParams": ("trials", lambda v: BinomialParams(v, 0.3)),
-    "binomial_pmf": ("x", lambda v: binomial_pmf(BinomialParams(5, 0.3), v)),
-    "binomial_sf": ("x", lambda v: binomial_sf(BinomialParams(5, 0.3), v)),
     "student_t_sf": ("df", lambda v: student_t_sf(1.0, v)),
     "ConfidenceDistribution-trials": ("trials", lambda v: ConfidenceDistribution(v, 1, 0.5)),
     "ConfidenceDistribution-successes": (
@@ -94,9 +80,7 @@ class TestCounts:
             call(value)
 
     def test_whole_floats_and_numpy_integers_are_counts(self):
-        assert binomial_pmf(BinomialParams(np.int64(5), 0.3), 2.0) == binomial_pmf(
-            BinomialParams(5, 0.3), 2
-        )
+        assert corrected_nfdr(0.1, 2.0, np.int64(5)) == corrected_nfdr(0.1, 2, 5)
         assert mle_nfdr(0.1, np.int32(2), 4.0) == mle_nfdr(0.1, 2, 4.0)
         assert mean_nfdr(0.1, 2.0, 4, draws=np.int64(7)).value == mean_nfdr(0.1, 2, 4, draws=7).value
         config = SimulationConfig(
@@ -109,72 +93,40 @@ class TestCounts:
         assert run_grid(config) == run_grid(ints)
 
 
+def _pmf(trials, x, p):
+    """The package's log-space binomial mass, exponentiated."""
+    return np.exp(_log_binomial_pmf(trials, x, p, _log_binomial_coef(trials, x)))
+
+
 class TestBinomial:
+    # the log-space mass behind the significance curve and the exact coverage
     def test_pmf_examples(self):
-        assert binomial_pmf(BinomialParams(1, 0.5), 0) == pytest.approx(0.5, abs=1e-15)
+        assert _pmf(1, 0, 0.5) == pytest.approx(0.5, abs=1e-15)
         # direct enumeration of the 4 equally likely outcomes
-        assert binomial_pmf(BinomialParams(2, 0.5), 1) == pytest.approx(0.5, abs=1e-15)
-        assert binomial_pmf(BinomialParams(10, 0.0), 0) == pytest.approx(1.0, abs=1e-15)
-
-    def test_sf_examples(self):
-        assert binomial_sf(BinomialParams(2, 0.5), 1) == pytest.approx(0.25, abs=1e-15)
-        assert binomial_sf(BinomialParams(5, 1.0), 4) == 1.0
-        assert binomial_sf(BinomialParams(3, 0.5), 3) == 0.0
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            binomial_pmf(BinomialParams(3, 0.5), 4)
-        with pytest.raises(ValueError):
-            binomial_sf(BinomialParams(3, 0.5), -1)
+        assert _pmf(2, 1, 0.5) == pytest.approx(0.5, abs=1e-15)
+        assert _pmf(10, 0, 0.0) == 1.0
+        assert _pmf(10, 10, 1.0) == 1.0
 
     def test_pmf_sums_to_one(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
             n = int(rng.integers(1, 201))
             p = float(rng.random())
-            params = BinomialParams(n, p)
-            total = sum(binomial_pmf(params, x) for x in range(n + 1))
-            assert total == pytest.approx(1.0, abs=1e-10)
+            assert _pmf(n, np.arange(n + 1), p).sum() == pytest.approx(1.0, abs=1e-10)
 
-    def test_sf_equals_brute_force_tail(self):
+    def test_pmf_matches_scipy(self):
         rng = np.random.default_rng(2)
         for _ in range(25):
-            n = int(rng.integers(1, 120))
+            n = int(rng.integers(1, 201))
             p = float(rng.random())
-            x = int(rng.integers(0, n + 1))
-            params = BinomialParams(n, p)
-            brute = sum(binomial_pmf(params, k) for k in range(x + 1, n + 1))
-            assert binomial_sf(params, x) == pytest.approx(brute, abs=1e-10)
-
-    def test_sf_monotone_in_prob(self):
-        grid = np.linspace(0.0, 1.0, 21)
-        for n, x in [(1, 0), (5, 2), (12, 0), (12, 11)]:
-            values = [binomial_sf(BinomialParams(n, p), x) for p in grid]
-            assert all(b >= a - 1e-14 for a, b in zip(values, values[1:]))
-            interior = [binomial_sf(BinomialParams(n, p), x) for p in grid[1:-1]]
-            assert all(b > a for a, b in zip(interior, interior[1:]))
+            xs = np.arange(n + 1)
+            want = stats.binom.pmf(xs, n, p)
+            assert np.allclose(_pmf(n, xs, p), want, rtol=1e-11, atol=1e-300)
 
     def test_large_n_no_overflow(self):
-        params = BinomialParams(10**6, 0.5)
-        value = binomial_pmf(params, 500_000)
+        value = float(_pmf(10**6, 500_000, 0.5))
         assert 0.0 < value < 1.0
-        assert math.isfinite(value)
-
-
-class TestStdNormal:
-    def test_symmetry_and_limits(self):
-        assert std_normal_cdf(0.0) == 0.5
-        assert std_normal_cdf(math.inf) == 1.0
-        assert std_normal_cdf(-math.inf) == 0.0
-
-    def test_against_high_precision_erf(self):
-        mpmath.mp.dps = 30
-        for z in (-4.0, -1.0, -0.3, 0.7, 1.0, 2.5, 6.0):
-            exact = float(0.5 * (1 + mpmath.erf(z / mpmath.sqrt(2))))
-            assert abs(std_normal_cdf(z) - exact) <= 1e-12
-
-    def test_reference_value(self):
-        assert std_normal_cdf(1.0) == pytest.approx(0.841344746068543, abs=1e-12)
+        assert value == pytest.approx(stats.binom.pmf(500_000, 10**6, 0.5), rel=1e-9)
 
 
 class TestChi2:
@@ -211,48 +163,6 @@ class TestChi2:
         d = stats.kstest(stats.chi2.sf(t, df=1), "uniform").statistic
         assert d < 1.9495 / math.sqrt(100_000)
         assert stats.kstest(p, "uniform").statistic < 1.9495 / math.sqrt(2000)
-
-
-class TestNoncentralChi2Pdf:
-    def test_closed_form_at_origin_case(self):
-        assert noncentral_chi2_1df_pdf(1.0, 0.0) == pytest.approx(
-            math.exp(-0.5) / math.sqrt(2 * math.pi), abs=1e-14
-        )
-
-    def test_delta_zero_reduces_to_central(self):
-        for t in np.linspace(0.05, 15.0, 30):
-            assert noncentral_chi2_1df_pdf(float(t), 0.0) == pytest.approx(
-                stats.chi2.pdf(t, df=1), rel=1e-10
-            )
-
-    def test_matches_scipy_noncentral(self):
-        for t in (0.2, 1.0, 3.0, 8.0):
-            for delta in (0.5, 2.0, 5.0):
-                assert noncentral_chi2_1df_pdf(t, delta) == pytest.approx(
-                    stats.ncx2.pdf(t, df=1, nc=delta), rel=1e-9
-                )
-
-    @pytest.mark.parametrize("delta", [0.0, 1.0, 2.0, 5.0])
-    def test_integrates_to_one(self, delta):
-        total, _ = integrate.quad(
-            lambda t: noncentral_chi2_1df_pdf(t, delta), 0.0, np.inf, limit=300
-        )
-        assert total == pytest.approx(1.0, abs=1e-6)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            noncentral_chi2_1df_pdf(0.0, 1.0)
-        with pytest.raises(ValueError):
-            noncentral_chi2_1df_pdf(1.0, -0.1)
-
-    def test_nonfinite_arguments(self):
-        # the same rule and message as Chi2MixtureParams; nan compares false
-        # with every bound, so it must be rejected, not passed through
-        for delta in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="delta must be finite and nonnegative"):
-                noncentral_chi2_1df_pdf(1.0, delta)
-        with pytest.raises(ValueError, match="t must be positive"):
-            noncentral_chi2_1df_pdf(math.nan, 1.0)
 
 
 class TestStudentT:

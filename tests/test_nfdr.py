@@ -8,18 +8,14 @@ from scipy import stats
 
 from smallfdr import (
     ESTIMATOR_KINDS,
-    BinomialParams,
     ConfidenceDistribution,
-    MixtureTruth,
     PValueSet,
-    binomial_pmf,
     corrected_nfdr,
     inverse_significance,
     lfdr_estimates,
     mean_nfdr,
     mle_nfdr,
     sample_parameter,
-    true_nfdr,
 )
 
 from smallfdr.confidence import _quantile
@@ -27,21 +23,6 @@ from smallfdr.nfdr import _estimate
 from smallfdr.simulate import exact_small_n_coverage
 
 from oracles import mean_capped_ratio_mp, mean_exact_scalar, nfdr_scalar
-
-
-class TestTrueNfdr:
-    def test_examples(self):
-        assert true_nfdr(MixtureTruth(1.0, 0.2, 0.2)) == pytest.approx(1.0)
-        assert true_nfdr(MixtureTruth(0.0, 0.2, 0.4)) == 0.0
-        assert true_nfdr(MixtureTruth(0.8, 0.05, 0.2)) == pytest.approx(0.2)
-
-    def test_zero_marginal(self):
-        with pytest.raises(ValueError):
-            true_nfdr(MixtureTruth(0.0, 0.0, 0.0))
-
-    def test_bayes_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            MixtureTruth(0.9, 0.5, 0.1)
 
 
 class TestMle:
@@ -99,9 +80,8 @@ class TestCorrected:
                 for pi in np.arange(alpha, 1.0 + 1e-9, 0.05):
                     pi = float(min(pi, 1.0))
                     bound = alpha / pi
-                    params = BinomialParams(n, pi)
                     prob = sum(
-                        binomial_pmf(params, x)
+                        math.comb(n, x) * pi**x * (1.0 - pi) ** (n - x)
                         for x in range(n + 1)
                         if corrected_nfdr(alpha, x, n).value >= bound
                     )

@@ -13,13 +13,12 @@ from smallfdr import (
     exact_small_n_coverage,
     generate_dataset,
     lfdr_estimates,
-    pearson_skewness,
     run_grid,
     true_lfdr,
 )
 from smallfdr.lfdr import _tail_weight
 
-from oracles import coverage_scalar, nfdr_scalar
+from oracles import coverage_fraction, coverage_scalar, nfdr_scalar
 
 
 class TestGenerateDataset:
@@ -186,18 +185,9 @@ class TestRunGrid:
 
 
 class TestPearsonSkewness:
-    def test_examples(self):
-        assert pearson_skewness([-1.0, 0.0, 1.0]) == 0.0
-        assert pearson_skewness([0.0, 0.0, 3.0]) == pytest.approx(math.sqrt(3.0))
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            pearson_skewness([1.0])
-        with pytest.raises(ValueError):
-            pearson_skewness([2.0, 2.0, 2.0])
-
     def test_mixture_diagnostic_matches_exact_conditional(self):
-        # skewness of the oracle LFDR given p <= alpha under the mixture;
+        # Pearson's skewness 3 (mean - median) / sd of the oracle LFDR given
+        # p <= alpha under the mixture;
         # the exact conditional moments come from an independent quadrature
         # route (note the value is decisively negative at these parameters)
         pi0, delta, alpha = 0.9, 2.0, 0.1
@@ -225,7 +215,8 @@ class TestPearsonSkewness:
 
         ds = generate_dataset(pi0, 400_000, delta, seed=100)
         conditional = true_lfdr(ds.p_values[ds.p_values <= alpha], pi0, delta)
-        observed = pearson_skewness(conditional)
+        sd = conditional.std(ddof=1)
+        observed = 3.0 * (conditional.mean() - np.median(conditional)) / sd
         assert observed == pytest.approx(exact_skew, abs=0.05)
         assert exact_skew < 0.0
 
@@ -251,10 +242,7 @@ class TestExactCoverage:
 
     def test_hand_enumeration_n2(self):
         # N = 2, alpha = 0.05, pi = 0.8: only x in {0, 1} reach the bound
-        from smallfdr import BinomialParams, binomial_pmf
-
-        params = BinomialParams(2, 0.8)
-        expect = binomial_pmf(params, 0) + binomial_pmf(params, 1)
+        expect = 0.2**2 + 2 * 0.8 * 0.2
         got = exact_small_n_coverage(2, 0.05, 0.8, "mle")
         assert got == pytest.approx(expect, abs=1e-12)
 
@@ -315,3 +303,20 @@ class TestExactCoverage:
             assert got[i] == exact_small_n_coverage(trials, a, p, kind, weight)
             want = coverage_scalar(trials, a, p, lambda x: nfdr_scalar(kind, a, x, trials, w))
             assert got[i] == want, (trials, a, p, kind, weight)
+
+    @pytest.mark.parametrize("trials", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["mle", "corrected_median", "posterior_mean"])
+    def test_masses_match_exact_rationals(self, kind, trials):
+        # the default coverage-exact grid, with each count's binomial mass
+        # built from math.comb in exact rationals instead of the log-space kernel
+        alphas = (0.01, 0.05, 0.1, 0.2, 0.3, 0.5)
+        pis = [round(0.05 * k, 12) for k in range(1, 21)]
+        w = _tail_weight(kind, None)
+        for a in alphas:
+            estimates = [nfdr_scalar(kind, a, x, trials, w) for x in range(trials + 1)]
+            for p in pis:
+                if p < a:
+                    continue
+                want = coverage_fraction(trials, a, p, estimates.__getitem__)
+                got = exact_small_n_coverage(trials, a, p, kind)
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0), (a, p)
