@@ -82,18 +82,20 @@ def _check_grid_size(what: str, count, unit: str = "values") -> None:
         raise UsageError(f"{what} has {count:.15g} {unit}, more than {MAX_GRID_SIZE}")
 
 
-def _parse_float_grid(text: str, flag: str) -> list[float]:
-    """Comma-separated values; 'start:stop:step' pieces expand to ranges.
+def _parse_grid(text: str, flag: str, convert=float) -> list:
+    """Distinct comma-separated values, each read by ``convert``: float, int or a dict of names.
 
-    A range's points are counted before it expands, so that a tiny step is a
-    usage error rather than a loop that runs until memory runs out.
+    In a float grid, 'start:stop:step' pieces expand to ranges whose stop is
+    inclusive up to 1e-12.  A range's points are counted before it expands, so
+    that a tiny step is a usage error rather than a loop that runs until memory
+    runs out.
     """
-    values: list[float] = []
+    values: list = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        if ":" in part:
+        if ":" in part and convert is float:
             pieces = part.split(":")
             if len(pieces) != 3:
                 raise UsageError(f"{flag}: range syntax is start:stop:step, got {part!r}")
@@ -110,33 +112,22 @@ def _parse_float_grid(text: str, flag: str) -> list[float]:
                 raise UsageError(f"{flag}: range step must be positive, got {step}")
             points = max(np.floor((stop - start) / step) + 1.0, 0.0)
             _check_grid_size(flag, len(values) + points)
-            v = start
-            while v <= stop + 1e-12:
-                values.append(round(v, 12))
-                v += step
+            # the slack admits at most the next point; the check below counts it
+            points += start + points * step <= stop + 1e-12
+            values += [round(start + k * step, 12) for k in range(int(points))]
         else:
             try:
-                values.append(float(part))
-            except ValueError:
-                raise UsageError(f"{flag}: non-numeric value {part!r}") from None
+                values.append(convert[part] if isinstance(convert, dict) else convert(part))
+            except (KeyError, ValueError):
+                expected = ("one of " + ",".join(convert) if isinstance(convert, dict)
+                            else convert.__name__)
+                raise UsageError(f"{flag}: expected {expected}, got {part!r}") from None
     if not values:
         raise UsageError(f"{flag}: empty grid")
     _check_grid_size(flag, len(values))
-    return values
-
-
-def _parse_int_grid(text: str, flag: str) -> list[int]:
-    values: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            values.append(int(part))
-        except ValueError:
-            raise UsageError(f"{flag}: non-integer value {part!r}") from None
-    if not values:
-        raise UsageError(f"{flag}: empty grid")
+    if len(set(values)) < len(values):
+        # a repeated value would write two rows with the same key
+        raise UsageError(f"{flag}: values must be distinct, got {text!r}")
     return values
 
 
@@ -282,14 +273,13 @@ def cmd_lfdr(args) -> int:
         result.p,
         range(1, n + 1),
         result.raw(),
-        result.raw() if args.no_monotone else result.monotone(),
+        result.monotone(),
     ]
     params = {
         "input": args.input,
         "estimator": args.estimator,
         "mc_draws": args.mc_draws,
         "seed": seed,
-        "no_monotone": args.no_monotone,
     }
     _emit_table(
         ["id", "p", "rank", "raw_lfdr", "monotone_lfdr"], columns, args, params, [args.input]
@@ -334,21 +324,14 @@ def cmd_bh(args) -> int:
 
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
-    estimator_names = [name.strip() for name in args.estimators.split(",") if name.strip()]
-    for name in estimator_names:
-        if name not in ESTIMATOR_FLAGS:
-            raise UsageError(
-                f"--estimators: unknown estimator {name!r}; "
-                f"choose from {','.join(ESTIMATOR_FLAGS)}"
-            )
     try:
         config = SimulationConfig(
-            pi0_grid=tuple(_parse_float_grid(args.pi0_grid, "--pi0-grid")),
-            n_grid=tuple(_parse_int_grid(args.n_grid, "--n-grid")),
+            pi0_grid=tuple(_parse_grid(args.pi0_grid, "--pi0-grid")),
+            n_grid=tuple(_parse_grid(args.n_grid, "--n-grid", int)),
             delta=args.delta,
             replicates=args.reps,
             seed=seed,
-            estimators=tuple(ESTIMATOR_FLAGS[name] for name in estimator_names),
+            estimators=tuple(_parse_grid(args.estimators, "--estimators", ESTIMATOR_FLAGS)),
             mc_draws=args.mc_draws,
             pooling=POOLING_PER_REPLICATE if args.per_replicate else POOLING_POOLED,
         )
@@ -364,21 +347,20 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_coverage_exact(args) -> int:
-    alphas = _parse_float_grid(args.alpha_grid, "--alpha-grid")
-    pis = _parse_float_grid(args.pi_grid, "--pi-grid")
+    alphas = _parse_grid(args.alpha_grid, "--alpha-grid")
+    pis = _parse_grid(args.pi_grid, "--pi-grid")
     kind = ESTIMATOR_FLAGS[args.estimator]
     _check_grid_size("--alpha-grid x --pi-grid", len(alphas) * len(pis), "(alpha, pi) cells")
-    cells = []
     for alpha in alphas:
         if not 0.0 < alpha <= 1.0:
             raise UsageError(f"--alpha-grid values must lie in (0, 1], got {alpha}")
-        for pi in pis:
-            if not 0.0 <= pi <= 1.0:
-                raise UsageError(f"--pi-grid values must lie in [0, 1], got {pi}")
-            cells.append((alpha, pi))
-    alpha_column, pi_column = map(np.array, zip(*cells))
+    for pi in pis:
+        if not 0.0 <= pi <= 1.0:
+            raise UsageError(f"--pi-grid values must lie in [0, 1], got {pi}")
+    alpha_column = np.repeat(alphas, len(pis))
+    pi_column = np.tile(pis, len(alphas))
     defined = pi_column >= alpha_column  # the other cells stay blank
-    coverage = np.full(len(cells), "", dtype=object)
+    coverage = np.full(len(alpha_column), "", dtype=object)
     coverage[defined] = exact_small_n_coverage(
         args.n, alpha_column[defined], pi_column[defined], kind
     ).tolist()
@@ -432,8 +414,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_lfdr.add_argument("--mc-draws", type=int, default=100,
                         help="Monte Carlo draws for the mean estimator")
-    p_lfdr.add_argument("--no-monotone", action="store_true",
-                        help="skip monotonicity enforcement in the output column")
     p_lfdr.set_defaults(func=cmd_lfdr)
 
     p_bh = sub.add_parser("bh", parents=[seeded, output],
@@ -444,12 +424,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", parents=[seeded, output],
                            help="mixture-model error metrics over a grid")
-    p_sim.add_argument("--pi0-grid", default="0.5,0.75,0.9,1.0")
-    p_sim.add_argument("--n-grid", default="2,4,8,16,32")
-    p_sim.add_argument("--delta", type=float, default=2.0)
-    p_sim.add_argument("--reps", type=int, default=100)
-    p_sim.add_argument("--estimators", default="mle,corrected,mean")
-    p_sim.add_argument("--mc-draws", type=int, default=100)
+    # the class attributes of SimulationConfig are its field defaults
+    flag_of = {kind: flag for flag, kind in ESTIMATOR_FLAGS.items()}
+    p_sim.add_argument("--pi0-grid", default=",".join(map(str, SimulationConfig.pi0_grid)))
+    p_sim.add_argument("--n-grid", default=",".join(map(str, SimulationConfig.n_grid)))
+    p_sim.add_argument("--delta", type=float, default=SimulationConfig.delta)
+    p_sim.add_argument("--reps", type=int, default=SimulationConfig.replicates)
+    p_sim.add_argument("--estimators",
+                       default=",".join(flag_of[kind] for kind in SimulationConfig.estimators))
+    p_sim.add_argument("--mc-draws", type=int, default=SimulationConfig.mc_draws)
     p_sim.add_argument("--per-replicate", action="store_true",
                        help="average metrics per replicate instead of pooling")
     p_sim.set_defaults(func=cmd_simulate)

@@ -58,6 +58,7 @@ class PValueSet:
         # tolist turns the numpy scalars of an id array into plain Python values
         self.ids = tuple(ids.tolist() if isinstance(ids, np.ndarray) else ids)
         p = np.array(p_values, dtype=float)
+        p += 0.0  # -0.0 + 0.0 is +0.0, so a p-value of -0 is stored, and prints, as 0
         if p.shape != (len(self.ids),):
             raise ValueError(f"expected one p-value per id, got shape {p.shape}")
         if len(set(self.ids)) != len(self.ids):

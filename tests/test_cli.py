@@ -2,8 +2,10 @@ import argparse
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 import smallfdr
 from smallfdr.cli import _emit_table, main
 from smallfdr.lfdr import _tail_weight
+from smallfdr.simulate import SimulationConfig
 
 from oracles import coverage_scalar, nfdr_scalar, table_text
 
@@ -49,14 +52,27 @@ class TestLfdrCommand:
         assert code == 0
         assert out.strip().splitlines()[1] == "only,0.02,1,1,1"
 
-    def test_no_monotone_column_copies_raw(self, tmp_path, capsys):
+    def test_no_monotone_flag_is_usage_error(self, tmp_path, capsys):
+        # the monotone_lfdr column always holds the monotone estimates
         src = tmp_path / "p.csv"
-        write_pvalues(src, [("a", 0.01), ("b", 0.04), ("c", 0.2), ("d", 0.5)])
-        code, out, _ = run(["lfdr", src, "--estimator", "mle", "--no-monotone"], capsys)
-        assert code == 0
-        for line in out.strip().splitlines()[1:]:
-            cells = line.split(",")
-            assert cells[3] == cells[4]
+        write_pvalues(src, [("a", 0.01), ("b", 0.04)])
+        with pytest.raises(SystemExit) as exc:
+            main(["lfdr", str(src), "--no-monotone"])
+        assert exc.value.code == 2
+        assert "--no-monotone" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("estimator", ["mle", "corrected", "mean"])
+    def test_negative_zero_p_prints_as_zero(self, estimator, tmp_path, capsys):
+        # rank 1 doubles to rank 2, so its estimate scales the p-value -0 as well
+        tables = []
+        for zero in ("-0", "0"):
+            src = tmp_path / f"p{zero}.csv"
+            write_pvalues(src, [("a", zero), ("b", zero), ("c", 0.5), ("d", 0.7)])
+            code, out, _ = run(["lfdr", src, "--estimator", estimator], capsys)
+            assert code == 0
+            tables.append(out)
+        assert tables[0] == tables[1]
+        assert "-0" not in tables[0]
 
     def test_deterministic_bytes(self, tmp_path, capsys):
         src = tmp_path / "p.csv"
@@ -162,6 +178,17 @@ class TestBhCommand:
         assert "line 3" in err and "duplicate id 'a'" in err
         assert not out.exists()
 
+    def test_negative_zero_threshold_prints_as_zero(self, tmp_path, capsys):
+        reports = []
+        for zero in ("-0.0", "0"):
+            src = tmp_path / f"p{zero}.csv"
+            write_pvalues(src, [("a", zero), ("b", 0.9), ("c", 0.95)])
+            code, out, _ = run(["bh", src, "--q", "0.05"], capsys)
+            assert code == 0
+            reports.append(out)
+        assert reports[0] == reports[1]
+        assert "threshold_p: 0\n" in reports[0] and "-0" not in reports[0]
+
     def test_bad_q(self, tmp_path, capsys):
         src = tmp_path / "p.csv"
         write_pvalues(src, [("a", 0.5)])
@@ -221,6 +248,13 @@ class TestSimulateCommand:
         manifest = json.loads((tmp_path / "m1.csv.manifest.json").read_text())
         assert manifest["parameters"]["replicates"] == 3
 
+    def test_flag_defaults_are_the_config_defaults(self, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        assert run(["simulate", "--reps", "1", "--out", out], capsys)[0] == 0
+        manifest = json.loads((tmp_path / "m.csv.manifest.json").read_text())
+        expected = json.loads(json.dumps(asdict(SimulationConfig(replicates=1))))
+        assert manifest["parameters"] == expected
+
     def test_invalid_grid_is_usage_error(self, tmp_path, capsys):
         code, _, err = run(["simulate", "--pi0-grid", "1.7"], capsys)
         assert code == 2
@@ -228,6 +262,7 @@ class TestSimulateCommand:
         assert code == 2
         code, _, err = run(["simulate", "--estimators", "magic"], capsys)
         assert code == 2
+        assert "--estimators" in err and "'magic'" in err and "mle,corrected,mean" in err
 
     @pytest.mark.parametrize("grid, piece", [
         ("0:inf:0.5", "inf"), ("-inf:1:0.5", "-inf"), ("0:1:nan", "nan"),
@@ -246,7 +281,16 @@ class TestSimulateCommand:
         assert (code, out) == (2, "")
         assert err.startswith("smallfdr: error: --pi0-grid has 1000000000 values")
 
-    @pytest.mark.parametrize("flag, grid", [("--n-grid", "2,2"), ("--pi0-grid", "0.5,0.9,0.5")])
+    def test_oversized_n_grid_is_usage_error(self, capsys):
+        count = smallfdr.cli.MAX_GRID_SIZE + 1
+        grid = ",".join(map(str, range(1, count + 1)))
+        code, out, err = run(["simulate", "--n-grid", grid, "--reps", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"smallfdr: error: --n-grid has {count} values")
+
+    @pytest.mark.parametrize("flag, grid", [
+        ("--n-grid", "2,2"), ("--pi0-grid", "0.5,0.9,0.5"), ("--estimators", "mle,corrected,mle"),
+    ])
     def test_repeated_grid_value_is_usage_error(self, flag, grid, capsys):
         # a repeated value would write two rows with the same key
         code, out, err = run(["simulate", flag, grid, "--reps", "1"], capsys)
@@ -327,6 +371,34 @@ class TestCoverageExactCommand:
         assert (code, out) == (2, "")
         assert "--pi-grid: non-finite range piece" in err and repr(grid) in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--alpha-grid", "0.05,0.1,0.05"],
+        ["--pi-grid", "0.5, 0.5"],
+        ["--pi-grid", "0.2,0.1:0.3:0.1"],
+        # steps below the 1e-12 rounding collapse points onto one value
+        ["--pi-grid", "0:1e-12:1e-13"],
+    ])
+    def test_repeated_grid_value_is_usage_error(self, argv, capsys):
+        code, out, err = run(["coverage-exact", "--n", "1"] + argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"smallfdr: error: {argv[0]}: values must be distinct")
+
+    @pytest.mark.parametrize("grid", ["0:0:1e-15", "0:0:1e-19", "0.5:0.5:1e-20"])
+    def test_tiny_step_range_exits_at_once(self, grid, capsys):
+        # a range loop that ran past its counted points once filled memory here
+        def overrun(signum, frame):
+            pytest.fail(f"--pi-grid {grid} still running after 1 s")
+
+        previous = signal.signal(signal.SIGALRM, overrun)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            code, out, err = run(["coverage-exact", "--n", "1", "--pi-grid", grid], capsys)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert (code, out) == (2, "")
+        assert err.startswith("smallfdr: error: --pi-grid")
+
     @pytest.mark.parametrize("grid, values", [
         ("0.05:1.0:0.05", [round(0.05 * k, 12) for k in range(1, 21)]),
         ("0:1:0.5", [0.0, 0.5, 1.0]),
@@ -334,7 +406,7 @@ class TestCoverageExactCommand:
         ("1e-3:2e-3:1e-3", [0.001, 0.002]),
     ])
     def test_finite_ranges_keep_their_values(self, grid, values):
-        assert smallfdr.cli._parse_float_grid(grid, "--pi-grid") == values
+        assert smallfdr.cli._parse_grid(grid, "--pi-grid") == values
 
     @pytest.mark.parametrize("argv, what, count", [
         (["--pi-grid", "0:1:1e-300"], "--pi-grid", "1e+300"),
@@ -352,16 +424,16 @@ class TestCoverageExactCommand:
 
     def test_grid_size_limit_is_inclusive(self):
         limit = smallfdr.cli.MAX_GRID_SIZE
-        assert len(smallfdr.cli._parse_float_grid(f"1:{limit}:1", "--pi-grid")) == limit
+        assert len(smallfdr.cli._parse_grid(f"1:{limit}:1", "--pi-grid")) == limit
         with pytest.raises(smallfdr.cli.UsageError, match=f"--pi-grid has {limit + 1} values"):
-            smallfdr.cli._parse_float_grid(f"0,1:{limit}:1", "--pi-grid")
+            smallfdr.cli._parse_grid(f"0,1:{limit}:1", "--pi-grid")
 
     @pytest.mark.parametrize("estimator", ["mle", "corrected", "mean"])
     def test_tables_equal_scalar_loop(self, estimator, capsys):
         kind = smallfdr.cli.ESTIMATOR_FLAGS[estimator]
         weight = _tail_weight(kind, None)
         alphas = [0.01, 0.05, 0.1, 0.2, 0.3, 0.5]
-        pis = smallfdr.cli._parse_float_grid("0.05:1.0:0.05", "--pi-grid")
+        pis = smallfdr.cli._parse_grid("0.05:1.0:0.05", "--pi-grid")
         for n in range(1, 6):
             code, out, _ = run(
                 ["coverage-exact", "--n", n, "--estimator", estimator,
