@@ -85,8 +85,8 @@ def _check_grid_size(what: str, count, unit: str = "values") -> None:
 def _parse_grid(text: str, flag: str, convert=float) -> list:
     """Distinct comma-separated values, each read by ``convert``: float, int or a dict of names.
 
-    In a float grid, 'start:stop:step' pieces expand to ranges whose stop is
-    inclusive up to 1e-12.  A range's points are counted before it expands, so
+    In a float grid, 'start:stop:step' pieces expand to ranges whose points
+    are rounded to 12 decimals, the last one to at most the rounded stop.  A range's points are counted before it expands, so
     that a tiny step is a usage error rather than a loop that runs until memory
     runs out.
     """
@@ -112,8 +112,9 @@ def _parse_grid(text: str, flag: str, convert=float) -> list:
                 raise UsageError(f"{flag}: range step must be positive, got {step}")
             points = max(np.floor((stop - start) / step) + 1.0, 0.0)
             _check_grid_size(flag, len(values) + points)
-            # the slack admits at most the next point; the check below counts it
-            points += start + points * step <= stop + 1e-12
+            # the next point too when it rounds to at most stop; the check
+            # below counts it
+            points += round(start + points * step, 12) <= round(stop, 12)
             values += [round(start + k * step, 12) for k in range(int(points))]
         else:
             try:
@@ -124,6 +125,8 @@ def _parse_grid(text: str, flag: str, convert=float) -> list:
                 raise UsageError(f"{flag}: expected {expected}, got {part!r}") from None
     if not values:
         raise UsageError(f"{flag}: empty grid")
+    if convert is float:
+        values = [value + 0.0 for value in values]  # -0 is stored as 0
     _check_grid_size(flag, len(values))
     if len(set(values)) < len(values):
         # a repeated value would write two rows with the same key

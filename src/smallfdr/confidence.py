@@ -11,6 +11,7 @@ endpoints and an inverse-CDF sampler.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,12 +19,13 @@ import numpy as np
 from . import _special as special
 from .distributions import _check_count, _check_unit, _log_binomial_coef, _log_binomial_pmf
 
-# The inverse is the midpoint of the cell of width 2**-40 < 1e-12 that 40
-# halvings of [0, 1] reach; every cell along the way is a dyadic interval.
+# For C in {0, 1} the inverse is the midpoint of the cell of width
+# 2**-40 < 1e-12 that 40 halvings of [0, 1] reach; every cell along the way
+# is a dyadic interval.
 _BISECT_STEPS = 40
 
 # Relative margin by which the curve at each end of the bracket certified
-# around the estimate must clear u: _MARGIN_PER_UNIT (N - ln u) machine
+# around the C in {0, 1} estimate must clear u: _MARGIN_PER_UNIT (N - ln u) machine
 # epsilons, at most _MARGIN_CAP.  While one curve value is off by at most
 # half of it, every midpoint that bisection would have compared beyond an end
 # compares the same way, so skipping those comparisons changes no bit.
@@ -43,12 +45,29 @@ _MARGIN_CAP = 1e-11
 
 # A Halley step shorter than this share of the distance to the nearer end of
 # [0, 1] is the last, taken without evaluating the curve again: its error is
-# about cubic in the step, far inside the certified bracket.  (An absolute
-# 1e-6 failed the check for one draw in seven at N = 10**5, where the curve
-# bends on the scale of the Beta spread, not of pi.)  An element still moving
-# after _HALLEY_STEPS evaluations is left to the check.
+# about cubic in the step.  (An absolute 1e-6 fails at N = 10**5, where the
+# curve bends on the scale of the Beta spread, not of pi.)  _HALLEY_STEPS only
+# bounds the loop; the bracket halves wherever a step would leave it.
 _HALLEY_TOL = 1e-6
-_HALLEY_STEPS = 8
+_HALLEY_STEPS = 64
+
+# Below the mean, an element whose binomial mass is under
+# exp(-min(_DEEP_PER_SUCCESS x, _DEEP_FLOOR)) takes the curve from the mass
+# and a power series instead of betainc, whose relative error grows with the
+# log of its value and which loses digits where pi**x underflows.
+_DEEP_PER_SUCCESS = 20.0
+_DEEP_FLOOR = 500.0
+
+_LOG_2PI = math.log(2.0 * math.pi)
+
+# log n! - (n log n - n + log(2 pi n) / 2) for n = 1..15, from mpmath
+_STIRLING_ERRORS = np.array([
+    0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
 
 SIDE_LOWER = "lower_bounded"
 SIDE_UPPER = "upper_bounded"
@@ -128,25 +147,13 @@ def _margin(trials, u):
     return np.minimum(_MARGIN_CAP, _MARGIN_PER_UNIT * np.finfo(float).eps * scale)
 
 
-def _solve(trials, x, weight, u):
-    """Midpoint of the 2**-40 cell that bisecting [0, 1] on curve(pi) < u reaches.
+def _bisection_cell(trials, x, weight, u):
+    """Midpoint of the 2**-40 cell that bisecting [0, 1] on curve(pi) < u
+    reaches, for C in {0, 1}.
 
     ``x`` and ``u`` are flat and every curve is non-constant with u in its
-    range.  For C in {0, 1} the curve is the Clopper-Pearson Beta(x + 1 - C,
-    N - x + C) distribution function, whose quantile is the root itself, so
-    no Halley step runs.  For C in (0, 1) the curve is C pi**N at x = N and
-    1 - (1 - C)(1 - pi)**N at x = 0, whose roots are in closed form, and
-    u = 0 and u = 1 have the roots 0 and 1, again without Halley.  The other
-    elements start from the normal approximation to logit pi under
-    Beta(a, b) = Beta(x + 1 - C, N - x + C): mean digamma(a) - digamma(b)
-    and variance trigamma(a) + trigamma(b), computed once per distinct x.
-    Bracketed Halley steps refine that start.  The density is the mixture
-    (1 - C) f1 + C f2 of f1 = Beta(x + 1, N - x) and f2 = Beta(x, N - x + 1),
-    the binomial mass times (N - x)/(1 - pi) and x/pi, and its slope is
-    (1 - C) f1 (x/pi - (N - x - 1)/(1 - pi)) + C f2 ((x - 1)/pi - (N - x)/(1 - pi)).
-    A step shorter than _HALLEY_TOL min(pi, 1 - pi) is the last; one that
-    leaves the bracket of the evaluated points halves it instead.
-
+    range.  The curve is the Clopper-Pearson Beta(x + 1 - C, N - x + C)
+    distribution function, and its quantile (betaincinv) is the estimate.
     The estimate is then bracketed by [L, R], a half-width of four margins of
     u over the density (at least a few ulps) on either side, and the curve is
     evaluated at both ends (an end at 0 or 1 needs no check).  The margin,
@@ -162,51 +169,11 @@ def _solve(trials, x, weight, u):
     makes, so the result is the same to the bit.
     """
     curve = _Curve(trials, x, weight)
-    if weight in (0.0, 1.0):
-        pi = special.betaincinv(x + 1.0 - weight, trials - x + weight, u)
-        active = np.arange(0)
-    else:
-        # the normal start only where 0 < x < N: at x = N, b is the weight,
-        # whose digamma overflows when it is subnormal, and both ends have
-        # closed forms
-        pi = np.empty(x.size)
-        interior = np.flatnonzero((x > 0) & (x < trials))
-        distinct, index = np.unique(x[interior], return_inverse=True)
-        a, b = distinct + 1.0 - weight, trials - distinct + weight
-        mean = special.digamma(a) - special.digamma(b)
-        sd = np.sqrt(special.polygamma(1, a) + special.polygamma(1, b))
-        pi[interior] = special.expit(mean[index] + sd[index] * special.ndtri(u[interior]))
-        top, bottom = np.flatnonzero(x == trials), np.flatnonzero(x == 0)
-        pi[top] = (u[top] / weight) ** (1.0 / trials)
-        pi[bottom] = 1.0 - ((1.0 - u[bottom]) / (1.0 - weight)) ** (1.0 / trials)
-        active = np.flatnonzero((x > 0) & (x < trials) & (u > 0.0) & (u < 1.0))
-    lo, hi = np.zeros(x.size), np.ones(x.size)
-    for _ in range(_HALLEY_STEPS):
-        if active.size == 0:
-            break
-        sub, p = curve.take(active), pi[active]
-        sf, pmf = sub.terms(p)
-        excess = sf + weight * pmf - u[active]
-        below = excess < 0.0
-        lo[active] = np.where(below, p, lo[active])
-        hi[active] = np.where(below, hi[active], p)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            f1 = (1.0 - weight) * pmf * (trials - sub.x) / (1.0 - p)
-            f2 = weight * pmf * sub.x / p
-            density = f1 + f2
-            slope = f1 * (sub.x / p - (trials - sub.x - 1.0) / (1.0 - p)) + f2 * (
-                (sub.x - 1.0) / p - (trials - sub.x) / (1.0 - p)
-            )
-            newton = excess / density
-            step = newton / (1.0 - 0.5 * newton * slope / density)
-            new = p - step
-        inside = (lo[active] <= new) & (new <= hi[active])
-        pi[active] = np.where(inside, new, 0.5 * (lo[active] + hi[active]))
-        active = active[~(inside & (np.abs(step) <= _HALLEY_TOL * np.minimum(p, 1.0 - p)))]
+    pi = special.betaincinv(x + 1.0 - weight, trials - x + weight, u)
 
-    # the density as in the Halley step, a term whose coefficient is 0 taken
-    # as 0 so that a root at 0 or 1 keeps a finite width; a width that is
-    # not finite (no density, or a nan estimate) gives the bracket [0, 1]
+    # the density, a term whose coefficient is 0 taken as 0 so that a root at
+    # 0 or 1 keeps a finite width; a width that is not finite (no density, or
+    # a nan estimate) gives the bracket [0, 1]
     margin = _margin(trials, u)
     pmf = np.exp(_log_binomial_pmf(trials, x, pi, curve.log_coef))
     upper, lower = (1.0 - weight) * (trials - x), weight * x
@@ -243,21 +210,192 @@ def _solve(trials, x, weight, u):
     return lo + 0.5 / cells
 
 
+def _stirling_error(n):
+    """log n! - (n log n - n + log(2 pi n) / 2) for whole n >= 1: its series
+    above 15, a table (mpmath's values, rounded) at or below it."""
+    nn = n * n
+    series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn) / n
+    table = _STIRLING_ERRORS[np.minimum(n, 15.0).astype(int) - 1]
+    return np.where(n > 15.0, series, table)
+
+
+def _log_choose(trials, x):
+    """log(trials choose x) for 0 < x < trials, to a few ulps of its own size.
+
+    Loader's (2000) saddle-point form: the Stirling errors of N, x and N - x,
+    the two nonnegative terms x log(1 + (N - x)/x) and (N - x) log(1 + x/(N - x)), less
+    half the log of 2 pi x (N - x)/N.  The difference of log-gammas that
+    ``_log_binomial_coef`` takes is off by ulps of log N! instead, 1e-12 at
+    N = 1000.
+    """
+    rest = trials - x
+    return (
+        _stirling_error(np.float64(trials)) - _stirling_error(x) - _stirling_error(rest)
+        + x * np.log1p(rest / x) + rest * np.log1p(x / rest)
+        - 0.5 * (_LOG_2PI + np.log(x) + np.log(rest / trials))
+    )
+
+
+def _log_excess(trials, x, weight, pi, upper, target, log_coef):
+    """log(side / target) for 0 < pi < 1, and its first two derivatives in the
+    log of the side's variable: the curve F in pi, or 1 - F in 1 - pi where
+    ``upper``.
+
+    F = Pr(X > x) + C m and 1 - F = Pr(X < x) + (1 - C) m, with the mass
+    m = Pr(X = x) from ``log_coef`` = log(N choose x).  At or below the mean
+    of Beta(x + 1, N - x) the strict tail Pr(X > x) is betainc at pi; above
+    it the lower tail Pr(X < x) is betainc at 1 - pi, rounded to q, and the
+    rounding 1 - pi - q (exact in floating point) times the Beta(x, N - x + 1)
+    density at pi is added back.  betainc is called only on the side of its
+    mean, where it does not take 1 - pi itself, and the side that is small
+    keeps its relative accuracy.  Far below the mean F is m (C + S), with
+    S = Pr(X > x)/m summed term by term (each term is at most half the one
+    before) and pi**x and the target scaled by powers of 2, so that neither
+    the log of pi nor an underflow costs digits.
+    """
+    q = 1.0 - pi
+    rest = trials - x
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        odds = pi / q
+        log_mass = log_coef + x * np.log(pi) + rest * np.log1p(-pi)
+        mass = np.exp(log_mass)
+        swap = pi > (x + 1.0) / (trials + 1.0)
+        tail = special.betainc(
+            np.where(swap, rest + 1.0, x + 1.0), np.where(swap, x, rest), np.where(swap, q, pi)
+        )
+        tail += np.where(swap, ((1.0 - q) - pi) * mass * x / pi, 0.0)
+        # the upper side takes Pr(X < x), the lower Pr(X > x): the tail that
+        # betainc gave, or 1 less it and the mass
+        side = np.where(swap == upper, tail, 1.0 - tail - mass) + np.where(
+            upper, 1.0 - weight, weight
+        ) * mass
+        share = mass / side
+        excess = np.log(side / target)
+        far = np.flatnonzero(~np.isfinite(excess))
+        excess[far] = np.log(side[far]) - np.log(target[far])
+        ratio = rest / (x + 1.0) * odds
+        deep = np.flatnonzero(
+            ~upper & (ratio < 0.5) & (log_mass < -np.minimum(_DEEP_PER_SUCCESS * x, _DEEP_FLOOR))
+        )
+        if deep.size:
+            xd, pd, od = x[deep], pi[deep], odds[deep]
+            term = ratio[deep]
+            series, j = term.copy(), 1.0
+            while np.any(term > 2.0**-60 * series):
+                term = term * (trials - xd - j) / (xd + 1.0 + j) * od
+                series += term
+                j += 1.0
+            # log(m / target) with pi**x / target split into mantissas and a
+            # power of 2, which is near 1 at the root
+            (mant, expo), (mant_t, expo_t) = np.frexp(pd), np.frexp(target[deep])
+            log_ratio = log_coef[deep] + rest[deep] * np.log1p(-pd) + xd * np.log(mant)
+            excess[deep] = (
+                log_ratio - np.log(mant_t) + (xd * expo - expo_t) * math.log(2.0)
+                + np.log(weight + series)
+            )
+            share[deep] = 1.0 / (weight + series)
+        # pi times the density over m, (1 - C)(N - x) pi/(1 - pi) + C x, in two
+        # terms, and pi times the density's log-slope; no term overflows
+        # at a subnormal pi
+        w1, w2 = (1.0 - weight) * rest * odds, weight * x
+        spread = w1 + w2
+        slope = (w1 * (x - (rest - 1.0) * odds) + w2 * (x - 1.0 - rest * odds)) / spread
+        # d/d log(1 - pi) = -(1 - pi)/pi d/d log pi
+        turn = np.where(upper, -q / pi, 1.0)
+        elasticity = np.abs(turn) * spread * share
+        bend = elasticity * (1.0 + turn * slope - elasticity)
+    return excess, elasticity, bend
+
+
+def _halley(trials, x, weight, u):
+    """The root of curve(pi) = u for C in (0, 1), to about 1e-15 of itself.
+
+    ``x`` and ``u`` are flat and u lies in each curve's range.  The curve is
+    C pi**N at x = N and 1 - (1 - C)(1 - pi)**N at x = 0, whose roots are in
+    closed form, and u = 0 and u = 1 have the roots 0 and 1; none of these
+    evaluates the curve.  The other elements start from the normal
+    approximation to logit pi under Beta(a, b) = Beta(x + 1 - C, N - x + C):
+    mean digamma(a) - digamma(b) and variance trigamma(a) + trigamma(b),
+    computed once per distinct x.  Bracketed Halley steps in log pi on
+    log F - log u (u <= 1/2), or in log(1 - pi) on the log of the
+    complementary curve (u > 1/2), refine the start (``_log_excess``); in a
+    far tail the curve is close to a power of pi or of 1 - pi, which these
+    steps solve in one.  A step that would leave the bracket of the
+    evaluated points halves it instead, and a step shorter than
+    _HALLEY_TOL min(pi, 1 - pi) is the last.
+    """
+    pi = np.empty(x.size)
+    top, bottom = np.flatnonzero(x == trials), np.flatnonzero(x == 0)
+    level = u[top] / weight
+    root = level ** (1.0 / trials)
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+        # one Newton step on pi**N = level: the rounding of the exponent 1/N
+        # alone moves the root by up to 1e-14 of itself when level is small;
+        # a subnormal level has lost digits, which the logs of u and C keep
+        fix = root * (level / root**trials - 1.0) / trials
+        tiny = (np.log(u[top]) - math.log(weight)) / trials
+        pi[top] = np.where(level >= np.finfo(float).tiny, root + fix, np.exp(tiny))
+        # (1 - pi)**N = 1 + (C - u)/(1 - C): log1p keeps a root near 0
+        # accurate, the quotient one near 1; 0.0 - turns a root -0.0 into 0.0
+        shift = (weight - u[bottom]) / (1.0 - weight)
+        log_rest = np.where(
+            shift > -0.5, np.log1p(shift), np.log((1.0 - u[bottom]) / (1.0 - weight))
+        )
+        pi[bottom] = 0.0 - np.expm1(log_rest / trials)
+
+    # the normal start only where 0 < x < N: at x = N, b is the weight, whose
+    # digamma overflows when it is subnormal
+    interior = np.flatnonzero((x > 0) & (x < trials))
+    distinct, index = np.unique(x[interior], return_inverse=True)
+    a, b = distinct + 1.0 - weight, trials - distinct + weight
+    mean = special.digamma(a) - special.digamma(b)
+    sd = np.sqrt(special.polygamma(1, a) + special.polygamma(1, b))
+    pi[interior] = special.expit(mean[index] + sd[index] * special.ndtri(u[interior]))
+    log_coef = np.zeros(x.size)
+    log_coef[interior] = _log_choose(trials, distinct)[index]
+
+    upper = u > 0.5
+    index = interior[(u[interior] > 0.0) & (u[interior] < 1.0)]
+    # the unfinished elements, compacted as they finish
+    state = [index, x[index], upper[index], np.where(upper, 1.0 - u, u)[index], log_coef[index]]
+    p, lo, hi = pi[index], np.zeros(index.size), np.ones(index.size)
+    for _ in range(_HALLEY_STEPS):
+        if p.size == 0:
+            break
+        index, xs, up, target, coef = state
+        excess, elasticity, bend = _log_excess(trials, xs, weight, p, up, target, coef)
+        below = np.where(up, excess > 0.0, excess < 0.0)
+        lo, hi = np.where(below, p, lo), np.where(below, hi, p)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+            # Halley's factor, or Newton's 1 where it strays (far from the root)
+            halley = 1.0 - 0.5 * excess * bend / elasticity**2
+            halley = np.where((halley > 0.5) & (halley < 2.0), halley, 1.0)
+            # no finite slope (1 - pi rounded to nearly 0) halves the bracket
+            step = np.where(np.isfinite(elasticity), excess / (elasticity * halley), np.nan)
+            new = np.where(up, p - (1.0 - p) * np.expm1(-step), p * np.exp(-step))
+        inside = (lo <= new) & (new <= hi) & (new > 0.0) & (new < 1.0)
+        last = inside & (np.abs(new - p) <= _HALLEY_TOL * np.minimum(p, 1.0 - p))
+        p = np.where(inside, new, 0.5 * (lo + hi))
+        pi[index[last]] = p[last]
+        keep = ~last
+        state = [a[keep] for a in state]
+        p, lo, hi = p[keep], lo[keep], hi[keep]
+    pi[state[0]] = p
+    return pi
+
+
 def _quantile(trials, x, weight, u):
     """Inverse of the significance function in pi, broadcasting over x and u.
 
-    The value is the midpoint of the 2**-40 cell that bisecting [0, 1] on
-    significance < u reaches; ``_solve`` finds it to the same bits from a
-    start that is the root (the Beta quantile for C in {0, 1}, a closed form
-    at x = 0 and x = N) or a closed-form approximation refined by Halley
-    steps, then a bracket certified around it, inside which only the few
-    midpoints bisection compares are evaluated.  Each element
-    depends only on its own (x, u), so a stack of rows gives exactly the
-    per-row results.  Values of u below the attainable range land on the
-    atom of the confidence distribution at 0 (x = 0), values above it on
-    the atom at 1 (x = trials), and a constant curve (x = 0 with C = 1,
-    x = trials with C = 0) is its atom for every u, which makes this a
-    proper inverse-CDF sampler.
+    For C in {0, 1} the value is the midpoint of the 2**-40 cell that
+    bisecting [0, 1] on significance < u reaches (``_bisection_cell``), and
+    for C in (0, 1) the root itself to about 1e-15 of its size
+    (``_halley``).  Each element depends only on its own (x, u), so a stack
+    of rows gives exactly the per-row results.  Values of u below the
+    attainable range land on the atom of the confidence distribution at 0
+    (x = 0), values above it on the atom at 1 (x = trials), and a constant
+    curve (x = 0 with C = 1, x = trials with C = 0) is its atom for every u,
+    which makes this a proper inverse-CDF sampler.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -267,7 +405,8 @@ def _quantile(trials, x, weight, u):
     to_one = np.broadcast_to((u > high) | (high == 0.0), shape)
     pi = np.where(to_zero, 0.0, 1.0)
     inside = ~(to_zero | to_one)
-    pi[inside] = _solve(
+    solve = _bisection_cell if weight in (0.0, 1.0) else _halley
+    pi[inside] = solve(
         trials, np.broadcast_to(x, shape)[inside], weight, np.broadcast_to(u, shape)[inside]
     )
     return pi

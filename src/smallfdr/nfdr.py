@@ -79,7 +79,8 @@ def _corrected(alpha, x, trials, weight):
     Broadcasts over ``alpha`` and ``x``, with one median solved per element
     of ``x``.  The median counts as 0, which gives the capped value 1, when
     it does not exist (1/2 above the top of the significance function's
-    range: x = N with C < 1/2) or is the atom at 0 (x = 0 with C > 1/2).
+    range: x = N with C < 1/2) or is 0: the atom at 0 (x = 0 with C > 1/2),
+    or the root 0 at x = 0 with C = 1/2, where the range starts at 1/2.
     """
     x = np.asarray(x)
     median = _quantile(trials, x, weight, 0.5).reshape(x.shape)
@@ -176,8 +177,8 @@ def corrected_nfdr(alpha: float, x: int, trials: int, weight: float = 1.0) -> Nf
     """Median-corrected estimator alpha / median(param distribution), capped at 1.
 
     The median is undefined at x = N with weight < 1/2 (the significance
-    function never rises to 1/2 there) and is the atom at 0 at x = 0 with
-    weight > 1/2; both cases return 1, flagged as capped.
+    function never rises to 1/2 there) and is 0 at x = 0 with weight >= 1/2
+    (the atom at 0 above 1/2); these cases return 1, flagged as capped.
     """
     _check_basic(alpha, x, trials)
     _check_unit("weight", weight)

@@ -3,8 +3,8 @@
 These deliberately avoid the code paths under test: the incomplete beta
 uses a hand-rolled continued fraction, the mean estimator integrates the
 binomial tail polynomial term by term in mpmath, the significance function
-is a sum of binomial terms in mpmath and its inverse the plain 40-step
-bisection, the step-up rule is the plain textbook loop, p-value sets, lfdr
+is a sum of binomial terms in mpmath, its inverse the plain 40-step
+bisection at C in {0, 1} and an mpmath root at 0 < C < 1, the step-up rule is the plain textbook loop, p-value sets, lfdr
 results and output tables are built one row at a time, tables are written
 with csv.writer and json.dump, and input tables are read with csv.reader
 one row at a time.
@@ -134,9 +134,10 @@ def nfdr_scalar(kind: str, alpha: float, x: int, n: int, weight: float) -> float
 
     The plug-in is min(alpha n / x, 1) with 1 at x = 0.  The corrected
     estimate is min(alpha / median, 1) with the median from
-    ``bisection_quantile``, and 1 where no unique median exists: the
-    significance function is constant or 1/2 lies outside its range.  The
-    mean is ``mean_exact_scalar``.
+    ``bisection_quantile`` at C in {0, 1} and ``quantile_mp`` otherwise, and 1
+    where no unique median exists: the significance function is constant or
+    1/2 lies outside its range, or the median is the atom at 0.  The mean is
+    ``mean_exact_scalar``.
     """
     if kind == "mle":
         return 1.0 if x == 0 else min(alpha * n / x, 1.0)
@@ -146,7 +147,11 @@ def nfdr_scalar(kind: str, alpha: float, x: int, n: int, weight: float) -> float
     high = 1.0 if x < n else weight
     if low == high or not low <= 0.5 <= high:
         return 1.0
-    return min(alpha / float(bisection_quantile(n, x, weight, 0.5)[0]), 1.0)
+    if weight in (0.0, 1.0):
+        median = float(bisection_quantile(n, x, weight, 0.5)[0])
+    else:
+        median = quantile_mp(n, x, weight, 0.5)
+    return 1.0 if median == 0.0 else min(alpha / median, 1.0)
 
 
 def coverage_scalar(trials: int, alpha: float, pi: float, estimate) -> float:
@@ -214,6 +219,120 @@ def bisection_quantile(trials, x, weight, u):
     low = np.where(x == 0, weight, 0.0)
     high = np.where(x < trials, 1.0, weight)
     return np.where(u < low, 0.0, np.where(u > high, 1.0, 0.5 * (lo + hi)))
+
+
+def _sides_mp(trials: int, x: int, weight, pi):
+    """(Pr(X > x) + C Pr(X = x), Pr(X < x) + (1 - C) Pr(X = x), Pr(X = x)) at
+    ``pi``, in mpmath.
+
+    The binomial coefficient is exact.  The side away from the mean is summed
+    term by term, stepped by the ratio of neighbouring masses, and the other
+    side is 1 less it, so both keep their relative precision.
+    """
+    q = 1 - pi
+    mass = mpmath.binomial(trials, x) * pi**x * q ** (trials - x)
+    negligible = mpmath.mpf(2) ** -(mpmath.mp.prec + 10)
+    total, term, k = mpmath.mpf(0), mass, x
+    if x >= trials * pi:
+        while k < trials:
+            term = term * (trials - k) / (k + 1) * pi / q
+            k += 1
+            total += term
+            if k > (trials + 1) * pi and term < total * negligible:
+                break
+        above = total
+        below = 1 - above - mass
+    else:
+        while k > 0:
+            term = term * k / (trials - k + 1) * q / pi
+            k -= 1
+            total += term
+            if term < total * negligible:
+                break
+        below = total
+        above = 1 - below - mass
+    return above + weight * mass, below + (1 - weight) * mass, mass
+
+
+def quantile_mp(trials: int, x: int, weight: float, u: float) -> float:
+    """The pi at which Pr(X > x; pi) + weight * Pr(X = x; pi) = u, in mpmath.
+
+    The atoms follow the package's inverse: u below the attainable range
+    gives 0, u above it 1, and a constant curve (x = 0 with weight 1, x = N
+    with weight 0) its atom.  At x = N the curve is C pi**N and at x = 0 it
+    is 1 - (1 - C)(1 - pi)**N, whose roots are taken in closed form at 40
+    digits.  Elsewhere Newton's method with a bisection safeguard solves
+    log Pr(X > x) + C Pr(X = x) = log u in log pi when u <= 1/2, and
+    log Pr(X < x) + (1 - C) Pr(X = x) = log(1 - u) in log(1 - pi) otherwise,
+    each side summed by ``_sides_mp`` at 40 digits.  It stops after taking a
+    step below 1e-12 in that log, which leaves the root within about 1e-24
+    of itself (the error after a Newton step is about the square of the
+    step); the result is the root rounded to a double.
+    """
+    low = weight if x == 0 else 0.0
+    high = weight if x == trials else 1.0
+    if u < low or low == 1.0:
+        return 0.0
+    if u > high or high == 0.0:
+        return 1.0
+    with mpmath.workdps(40):
+        c, level = mpmath.mpf(weight), mpmath.mpf(u)
+        if x == trials:
+            return float((level / c) ** (mpmath.mpf(1) / trials))
+        if x == 0:
+            return float(1 - ((1 - level) / (1 - c)) ** (mpmath.mpf(1) / trials))
+        if u in (0.0, 1.0):
+            return u
+        lower_half = u <= 0.5
+        target = mpmath.log(level if lower_half else 1 - level)
+
+        def variable(pi):
+            return mpmath.log(pi if lower_half else 1 - pi)
+
+        def excess(t):
+            """The log-side less its target, and its derivative in t."""
+            e = mpmath.exp(t)
+            pi = e if lower_half else 1 - e
+            above, below, mass = _sides_mp(trials, x, c, pi)
+            density = mass * ((1 - c) * (trials - x) / (1 - pi) + c * x / pi)
+            side = above if lower_half else below
+            return mpmath.log(side) - target, e * density / side
+
+        # The root lies between the quantiles of the two Beta components,
+        # which bracket the search (widened by 1e-8 of themselves) when
+        # SciPy's betaincinv places them so, and its start is their average
+        # weighted like the mixture; else the bracket is found by doubling.
+        # t runs over (-inf, 0]: the side is 1 at t = 0 and falls to 0 as t
+        # falls.
+        ends = [
+            variable(mpmath.mpf(float(special.betaincinv(x + k, trials - x + 1 - k, u))))
+            for k in (0, 1)
+        ]
+        pad = mpmath.mpf(10) ** -8
+        left, right = min(ends) * (1 + pad) - pad, max(ends) * (1 - pad)
+        finite = all(mpmath.isfinite(end) for end in ends)
+        if finite and right < 0 and excess(left)[0] <= 0 <= excess(right)[0]:
+            t = min(max(c * ends[0] + (1 - c) * ends[1], left), right)
+        else:
+            left, right = mpmath.mpf(-1), mpmath.mpf(0)
+            while excess(left)[0] > 0:
+                left, right = 2 * left, left
+            t = (left + right) / 2
+        for _ in range(200):
+            value, slope = excess(t)
+            step = value / slope
+            if abs(step) < mpmath.mpf(10) ** -12:
+                t -= step
+                break
+            if value > 0:
+                right = t
+            else:
+                left = t
+            t = t - step if left < t - step < right else (left + right) / 2
+        else:
+            raise RuntimeError(f"no root found (N={trials}, x={x}, C={weight}, u={u})")
+        e = mpmath.exp(t)
+        return float(e if lower_half else 1 - e)
 
 
 def significance_mp(trials: int, x: int, weight: float, pi: float, log_coef: float):

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 import signal
 import subprocess
@@ -398,6 +399,23 @@ class TestCoverageExactCommand:
             signal.signal(signal.SIGALRM, previous)
         assert (code, out) == (2, "")
         assert err.startswith("smallfdr: error: --pi-grid")
+
+    def test_range_stops_at_its_rounded_stop(self, capsys):
+        # 6e-13 rounds to 1e-12, past the stop 0, so only 0 is kept
+        code, out, _ = run(
+            ["coverage-exact", "--n", "1", "--alpha-grid", "0.5", "--pi-grid", "0:0:6e-13"], capsys
+        )
+        assert (code, out) == (0, "alpha,pi,coverage\n0.5,0,\n")
+        assert smallfdr.cli._parse_grid("0.5:0.5:6e-13", "--pi-grid") == [0.5]
+
+    def test_negative_zero_grid_value_is_zero(self, capsys):
+        code, out, _ = run(
+            ["coverage-exact", "--n", "1", "--alpha-grid", "0.5", "--pi-grid=-0,0.5"], capsys
+        )
+        assert (code, out) == (0, "alpha,pi,coverage\n0.5,0,\n0.5,0.5,1\n")
+        for grid in ("-0", "-0.0,1", "-0:0.5:0.5"):
+            first = smallfdr.cli._parse_grid(grid, "--pi-grid")[0]
+            assert first == 0.0 and math.copysign(1.0, first) == 1.0
 
     @pytest.mark.parametrize("grid, values", [
         ("0.05:1.0:0.05", [round(0.05 * k, 12) for k in range(1, 21)]),

@@ -15,11 +15,11 @@ from smallfdr import (
     sample_parameter,
     significance,
 )
-from smallfdr import _special
-from smallfdr.confidence import _Curve, _margin, _quantile
+from smallfdr import _special, confidence
+from smallfdr.confidence import _Curve, _margin, _quantile, _range
 from smallfdr.distributions import _log_binomial_coef
 
-from oracles import bisection_quantile, significance_mp
+from oracles import bisection_quantile, quantile_mp, significance_mp
 
 
 def brute_tail(n, pi, x, inclusive):
@@ -276,9 +276,26 @@ def _varying_curve(draw):
     return n, x, weight
 
 
+def _relative_error(got, want):
+    return np.abs(got - want) / np.where(want > 0.0, want, 1.0)
+
+
+def _mp_roots(n, x, weight, u):
+    """``quantile_mp`` over broadcast (x, u)."""
+    x, u = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(u, dtype=float))
+    return np.array(
+        [quantile_mp(n, int(xi), weight, float(ui)) for xi, ui in zip(x.ravel(), u.ravel())]
+    ).reshape(x.shape)
+
+
+_TINY = np.finfo(float).tiny
+
+
 class TestQuantileMatchesBisection:
-    # the warm-started solver must give the plain bisection's bits everywhere
-    # except on constant curves, which have no root
+    # For C in {0, 1} the solver must give the plain bisection's bits
+    # everywhere except on constant curves, which have no root.  For C in
+    # (0, 1) it gives the root itself: these cases are held to the mpmath
+    # root at 1e-14 of its size (normal u) instead.
 
     # 1e-9, 1e-3, 0.999 and 1 - 1e-9 sit next to the atoms of C, where a Beta
     # parameter of the start for C in (0, 1), C at x = N or 1 - C at x = 0,
@@ -292,6 +309,9 @@ class TestQuantileMatchesBisection:
         edges = [0.0, 5e-324, 2.0**-53, 0.5, weight, 1.0 - 2.0**-53, 1.0]
         for n in (1, 2, 3, 5, 8, 13, 32, 100, 317, 1000):
             xs = np.arange(n + 1)
+            if weight not in (0.0, 1.0) and n > 32:
+                # the mpmath roots cost milliseconds each: both ends and a sample
+                xs = np.unique(np.r_[0:2, n - 1 : n + 1, rng.integers(0, n + 1, 6)])
             u = np.hstack(
                 [
                     np.tile(edges, (xs.size, 1)),
@@ -300,9 +320,15 @@ class TestQuantileMatchesBisection:
                 ]
             )
             got = _quantile(n, xs[:, None], weight, u)
-            want = bisection_quantile(n, xs[:, None], weight, u)
             varies = ~_constant_curve(n, xs, weight)
-            assert np.array_equal(got[varies], want[varies])
+            if weight in (0.0, 1.0):
+                want = bisection_quantile(n, xs[:, None], weight, u)
+                assert np.array_equal(got[varies], want[varies])
+            else:
+                want = _mp_roots(n, xs[:, None], weight, u)
+                normal = varies[:, None] & ((u == 0.0) | (u >= _TINY))
+                assert np.all(np.isfinite(got))
+                assert _relative_error(got, want)[normal].max() <= 1e-14, (n, weight)
 
     @pytest.mark.parametrize("weight", [0.0, 0.3, 0.5, 1.0])
     def test_medians_up_to_large_n(self, weight):
@@ -310,8 +336,14 @@ class TestQuantileMatchesBisection:
             xs = np.arange(0, n + 1, step)
             varies = ~_constant_curve(n, xs, weight)
             got = _quantile(n, xs, weight, 0.5)
-            want = bisection_quantile(n, xs, weight, 0.5)
-            assert np.array_equal(got[varies], want[varies])
+            if weight in (0.0, 1.0):
+                want = bisection_quantile(n, xs, weight, 0.5)
+                assert np.array_equal(got[varies], want[varies])
+            else:
+                # mpmath sums thousands of terms per root here: a sample of x
+                pick = np.r_[0:3, n // 100, n // 3, n // 2, n - 1, n] // step
+                want = _mp_roots(n, xs[pick], weight, 0.5)
+                assert _relative_error(got[pick], want).max() <= 1e-14, n
 
     def test_constant_curves_return_their_atom(self):
         # x = 0 with C = 1 is the atom at 0, x = N with C = 0 the atom at 1,
@@ -324,63 +356,163 @@ class TestQuantileMatchesBisection:
     @pytest.mark.parametrize("n", [1, 5])
     def test_subnormal_weight_at_x_equal_n(self, n, weight):
         # at x = N a Beta parameter of the normal start is the weight itself,
-        # whose digamma overflows; the closed form there needs no start
+        # whose digamma overflows; the closed form there needs no start.  At
+        # u = C the root is 1 (the bisection gave 0.5000000000004547 at N = 1
+        # and C = 5e-324, where C pi rounds to 0 below pi = 1/2).
         levels = np.array([0.0, weight / 2.0, weight])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _quantile(n, n, weight, levels)
             assert inverse_significance(ConfidenceDistribution(n, n, weight), 0.0) == got[0]
-        assert np.array_equal(got, bisection_quantile(n, n, weight, levels))
+        assert got[0] == 0.0 and got[2] == 1.0
+        want = _mp_roots(n, n, weight, levels)
+        assert _relative_error(got, want).max() <= 1e-14
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data(), u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
     def test_property_random_curves(self, data, u):
         n, x, weight = data.draw(_varying_curve())
         u = np.asarray(u)
-        assert np.array_equal(_quantile(n, x, weight, u), bisection_quantile(n, x, weight, u))
+        got = _quantile(n, x, weight, u)
+        if weight in (0.0, 1.0):
+            assert np.array_equal(got, bisection_quantile(n, x, weight, u))
+        else:
+            _assert_root(n, x, weight, u, got)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data(), level=st.integers(1, 40))
     def test_property_roots_on_dyadic_points(self, data, level):
-        # u is the computed curve at k / 2**level, so the root is a bisection
-        # midpoint whose comparison is a tie, decided only by evaluating there
+        # u is the computed curve at k / 2**level, so for C in {0, 1} the
+        # root is a bisection midpoint whose comparison is a tie, decided
+        # only by evaluating there
         n, x, weight = data.draw(_varying_curve())
         k = data.draw(st.integers(0, 2 ** (level - 1) - 1)) * 2 + 1
         u = _Curve(n, np.array([float(x)]), weight)(np.array([k / 2.0**level]))
-        assert np.array_equal(_quantile(n, x, weight, u), bisection_quantile(n, x, weight, u))
+        got = _quantile(n, x, weight, u)
+        if weight in (0.0, 1.0):
+            assert np.array_equal(got, bisection_quantile(n, x, weight, u))
+        else:
+            _assert_root(n, x, weight, u, got)
+
+
+def _assert_root(n, x, weight, u, got):
+    """``got`` is the mpmath root within 1e-14 of itself at normal u, and at
+    subnormal u finite and no farther from it than the bisection's midpoint."""
+    want = _mp_roots(n, x, weight, u)
+    error = np.abs(got - want)
+    normal = (u == 0.0) | (u >= _TINY)
+    assert np.all(np.isfinite(got))
+    assert np.all(error[normal] <= 1e-14 * want[normal]), (n, x, weight, u)
+    bisection = np.abs(bisection_quantile(n, x, weight, u) - want)
+    assert np.all(error[~normal] <= bisection[~normal]), (n, x, weight, u)
+
+
+class TestQuantileAccuracy:
+    """For 0 < C < 1 the inverse is the root itself, to 1e-14 of its size."""
+
+    @pytest.mark.parametrize("weight", [1e-9, 0.3, 0.5, 1.0 - 1e-9])
+    def test_relative_error_over_every_x(self, weight):
+        # every x for N <= 100 and both ends plus a sample of x above, each
+        # with a uniform level, one down to 1e-300 of the bottom of the range
+        # and one down to 2**-53 of its top
+        rng = np.random.default_rng(71)
+        for n in (1, 2, 3, 5, 8, 13, 32, 100, 317, 1000):
+            xs = np.arange(n + 1)
+            if n > 100:
+                xs = np.unique(np.r_[0:6, n - 5 : n + 1, rng.integers(0, n + 1, 24)])
+            low = np.where(xs == 0, weight, 0.0)[:, None]
+            high = np.where(xs == n, weight, 1.0)[:, None]
+            shares = np.hstack(
+                [
+                    rng.random((xs.size, 1)),
+                    10.0 ** -rng.uniform(0, 300, (xs.size, 1)),
+                    1.0 - 2.0 ** -rng.uniform(1, 53, (xs.size, 1)),
+                ]
+            )
+            u = low + (high - low) * shares
+            got = _quantile(n, xs[:, None], weight, u)
+            want = _mp_roots(n, xs[:, None], weight, u)
+            assert _relative_error(got, want).max() <= 1e-14, (n, weight)
+
+    @pytest.mark.parametrize(
+        "n, x, weight, u",
+        # far lower tails, where a plain Halley loop in pi ran into its step
+        # cap or the bisection's 2**-41 exceeded the root
+        [(100, 50, 0.3, 1e-300), (1000, 1, 0.5, 1e-200), (2, 1, 0.5, 6.17e-14),
+         (3, 2, 0.5, 6e-15), (317, 289, 1e-9, 1.6e-284), (13, 1, 1e-9, 1.4e-143),
+         # betainc is off by 1e-7 here, its value 1.7e-256
+         (1000, 966, 0.5, 2.962086482353518e-256)],
+    )
+    def test_far_tails(self, n, x, weight, u):
+        got = _quantile(n, x, weight, u)
+        assert _relative_error(got, quantile_mp(n, x, weight, u))[0] <= 1e-14
+
+    @pytest.mark.parametrize(
+        "n, x, weight, u",
+        # the root of (13, 5, 1/2, 5e-324) is 6e-66; the bisection gave 2**-41
+        [(13, 5, 0.5, 5e-324), (1000, 500, 0.5, 5e-324), (1000, 1, 1e-9, 1e-320),
+         (3, 3, 0.3, 5e-324), (1, 1, 5e-324, 5e-324), (100, 50, 0.3, 1e-315)],
+    )
+    def test_subnormal_levels(self, n, x, weight, u):
+        _assert_root(n, x, weight, np.array([u]), _quantile(n, x, weight, u))
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data(), u=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6))
+    def test_monotone_in_u_and_round_trip(self, data, u):
+        n, x, weight = data.draw(_varying_curve())
+        assume(0.0 < weight < 1.0)
+        u = np.sort(np.asarray(u))
+        got = _quantile(n, x, weight, u)
+        # nondecreasing, up to the contract's relative error
+        assert np.all(got[1:] >= got[:-1] * (1.0 - 2e-14))
+        low, high = _range(n, x, weight)
+        inside = (u > low) & (u < high) & (got > 0.0) & (got < 1.0)
+        back = _Curve(n, np.full(inside.sum(), float(x)), weight)(got[inside])
+        assert np.allclose(back, u[inside], rtol=1e-9, atol=1e-300)
 
 
 def _evaluated_points(monkeypatch):
-    """Every pi at which the significance curve is evaluated, one array per call."""
+    """Every pi at which the significance curve is evaluated, one array per
+    call: ``_Curve.terms`` for C in {0, 1}, ``_log_excess`` for 0 < C < 1."""
     points = []
-    terms = _Curve.terms
+    terms, log_excess = _Curve.terms, confidence._log_excess
 
     def counted(self, pi):
         points.append(np.array(pi))
         return terms(self, pi)
 
+    def counted_excess(trials, x, weight, pi, *rest):
+        points.append(np.array(pi))
+        return log_excess(trials, x, weight, pi, *rest)
+
     monkeypatch.setattr(_Curve, "terms", counted)
+    monkeypatch.setattr(confidence, "_log_excess", counted_excess)
     return points
 
 
 class TestSolverWork:
     def test_exact_starts_run_no_newton(self, monkeypatch):
-        # The Beta quantile at C in {0, 1} and the closed forms at x = 0 and
-        # x = N for C in (0, 1) are the root, so the curve is evaluated only
-        # at the two bracket ends and at the few midpoints between them; at
-        # this N one Halley evaluation per element would exceed 3.
+        # The Beta quantile at C in {0, 1} is the root, so the curve is
+        # evaluated only at the two bracket ends and at the few midpoints
+        # between them; at this N one Halley evaluation per element would
+        # exceed 3.  The closed forms at x = 0 and x = N for C in (0, 1)
+        # evaluate nothing.
         points = _evaluated_points(monkeypatch)
         u = np.random.default_rng(41).random(50)
         n = 20_000
         xs = np.unique(np.linspace(0, n, 60).astype(int))
-        cases = [(0.0, xs[xs < n], u), (1.0, xs[xs > 0], u)]
-        for c in (0.3, 0.5):
-            cases += [(c, np.array([0]), c + (1.0 - c) * u), (c, np.array([n]), c * u)]
-        for weight, x, levels in cases:
+        for weight, x in ((0.0, xs[xs < n]), (1.0, xs[xs > 0])):
             points.clear()
-            got = _quantile(n, x[:, None], weight, levels)
+            got = _quantile(n, x[:, None], weight, u)
             assert sum(p.size for p in points) <= 3 * got.size
-            assert np.array_equal(got, bisection_quantile(n, x[:, None], weight, levels))
+            assert np.array_equal(got, bisection_quantile(n, x[:, None], weight, u))
+        for c in (0.3, 0.5):
+            for x, levels in ((0, c + (1.0 - c) * u), (n, c * u)):
+                points.clear()
+                got = _quantile(n, x, c, levels)
+                assert sum(p.size for p in points) == 0
+                want = _mp_roots(n, x, c, levels[:5])
+                assert _relative_error(got[:5], want).max() <= 1e-14
 
     def test_corrected_medians_take_few_evaluations(self, monkeypatch):
         # the medians of lfdr's corrected estimator, x = 2r, at N = 20 000
@@ -395,7 +527,7 @@ class TestSolverWork:
         n, draws = 500, 100
         u = np.random.default_rng(43).random((n // 2, draws))
         got = _quantile(n, 2 * np.arange(1, n // 2 + 1)[:, None], 0.5, u)
-        assert sum(p.size for p in points) <= 6.5 * got.size
+        assert sum(p.size for p in points) <= 3 * got.size
 
     def test_simulation_grid_draws_take_few_evaluations(self, monkeypatch):
         # the Monte Carlo draws of the default simulate grid: x = 2r for each
@@ -405,7 +537,20 @@ class TestSolverWork:
         for n in (2, 4, 8, 16, 32):
             u = np.random.default_rng(44).random((n // 2, 100))
             total += _quantile(n, 2 * np.arange(1, n // 2 + 1)[:, None], 0.5, u).size
-        assert sum(p.size for p in points) <= 5 * total
+        assert sum(p.size for p in points) <= 3 * total
+
+    @pytest.mark.parametrize(
+        "n, x, weight, u",
+        # far tails, where a plain Halley loop in pi needed 100 steps and the
+        # bisection certificate 30-50 evaluations
+        [(100, 50, 0.3, 1e-300), (1000, 1, 0.5, 1e-200), (13, 5, 0.5, 5e-324),
+         (3, 2, 0.5, 6e-15), (317, 289, 1e-9, 1.6e-284), (13, 1, 1e-9, 1.4e-143),
+         (1000, 1, 1e-9, 1e-320), (50, 3, 0.5, 1.0 - 2.0**-52), (8, 0, 1.0 - 1e-9, 1.0 - 1e-9)],
+    )
+    def test_far_tails_take_few_evaluations(self, monkeypatch, n, x, weight, u):
+        points = _evaluated_points(monkeypatch)
+        _quantile(n, x, weight, u)
+        assert sum(p.size for p in points) <= 4
 
     def test_fractional_weight_calls_no_beta_inverse(self, monkeypatch):
         def refuse(*args):
@@ -413,10 +558,11 @@ class TestSolverWork:
 
         # the module the kernels call through, which keeps what it fetched
         monkeypatch.setattr(_special, "betaincinv", refuse)
-        u = np.random.default_rng(42).random((14, 20))
+        u = np.random.default_rng(42).random((14, 6))
         for weight in (1e-9, 0.3, 0.5, 1.0 - 1e-9):
             got = _quantile(13, np.arange(14)[:, None], weight, u)
-            assert np.array_equal(got, bisection_quantile(13, np.arange(14)[:, None], weight, u))
+            want = _mp_roots(13, np.arange(14)[:, None], weight, u)
+            assert _relative_error(got, want).max() <= 1e-14
 
     @pytest.mark.parametrize(
         "n, x, weight, u",
@@ -424,25 +570,30 @@ class TestSolverWork:
         # with C = 1 and x = (N - 1)/2 with C = 0
         [(n, (n + 1) // 2, 1.0, 0.5) for n in (1, 3, 5, 7, 11, 19)]
         + [(n, (n - 1) // 2, 0.0, 0.5) for n in (1, 3, 5, 7, 11, 19)]
-        # u = C at x = N (root 1) and at x = 0 (root 0), C in (0, 1); at x = 0
-        # with C near 1 the curve is so flat that the certified bracket is
-        # about 0.04 / N wide and some 30 midpoints inside it are evaluated
+        # u = C at x = N (root 1) and at x = 0 (root 0), C in (0, 1): the
+        # closed forms give them exactly, with no evaluation
         + [(n, n, c, c) for n in (1, 2, 8, 100) for c in (1e-9, 0.3, 0.5, 1.0 - 1e-9)]
         + [(n, 0, c, c) for n in (1, 2, 8, 100) for c in (1e-9, 0.3, 0.5)]
-        # u = 0 at x > 0: the root is 0, where the density is 0 as well, and
-        # no midpoint compares below u (the bisection result is 2**-41); these
-        # take at most 3 evaluations
+        # u = 0 at x > 0: the root is 0, where the density is 0 as well; for
+        # C in {0, 1} no midpoint compares below u (the bisection result is
+        # 2**-41) and these take at most 3 evaluations, for C in (0, 1) the
+        # root is exactly 0 with none
         + [(8, 3, c, 0.0) for c in (0.0, 0.5, 1.0)] + [(8, 8, 0.5, 0.0)],
     )
     def test_roots_on_the_bisection_grid_are_certified(self, monkeypatch, n, x, weight, u):
         points = _evaluated_points(monkeypatch)
         got = _quantile(n, x, weight, u)
-        assert sum(p.size for p in points) <= (3 if u == 0.0 else 12)
-        assert np.array_equal(got, bisection_quantile(n, x, weight, u))
+        evaluations = sum(p.size for p in points)
+        if weight in (0.0, 1.0):
+            assert evaluations <= (3 if u == 0.0 else 12)
+            assert np.array_equal(got, bisection_quantile(n, x, weight, u))
+        else:
+            assert evaluations == 0
+            assert got[0] == (1.0 if x == n and u == weight else 0.0)
 
     def test_margin_covers_rounding(self):
-        # The bracket check needs the curve's rounding that varies with pi to
-        # stay within half the margin; ask for a sixteenth, at roots of u
+        # The bracket check of the C in {0, 1} solver needs the curve's
+        # rounding that varies with pi to stay within half the margin; ask for a sixteenth, at roots of u
         # across the range and down to 1e-200 of either end, and 1e-9 below
         # them.  The binomial coefficient's rounding is shared by every pi of
         # one x (it scales the mass term and leaves the curve monotone), so
@@ -451,7 +602,7 @@ class TestSolverWork:
         for n in (1, 2, 3, 5, 8, 13, 20, 32, 64, 128, 317, 1000, 2000):
             for x in sorted({0, 1, 2, n // 3, n // 2, n - 1, n} & set(range(n + 1))):
                 log_coef = float(_log_binomial_coef(n, x))
-                for weight in (0.0, 0.3, 0.5, 1.0):
+                for weight in (0.0, 1.0):
                     if _constant_curve(n, x, weight):
                         continue
                     curve = _Curve(n, np.array([float(x)]), weight)
