@@ -31,6 +31,7 @@ from .ingest import (
 from .lfdr import bh_lfdr_link, lfdr_estimates
 from .nfdr import KIND_CORRECTED, KIND_MEAN, KIND_MLE, NumericFailure
 from .simulate import (
+    MAX_EXACT_TRIALS,
     POOLING_PER_REPLICATE,
     POOLING_POOLED,
     SimulationConfig,
@@ -444,8 +445,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "coverage-exact", parents=[output],
         help="exact small-N probability of reaching the bound",
     )
-    p_cov.add_argument("--n", type=int, required=True, choices=range(1, 6),
-                       help="number of hypotheses (1..5)")
+    p_cov.add_argument("--n", type=int, required=True, choices=range(1, MAX_EXACT_TRIALS + 1),
+                       help=f"number of hypotheses (1..{MAX_EXACT_TRIALS})")
     p_cov.add_argument("--alpha-grid", default="0.01,0.05,0.1,0.2,0.3,0.5")
     p_cov.add_argument("--pi-grid", default="0.05:1.0:0.05")
     p_cov.add_argument(

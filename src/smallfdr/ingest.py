@@ -173,10 +173,11 @@ def _csv_rows(text: str) -> list[list[str]]:
 def _read_table(path, expected: str) -> tuple[list[str], list[list[str]] | None]:
     """The header cells of a csv table and the columns below them, the first
     column (the row labels) stripped; the columns are None when rows differ in
-    width, and a file with no rows, which should start with ``expected``,
-    raises.  A plain file (no quote, NUL or lone carriage return, as many
-    commas on every line as on the first, no blank label) is split at its
-    commas and line ends without per-line work, as the csv module would."""
+    width or a value cell holds an underscore, and a file with no rows, which
+    should start with ``expected``, raises.  A plain file (no quote, NUL or
+    lone carriage return, as many commas on every line as on the first, no
+    blank label) is split at its commas and line ends without per-line work,
+    as the csv module would."""
     raw, text = _read_text(path)
     if not text.endswith("\n"):  # end the last line, as the csv module does
         raw, text = raw + b"\n", text + "\n"
@@ -203,7 +204,17 @@ def _read_table(path, expected: str) -> tuple[list[str], list[list[str]] | None]
             return header, None
         cells = [cell for row in rows for cell in row]
         labels = list(map(str.strip, cells[width::width]))
-    return header, [labels] + [cells[width + j :: width] for j in range(1, width)]
+    values = [cells[width + j :: width] for j in range(1, width)]
+    if b"_" in raw and any("_" in cell for column in values for cell in column):
+        return header, None  # a cell that _number refuses, named row by row
+    return header, [labels] + values
+
+
+def _number(cell: str) -> float:
+    """``float(cell)``, refusing the digit-group underscores that float takes."""
+    if "_" in cell:
+        raise ValueError(f"underscore in {cell!r}")
+    return float(cell)
 
 
 def _first_bad_line(path, label_name: str, cell_fault) -> TableFormatError:
@@ -229,7 +240,7 @@ def _first_bad_line(path, label_name: str, cell_fault) -> TableFormatError:
 def _abundance_fault(row: list[str]) -> str | None:
     for j, cell in enumerate(row[1:], start=2):
         try:
-            value = float(cell)
+            value = _number(cell)
         except ValueError:
             return f", column {j}: non-numeric value {cell!r}"
         if not math.isfinite(value):
@@ -273,7 +284,7 @@ def load_abundance_csv(path) -> AbundanceMatrix:
 
 def _pvalue_fault(row: list[str]) -> str | None:
     try:
-        p = float(row[1])
+        p = _number(row[1])
     except ValueError:
         return f": non-numeric p-value {row[1]!r}"
     return None if 0.0 <= p <= 1.0 else f": p-value {p} outside [0, 1]"

@@ -32,6 +32,9 @@ from .nfdr import corrected_nfdr, mean_nfdr, mle_nfdr  # noqa: F401
 DEFAULT_PI0_GRID = (0.5, 0.75, 0.9, 1.0)
 DEFAULT_N_GRID = (2, 4, 8, 16, 32)
 
+# the largest number of tests that exact_small_n_coverage enumerates
+MAX_EXACT_TRIALS = 5
+
 POOLING_POOLED = "pooled"
 POOLING_PER_REPLICATE = "per_replicate"
 
@@ -191,7 +194,7 @@ def exact_small_n_coverage(
     computed once per alpha and the binomial masses once per pi, and the
     masses are added in order of x, as an element-by-element loop would.
     """
-    trials = _check_count("trials", trials, 1, 5)
+    trials = _check_count("trials", trials, 1, MAX_EXACT_TRIALS)
     alpha = np.asarray(alpha, dtype=float)
     pi = np.asarray(pi, dtype=float)
     bad = ~((alpha > 0.0) & (alpha <= 1.0))

@@ -129,7 +129,7 @@ def mean_exact_scalar(alpha: float, x: int, n: int, c: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def nfdr_scalar(kind: str, alpha: float, x: int, n: int, weight: float) -> float:
+def nfdr_scalar(kind: str, alpha: float, x: int, n: int, weight: float, mpmath_only=False) -> float:
     """One-count estimate of ``kind`` ("mle", "corrected_median", "posterior_mean").
 
     The plug-in is min(alpha n / x, 1) with 1 at x = 0.  The corrected
@@ -137,17 +137,21 @@ def nfdr_scalar(kind: str, alpha: float, x: int, n: int, weight: float) -> float
     ``bisection_quantile`` at C in {0, 1} and ``quantile_mp`` otherwise, and 1
     where no unique median exists: the significance function is constant or
     1/2 lies outside its range, or the median is the atom at 0.  The mean is
-    ``mean_exact_scalar``.
+    ``mean_exact_scalar``.  With ``mpmath_only`` the median is ``quantile_mp``
+    at every C and the mean ``mean_capped_ratio_mp``, so that no estimate
+    shares the package's arithmetic.
     """
     if kind == "mle":
         return 1.0 if x == 0 else min(alpha * n / x, 1.0)
     if kind == "posterior_mean":
+        if mpmath_only:
+            return mean_capped_ratio_mp(alpha, x, n, weight)
         return mean_exact_scalar(alpha, x, n, weight)
     low = weight if x == 0 else 0.0
     high = 1.0 if x < n else weight
     if low == high or not low <= 0.5 <= high:
         return 1.0
-    if weight in (0.0, 1.0):
+    if weight in (0.0, 1.0) and not mpmath_only:
         median = float(bisection_quantile(n, x, weight, 0.5)[0])
     else:
         median = quantile_mp(n, x, weight, 0.5)
@@ -234,17 +238,19 @@ def _sides_mp(trials: int, x: int, weight, pi):
     negligible = mpmath.mpf(2) ** -(mpmath.mp.prec + 10)
     total, term, k = mpmath.mpf(0), mass, x
     if x >= trials * pi:
+        odds, mode = pi / q, (trials + 1) * pi
         while k < trials:
-            term = term * (trials - k) / (k + 1) * pi / q
+            term = term * odds * (trials - k) / (k + 1)
             k += 1
             total += term
-            if k > (trials + 1) * pi and term < total * negligible:
+            if k > mode and term < total * negligible:
                 break
         above = total
         below = 1 - above - mass
     else:
+        odds = q / pi
         while k > 0:
-            term = term * k / (trials - k + 1) * q / pi
+            term = term * odds * k / (trials - k + 1)
             k -= 1
             total += term
             if term < total * negligible:
@@ -280,7 +286,8 @@ def quantile_mp(trials: int, x: int, weight: float, u: float) -> float:
         if x == trials:
             return float((level / c) ** (mpmath.mpf(1) / trials))
         if x == 0:
-            return float(1 - ((1 - level) / (1 - c)) ** (mpmath.mpf(1) / trials))
+            # log1p and expm1 keep a root far below the working precision
+            return float(-mpmath.expm1((mpmath.log1p(-level) - mpmath.log1p(-c)) / trials))
         if u in (0.0, 1.0):
             return u
         lower_half = u <= 0.5
@@ -298,28 +305,31 @@ def quantile_mp(trials: int, x: int, weight: float, u: float) -> float:
             side = above if lower_half else below
             return mpmath.log(side) - target, e * density / side
 
-        # The root lies between the quantiles of the two Beta components,
-        # which bracket the search (widened by 1e-8 of themselves) when
-        # SciPy's betaincinv places them so, and its start is their average
-        # weighted like the mixture; else the bracket is found by doubling.
-        # t runs over (-inf, 0]: the side is 1 at t = 0 and falls to 0 as t
-        # falls.
+        # The root lies between the quantiles of the two Beta components
+        # (widened by 1e-8 of themselves), as SciPy's betaincinv places
+        # them, and the start is their average weighted like the mixture.
+        # The start's sign says on which side of it the root lies; the end
+        # on that side bounds the search when the excess changes sign there,
+        # else the bracket is found by doubling.  t runs over (-inf, 0]: the
+        # side is 1 at t = 0 and falls to 0 as t falls.
         ends = [
             variable(mpmath.mpf(float(special.betaincinv(x + k, trials - x + 1 - k, u))))
             for k in (0, 1)
         ]
         pad = mpmath.mpf(10) ** -8
         left, right = min(ends) * (1 + pad) - pad, max(ends) * (1 - pad)
-        finite = all(mpmath.isfinite(end) for end in ends)
-        if finite and right < 0 and excess(left)[0] <= 0 <= excess(right)[0]:
+        bracketed = False
+        if all(mpmath.isfinite(end) for end in ends) and right < 0:
             t = min(max(c * ends[0] + (1 - c) * ends[1], left), right)
-        else:
+            value, slope = excess(t)
+            bracketed = excess(left)[0] <= 0 if value > 0 else excess(right)[0] >= 0
+        if not bracketed:
             left, right = mpmath.mpf(-1), mpmath.mpf(0)
             while excess(left)[0] > 0:
                 left, right = 2 * left, left
             t = (left + right) / 2
-        for _ in range(200):
             value, slope = excess(t)
+        for _ in range(200):
             step = value / slope
             if abs(step) < mpmath.mpf(10) ** -12:
                 t -= step
@@ -329,6 +339,7 @@ def quantile_mp(trials: int, x: int, weight: float, u: float) -> float:
             else:
                 left = t
             t = t - step if left < t - step < right else (left + right) / 2
+            value, slope = excess(t)
         else:
             raise RuntimeError(f"no root found (N={trials}, x={x}, C={weight}, u={u})")
         e = mpmath.exp(t)

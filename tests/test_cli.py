@@ -115,6 +115,15 @@ class TestLfdrCommand:
         code, _, err = run(["lfdr", tmp_path / "nope.csv"], capsys)
         assert code == 3
 
+    def test_digit_group_underscore_exit_code(self, tmp_path, capsys):
+        # float would read 0.0_5 as 0.05
+        src = tmp_path / "p.csv"
+        src.write_text("id,p\na,0.0_5\nb,0.5\n")
+        code, out, err = run(["lfdr", src, "--estimator", "mle"], capsys)
+        assert code == 3
+        assert out == ""
+        assert f"{src}, line 2: non-numeric p-value '0.0_5'" in err
+
 
 class TestBhCommand:
     def test_two_rejections(self, tmp_path, capsys):

@@ -16,10 +16,11 @@ from smallfdr import (
     significance,
 )
 from smallfdr import _special, confidence
-from smallfdr.confidence import _Curve, _margin, _quantile, _range
+from smallfdr.confidence import _Curve, _quantile, _range
 from smallfdr.distributions import _log_binomial_coef
 
-from oracles import bisection_quantile, quantile_mp, significance_mp
+import oracles
+from oracles import quantile_mp
 
 
 def brute_tail(n, pi, x, inclusive):
@@ -121,6 +122,13 @@ class TestInverse:
                 continue
             back = inverse_significance(cd, s)
             assert significance(cd, back) == pytest.approx(s, abs=1e-9)
+
+    def test_constant_curves_return_their_atom(self):
+        # x = 0 with C = 1 is the atom at 0, x = N with C = 0 the atom at 1,
+        # whatever the level, including the one value the curve takes
+        levels = np.array([0.0, 0.5, 1.0])
+        assert np.array_equal(_quantile(8, 0, 1.0, levels), np.zeros(3))
+        assert np.array_equal(_quantile(8, 8, 0.0, levels), np.ones(3))
 
     def test_range_errors(self):
         cd = ConfidenceDistribution(3, 3, 0.4)  # range [0, 0.4]
@@ -266,14 +274,50 @@ def _constant_curve(n, x, weight):
     return ((x == 0) & (weight == 1.0)) | ((x == n) & (weight == 0.0))
 
 
+# The weights of the two contracts of the inverse: the bisection's bits for C
+# in {0, 1} and the root itself for 0 < C < 1.
+_BIT_WEIGHTS = st.sampled_from([0.0, 1.0])
+_FRACTIONAL_WEIGHTS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
 @st.composite
-def _varying_curve(draw):
-    """(N, x, C) with N <= 200 whose curve is not constant."""
+def _varying_curve(draw, weights):
+    """(N, x, C) with N <= 200 and C drawn from ``weights``, whose curve is
+    not constant."""
     n = draw(st.integers(1, 200))
     x = draw(st.integers(0, n))
-    weight = draw(st.floats(0.0, 1.0))
+    weight = draw(weights)
     assume(not _constant_curve(n, x, weight))
     return n, x, weight
+
+
+def _curve_at_dyadic_point(data, level, n, x, weight):
+    """The computed curve at an odd k / 2**level: for C in {0, 1} its root is
+    a bisection midpoint whose comparison is a tie, decided only by
+    evaluating there."""
+    k = data.draw(st.integers(0, 2 ** (level - 1) - 1)) * 2 + 1
+    return _Curve(n, np.array([float(x)]), weight)(np.array([k / 2.0**level]))
+
+
+def _edge_level_cases(weight, sample_x):
+    """(N, x, u) for N from 1 to 1000: every x, or above N = 32 with
+    ``sample_x`` both ends and a sample, each at the edge levels, four
+    uniform levels and two down to 1e-15."""
+    rng = np.random.default_rng(31)
+    # at 5e-324, the least subnormal, the Beta quantile is nan
+    edges = [0.0, 5e-324, 2.0**-53, 0.5, weight, 1.0 - 2.0**-53, 1.0]
+    for n in (1, 2, 3, 5, 8, 13, 32, 100, 317, 1000):
+        xs = np.arange(n + 1)
+        if sample_x and n > 32:
+            xs = np.unique(np.r_[0:2, n - 1 : n + 1, rng.integers(0, n + 1, 6)])
+        u = np.hstack(
+            [
+                np.tile(edges, (xs.size, 1)),
+                rng.random((xs.size, 4)),
+                10.0 ** rng.uniform(-15, 0, (xs.size, 2)),
+            ]
+        )
+        yield n, xs, u
 
 
 def _relative_error(got, want):
@@ -288,123 +332,153 @@ def _mp_roots(n, x, weight, u):
     ).reshape(x.shape)
 
 
+def _evaluated_points(monkeypatch):
+    """Every pi at which the significance curve is evaluated, one array per
+    call: ``_Curve.terms`` for C in {0, 1}, ``_log_excess`` for 0 < C < 1."""
+    points = []
+    terms, log_excess = _Curve.terms, confidence._log_excess
+
+    def counted(self, pi):
+        points.append(np.array(pi))
+        return terms(self, pi)
+
+    def counted_excess(trials, x, weight, pi, *rest):
+        points.append(np.array(pi))
+        return log_excess(trials, x, weight, pi, *rest)
+
+    monkeypatch.setattr(_Curve, "terms", counted)
+    monkeypatch.setattr(confidence, "_log_excess", counted_excess)
+    return points
+
+
 _TINY = np.finfo(float).tiny
 
 
 class TestQuantileMatchesBisection:
-    # For C in {0, 1} the solver must give the plain bisection's bits
-    # everywhere except on constant curves, which have no root.  For C in
-    # (0, 1) it gives the root itself: these cases are held to the mpmath
-    # root at 1e-14 of its size (normal u) instead.
+    """For C in {0, 1} the inverse is the plain 40-step bisection's midpoint,
+    bit for bit, everywhere except on constant curves, which have no root.
+    Every check of that contract lives here: its results, the evaluations
+    its certificate takes and the margin the certificate rests on."""
 
-    # 1e-9, 1e-3, 0.999 and 1 - 1e-9 sit next to the atoms of C, where a Beta
-    # parameter of the start for C in (0, 1), C at x = N or 1 - C at x = 0,
-    # nears 0 and the mixture nears one of its components
-    @pytest.mark.parametrize(
-        "weight", [0.0, 1e-9, 1e-3, 0.3, 0.5, 0.999, 1.0 - 1e-9, 1.0]
-    )
+    @pytest.mark.parametrize("weight", [0.0, 1.0])
     def test_every_x_and_edge_levels(self, weight):
-        rng = np.random.default_rng(31)
-        # at 5e-324, the least subnormal, the Beta quantile is nan
-        edges = [0.0, 5e-324, 2.0**-53, 0.5, weight, 1.0 - 2.0**-53, 1.0]
-        for n in (1, 2, 3, 5, 8, 13, 32, 100, 317, 1000):
-            xs = np.arange(n + 1)
-            if weight not in (0.0, 1.0) and n > 32:
-                # the mpmath roots cost milliseconds each: both ends and a sample
-                xs = np.unique(np.r_[0:2, n - 1 : n + 1, rng.integers(0, n + 1, 6)])
-            u = np.hstack(
-                [
-                    np.tile(edges, (xs.size, 1)),
-                    rng.random((xs.size, 4)),
-                    10.0 ** rng.uniform(-15, 0, (xs.size, 2)),
-                ]
-            )
+        for n, xs, u in _edge_level_cases(weight, sample_x=False):
             got = _quantile(n, xs[:, None], weight, u)
+            want = oracles.bisection_quantile(n, xs[:, None], weight, u)
             varies = ~_constant_curve(n, xs, weight)
-            if weight in (0.0, 1.0):
-                want = bisection_quantile(n, xs[:, None], weight, u)
-                assert np.array_equal(got[varies], want[varies])
-            else:
-                want = _mp_roots(n, xs[:, None], weight, u)
-                normal = varies[:, None] & ((u == 0.0) | (u >= _TINY))
-                assert np.all(np.isfinite(got))
-                assert _relative_error(got, want)[normal].max() <= 1e-14, (n, weight)
+            assert np.array_equal(got[varies], want[varies])
 
-    @pytest.mark.parametrize("weight", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("weight", [0.0, 1.0])
     def test_medians_up_to_large_n(self, weight):
         for n, step in ((10_000, 1), (100_000, 7)):
             xs = np.arange(0, n + 1, step)
             varies = ~_constant_curve(n, xs, weight)
             got = _quantile(n, xs, weight, 0.5)
-            if weight in (0.0, 1.0):
-                want = bisection_quantile(n, xs, weight, 0.5)
-                assert np.array_equal(got[varies], want[varies])
-            else:
-                # mpmath sums thousands of terms per root here: a sample of x
-                pick = np.r_[0:3, n // 100, n // 3, n // 2, n - 1, n] // step
-                want = _mp_roots(n, xs[pick], weight, 0.5)
-                assert _relative_error(got[pick], want).max() <= 1e-14, n
-
-    def test_constant_curves_return_their_atom(self):
-        # x = 0 with C = 1 is the atom at 0, x = N with C = 0 the atom at 1,
-        # whatever the level, including the one value the curve takes
-        levels = np.array([0.0, 0.5, 1.0])
-        assert np.array_equal(_quantile(8, 0, 1.0, levels), np.zeros(3))
-        assert np.array_equal(_quantile(8, 8, 0.0, levels), np.ones(3))
-
-    @pytest.mark.parametrize("weight", [5e-324, 2.2e-311, 1e-310])
-    @pytest.mark.parametrize("n", [1, 5])
-    def test_subnormal_weight_at_x_equal_n(self, n, weight):
-        # at x = N a Beta parameter of the normal start is the weight itself,
-        # whose digamma overflows; the closed form there needs no start.  At
-        # u = C the root is 1 (the bisection gave 0.5000000000004547 at N = 1
-        # and C = 5e-324, where C pi rounds to 0 below pi = 1/2).
-        levels = np.array([0.0, weight / 2.0, weight])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = _quantile(n, n, weight, levels)
-            assert inverse_significance(ConfidenceDistribution(n, n, weight), 0.0) == got[0]
-        assert got[0] == 0.0 and got[2] == 1.0
-        want = _mp_roots(n, n, weight, levels)
-        assert _relative_error(got, want).max() <= 1e-14
+            want = oracles.bisection_quantile(n, xs, weight, 0.5)
+            assert np.array_equal(got[varies], want[varies])
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data(), u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
     def test_property_random_curves(self, data, u):
-        n, x, weight = data.draw(_varying_curve())
+        n, x, weight = data.draw(_varying_curve(_BIT_WEIGHTS))
         u = np.asarray(u)
         got = _quantile(n, x, weight, u)
-        if weight in (0.0, 1.0):
-            assert np.array_equal(got, bisection_quantile(n, x, weight, u))
-        else:
-            _assert_root(n, x, weight, u, got)
+        assert np.array_equal(got, oracles.bisection_quantile(n, x, weight, u))
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(data=st.data(), level=st.integers(1, 40))
     def test_property_roots_on_dyadic_points(self, data, level):
-        # u is the computed curve at k / 2**level, so for C in {0, 1} the
-        # root is a bisection midpoint whose comparison is a tie, decided
-        # only by evaluating there
-        n, x, weight = data.draw(_varying_curve())
-        k = data.draw(st.integers(0, 2 ** (level - 1) - 1)) * 2 + 1
-        u = _Curve(n, np.array([float(x)]), weight)(np.array([k / 2.0**level]))
+        n, x, weight = data.draw(_varying_curve(_BIT_WEIGHTS))
+        u = _curve_at_dyadic_point(data, level, n, x, weight)
         got = _quantile(n, x, weight, u)
-        if weight in (0.0, 1.0):
-            assert np.array_equal(got, bisection_quantile(n, x, weight, u))
-        else:
-            _assert_root(n, x, weight, u, got)
+        assert np.array_equal(got, oracles.bisection_quantile(n, x, weight, u))
+
+    def test_exact_starts_run_no_newton(self, monkeypatch):
+        # The Beta quantile is the root, so the curve is evaluated only at
+        # the two bracket ends and at the few midpoints between them; at
+        # this N one Halley evaluation per element would exceed 3.
+        points = _evaluated_points(monkeypatch)
+        u = np.random.default_rng(41).random(50)
+        n = 20_000
+        xs = np.unique(np.linspace(0, n, 60).astype(int))
+        for weight, x in ((0.0, xs[xs < n]), (1.0, xs[xs > 0])):
+            points.clear()
+            got = _quantile(n, x[:, None], weight, u)
+            assert sum(p.size for p in points) <= 3 * got.size
+            assert np.array_equal(got, oracles.bisection_quantile(n, x[:, None], weight, u))
+
+    def test_corrected_medians_take_few_evaluations(self, monkeypatch):
+        # the medians of lfdr's corrected estimator, x = 2r, at N = 20 000
+        points = _evaluated_points(monkeypatch)
+        n = 20_000
+        _quantile(n, 2 * np.arange(1, n // 2 + 1), 1.0, 0.5)
+        assert sum(p.size for p in points) <= 3 * (n // 2)
+
+    @pytest.mark.parametrize(
+        "n, x, weight, u",
+        # roots at the dyadic point 1/2: the symmetric medians, x = (N + 1)/2
+        # with C = 1 and x = (N - 1)/2 with C = 0
+        [(n, (n + 1) // 2, 1.0, 0.5) for n in (1, 3, 5, 7, 11, 19)]
+        + [(n, (n - 1) // 2, 0.0, 0.5) for n in (1, 3, 5, 7, 11, 19)]
+        # u = 0 at x > 0: the root is 0, where the density is 0 as well; no
+        # midpoint compares below u (the bisection result is 2**-41)
+        + [(8, 3, c, 0.0) for c in (0.0, 1.0)],
+    )
+    def test_roots_on_the_bisection_grid_are_certified(self, monkeypatch, n, x, weight, u):
+        points = _evaluated_points(monkeypatch)
+        got = _quantile(n, x, weight, u)
+        assert sum(p.size for p in points) <= (3 if u == 0.0 else 12)
+        assert np.array_equal(got, oracles.bisection_quantile(n, x, weight, u))
+
+    @pytest.mark.parametrize("weight", [0.0, 1.0])
+    def test_margin_covers_rounding(self, weight):
+        # The bracket check needs the curve's rounding that varies with pi to
+        # stay within half the margin; ask for a sixteenth, at roots of u
+        # across the range and down to 1e-200 of either end, and 1e-9 below
+        # them.  The binomial coefficient's rounding is shared by every pi of
+        # one x (it scales the mass term and leaves the curve monotone), so
+        # the reference takes the computed one.
+        levels = np.array([1e-200, 1e-20, 0.01, 0.5, 1.0 - 1e-6])
+        for n in (1, 2, 3, 5, 8, 13, 20, 32, 64, 128, 317, 1000, 2000):
+            for x in sorted({0, 1, 2, n // 3, n // 2, n - 1, n} & set(range(n + 1))):
+                if _constant_curve(n, x, weight):
+                    continue
+                log_coef = float(_log_binomial_coef(n, x))
+                curve = _Curve(n, np.array([float(x)]), weight)
+                low = weight if x == 0 else 0.0
+                high = weight if x == n else 1.0
+                u = low + (high - low) * levels
+                u = u[(u > low) & (u < high)]
+                roots = _quantile(n, x, weight, u)
+                for level, root in zip(u, roots):
+                    bound = confidence._margin(n, level) / 16
+                    for pi in (root, root * (1 - 1e-9)):
+                        if not 0.0 < pi < 1.0:
+                            continue
+                        want = oracles.significance_mp(n, x, weight, pi, log_coef)
+                        got = curve(np.array([pi]))[0]
+                        assert abs(got - want) <= bound * want, (n, x, weight, pi)
+
+
+# At a subnormal u the result is within 1e-13 of the root, relative to it
+# (measured worst 4.7e-14, at (N, x, C, u) = (2, 2, 0.3, 5e-324)), plus 1e-30
+# inside the range, for a root that rounds to 0: the solver reaches it only
+# by halving its bracket (measured worst 1.4e-36, at (32, 1, 0.3, 5e-324)).
+_SUBNORMAL_RELATIVE = 1e-13
+_SUBNORMAL_ABSOLUTE = 1e-30
 
 
 def _assert_root(n, x, weight, u, got):
     """``got`` is the mpmath root within 1e-14 of itself at normal u, and at
-    subnormal u finite and no farther from it than the bisection's midpoint."""
+    subnormal u finite and within the subnormal bound of it; the atoms
+    outside the range are exact."""
     want = _mp_roots(n, x, weight, u)
-    error = np.abs(got - want)
+    low, high = _range(n, x, weight)
+    floor = np.where((u < low) | (u > high), 0.0, _SUBNORMAL_ABSOLUTE)
     normal = (u == 0.0) | (u >= _TINY)
+    bound = np.where(normal, 1e-14 * want, _SUBNORMAL_RELATIVE * want + floor)
     assert np.all(np.isfinite(got))
-    assert np.all(error[normal] <= 1e-14 * want[normal]), (n, x, weight, u)
-    bisection = np.abs(bisection_quantile(n, x, weight, u) - want)
-    assert np.all(error[~normal] <= bisection[~normal]), (n, x, weight, u)
+    assert np.all(np.abs(got - want) <= bound), (n, x, weight, u)
 
 
 class TestQuantileAccuracy:
@@ -434,6 +508,25 @@ class TestQuantileAccuracy:
             want = _mp_roots(n, xs[:, None], weight, u)
             assert _relative_error(got, want).max() <= 1e-14, (n, weight)
 
+    # 1e-9, 1e-3, 0.999 and 1 - 1e-9 sit next to the atoms of C, where a Beta
+    # parameter of the normal start, C at x = N or 1 - C at x = 0, nears 0
+    # and the mixture nears one of its components
+    @pytest.mark.parametrize("weight", [1e-9, 1e-3, 0.3, 0.5, 0.999, 1.0 - 1e-9])
+    def test_every_x_and_edge_levels(self, weight):
+        # the mpmath roots cost milliseconds each: above N = 32 both ends and
+        # a sample of x
+        for n, xs, u in _edge_level_cases(weight, sample_x=True):
+            _assert_root(n, xs[:, None], weight, u, _quantile(n, xs[:, None], weight, u))
+
+    @pytest.mark.parametrize("weight", [0.3, 0.5])
+    def test_medians_up_to_large_n(self, weight):
+        # mpmath sums thousands of terms per root here: a sample of the x of
+        # every x at N = 10**4 and every 7th at N = 10**5
+        for n, step in ((10_000, 1), (100_000, 7)):
+            xs = np.arange(0, n + 1, step)[np.r_[0:3, n // 100, n // 3, n // 2, n - 1, n] // step]
+            got = _quantile(n, xs, weight, 0.5)
+            assert _relative_error(got, _mp_roots(n, xs, weight, 0.5)).max() <= 1e-14, n
+
     @pytest.mark.parametrize(
         "n, x, weight, u",
         # far lower tails, where a plain Halley loop in pi ran into its step
@@ -456,11 +549,40 @@ class TestQuantileAccuracy:
     def test_subnormal_levels(self, n, x, weight, u):
         _assert_root(n, x, weight, np.array([u]), _quantile(n, x, weight, u))
 
+    @pytest.mark.parametrize("weight", [5e-324, 2.2e-311, 1e-310])
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_subnormal_weight_at_x_equal_n(self, n, weight):
+        # at x = N a Beta parameter of the normal start is the weight itself,
+        # whose digamma overflows; the closed form there needs no start.  At
+        # u = C the root is 1 (the bisection gave 0.5000000000004547 at N = 1
+        # and C = 5e-324, where C pi rounds to 0 below pi = 1/2).
+        levels = np.array([0.0, weight / 2.0, weight])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _quantile(n, n, weight, levels)
+            assert inverse_significance(ConfidenceDistribution(n, n, weight), 0.0) == got[0]
+        assert got[0] == 0.0 and got[2] == 1.0
+        want = _mp_roots(n, n, weight, levels)
+        assert _relative_error(got, want).max() <= 1e-14
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    def test_property_random_curves(self, data, u):
+        n, x, weight = data.draw(_varying_curve(_FRACTIONAL_WEIGHTS))
+        u = np.asarray(u)
+        _assert_root(n, x, weight, u, _quantile(n, x, weight, u))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), level=st.integers(1, 40))
+    def test_property_roots_on_dyadic_points(self, data, level):
+        n, x, weight = data.draw(_varying_curve(_FRACTIONAL_WEIGHTS))
+        u = _curve_at_dyadic_point(data, level, n, x, weight)
+        _assert_root(n, x, weight, u, _quantile(n, x, weight, u))
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(data=st.data(), u=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6))
     def test_monotone_in_u_and_round_trip(self, data, u):
-        n, x, weight = data.draw(_varying_curve())
-        assume(0.0 < weight < 1.0)
+        n, x, weight = data.draw(_varying_curve(_FRACTIONAL_WEIGHTS))
         u = np.sort(np.asarray(u))
         got = _quantile(n, x, weight, u)
         # nondecreasing, up to the contract's relative error
@@ -471,41 +593,15 @@ class TestQuantileAccuracy:
         assert np.allclose(back, u[inside], rtol=1e-9, atol=1e-300)
 
 
-def _evaluated_points(monkeypatch):
-    """Every pi at which the significance curve is evaluated, one array per
-    call: ``_Curve.terms`` for C in {0, 1}, ``_log_excess`` for 0 < C < 1."""
-    points = []
-    terms, log_excess = _Curve.terms, confidence._log_excess
-
-    def counted(self, pi):
-        points.append(np.array(pi))
-        return terms(self, pi)
-
-    def counted_excess(trials, x, weight, pi, *rest):
-        points.append(np.array(pi))
-        return log_excess(trials, x, weight, pi, *rest)
-
-    monkeypatch.setattr(_Curve, "terms", counted)
-    monkeypatch.setattr(confidence, "_log_excess", counted_excess)
-    return points
-
-
 class TestSolverWork:
+    """Curve evaluations of the 0 < C < 1 solve; the C in {0, 1} bounds are
+    in TestQuantileMatchesBisection."""
+
     def test_exact_starts_run_no_newton(self, monkeypatch):
-        # The Beta quantile at C in {0, 1} is the root, so the curve is
-        # evaluated only at the two bracket ends and at the few midpoints
-        # between them; at this N one Halley evaluation per element would
-        # exceed 3.  The closed forms at x = 0 and x = N for C in (0, 1)
-        # evaluate nothing.
+        # the closed forms at x = 0 and x = N evaluate nothing
         points = _evaluated_points(monkeypatch)
         u = np.random.default_rng(41).random(50)
         n = 20_000
-        xs = np.unique(np.linspace(0, n, 60).astype(int))
-        for weight, x in ((0.0, xs[xs < n]), (1.0, xs[xs > 0])):
-            points.clear()
-            got = _quantile(n, x[:, None], weight, u)
-            assert sum(p.size for p in points) <= 3 * got.size
-            assert np.array_equal(got, bisection_quantile(n, x[:, None], weight, u))
         for c in (0.3, 0.5):
             for x, levels in ((0, c + (1.0 - c) * u), (n, c * u)):
                 points.clear()
@@ -513,13 +609,6 @@ class TestSolverWork:
                 assert sum(p.size for p in points) == 0
                 want = _mp_roots(n, x, c, levels[:5])
                 assert _relative_error(got[:5], want).max() <= 1e-14
-
-    def test_corrected_medians_take_few_evaluations(self, monkeypatch):
-        # the medians of lfdr's corrected estimator, x = 2r, at N = 20 000
-        points = _evaluated_points(monkeypatch)
-        n = 20_000
-        _quantile(n, 2 * np.arange(1, n // 2 + 1), 1.0, 0.5)
-        assert sum(p.size for p in points) <= 3 * (n // 2)
 
     def test_monte_carlo_draws_take_few_evaluations(self, monkeypatch):
         # lfdr's mean estimator: 100 draws for each x = 2r at N = 500, C = 1/2
@@ -566,56 +655,15 @@ class TestSolverWork:
 
     @pytest.mark.parametrize(
         "n, x, weight, u",
-        # roots at the dyadic point 1/2: the symmetric medians, x = (N + 1)/2
-        # with C = 1 and x = (N - 1)/2 with C = 0
-        [(n, (n + 1) // 2, 1.0, 0.5) for n in (1, 3, 5, 7, 11, 19)]
-        + [(n, (n - 1) // 2, 0.0, 0.5) for n in (1, 3, 5, 7, 11, 19)]
-        # u = C at x = N (root 1) and at x = 0 (root 0), C in (0, 1): the
-        # closed forms give them exactly, with no evaluation
-        + [(n, n, c, c) for n in (1, 2, 8, 100) for c in (1e-9, 0.3, 0.5, 1.0 - 1e-9)]
+        # u = C at x = N (root 1) and at x = 0 (root 0): the closed forms
+        # give them exactly
+        [(n, n, c, c) for n in (1, 2, 8, 100) for c in (1e-9, 0.3, 0.5, 1.0 - 1e-9)]
         + [(n, 0, c, c) for n in (1, 2, 8, 100) for c in (1e-9, 0.3, 0.5)]
-        # u = 0 at x > 0: the root is 0, where the density is 0 as well; for
-        # C in {0, 1} no midpoint compares below u (the bisection result is
-        # 2**-41) and these take at most 3 evaluations, for C in (0, 1) the
-        # root is exactly 0 with none
-        + [(8, 3, c, 0.0) for c in (0.0, 0.5, 1.0)] + [(8, 8, 0.5, 0.0)],
+        # u = 0 at x > 0: the root is 0, where the density is 0 as well
+        + [(8, 3, 0.5, 0.0), (8, 8, 0.5, 0.0)],
     )
-    def test_roots_on_the_bisection_grid_are_certified(self, monkeypatch, n, x, weight, u):
+    def test_exact_roots_take_no_evaluations(self, monkeypatch, n, x, weight, u):
         points = _evaluated_points(monkeypatch)
         got = _quantile(n, x, weight, u)
-        evaluations = sum(p.size for p in points)
-        if weight in (0.0, 1.0):
-            assert evaluations <= (3 if u == 0.0 else 12)
-            assert np.array_equal(got, bisection_quantile(n, x, weight, u))
-        else:
-            assert evaluations == 0
-            assert got[0] == (1.0 if x == n and u == weight else 0.0)
-
-    def test_margin_covers_rounding(self):
-        # The bracket check of the C in {0, 1} solver needs the curve's
-        # rounding that varies with pi to stay within half the margin; ask for a sixteenth, at roots of u
-        # across the range and down to 1e-200 of either end, and 1e-9 below
-        # them.  The binomial coefficient's rounding is shared by every pi of
-        # one x (it scales the mass term and leaves the curve monotone), so
-        # the reference takes the computed one.
-        levels = np.array([1e-200, 1e-20, 0.01, 0.5, 1.0 - 1e-6])
-        for n in (1, 2, 3, 5, 8, 13, 20, 32, 64, 128, 317, 1000, 2000):
-            for x in sorted({0, 1, 2, n // 3, n // 2, n - 1, n} & set(range(n + 1))):
-                log_coef = float(_log_binomial_coef(n, x))
-                for weight in (0.0, 1.0):
-                    if _constant_curve(n, x, weight):
-                        continue
-                    curve = _Curve(n, np.array([float(x)]), weight)
-                    low = weight if x == 0 else 0.0
-                    high = weight if x == n else 1.0
-                    u = low + (high - low) * levels
-                    u = u[(u > low) & (u < high)]
-                    roots = _quantile(n, x, weight, u)
-                    for level, root in zip(u, roots):
-                        bound = _margin(n, level) / 16
-                        for pi in (root, root * (1 - 1e-9)):
-                            if not 0.0 < pi < 1.0:
-                                continue
-                            want = significance_mp(n, x, weight, pi, log_coef)
-                            got = curve(np.array([pi]))[0]
-                            assert abs(got - want) <= bound * want, (n, x, weight, pi)
+        assert sum(p.size for p in points) == 0
+        assert got[0] == (1.0 if x == n and u == weight else 0.0)

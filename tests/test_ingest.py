@@ -378,6 +378,28 @@ class TestLoaders:
         assert reads["files"] == 2
 
     @pytest.mark.parametrize(
+        "load, good, bad, fault",
+        [
+            (load_pvalues_csv, "id,p\nid_1,0.1\n", "b,0.0_5", ": non-numeric p-value '0.0_5'"),
+            (load_abundance_csv, "feature,s_1:case,b:case,c:control,d:control\nf_1,1,2,3,4\n",
+             "g,1_0.5,2,3,4", ", column 2: non-numeric value '1_0.5'"),
+        ],
+        ids=["pvalues", "abundance"],
+    )
+    def test_digit_group_underscore_is_a_bad_cell(self, tmp_path, reads, load, good, bad, fault):
+        # float reads 0.0_5 as 0.05; ids, feature labels and subject ids may
+        # hold an underscore, and a file whose numbers hold none is read once
+        path = tmp_path / "t.csv"
+        path.write_text(good)
+        load(path)
+        assert reads["files"] == 1
+        path.write_text(good + bad + "\n")
+        with pytest.raises(TableFormatError) as err:
+            load(path)
+        assert str(err.value) == f"{path}, line 3{fault}"
+        assert reads["files"] == 3
+
+    @pytest.mark.parametrize(
         "text, split_without_csv",
         [("id,p\na,0.1\nb,0.9\n", True), ('id,p\n"x,y",0.1\nb,0.9\n', False)],
         ids=["split", "csv"],
@@ -404,7 +426,7 @@ class TestLoaders:
             ('id,p\n"x,y",0.1\n"q""uote",0.2\n', False),
             ('id,p\n"a b",0.1\n"c",0.2\n', False),
             ("id,p\n\na,0.1\n   \n , \nb,0.9\n\n", False),
-            (" id , p \n a ,0.1 \nb, 1e-300\nc,0\nd,1\ne,-0.0\nf,1_0e-1\n", True),
+            (" id , p \n a ,0.1 \nb, 1e-300\nc,0\nd,1\ne,-0.0\nf,10e-1\n", True),
             ("id,p\n\u00e9t\u00e9,0.5\n\u4e2d,0.25\n", True),
         ],
         ids=[
@@ -435,7 +457,7 @@ class TestLoaders:
             (f"{ABUNDANCE_HEADER}\n\nf1,1,2,3,4\n   \n , , , , \nf2,5,6,7,8\n\n", False),
             (
                 " feature , a:case , b:case ,c:control, d:control \n"
-                " f1 ,1 , 2,1e-300,4\nf2, 5,-0.0,7,1_0e-1\n",
+                " f1 ,1 , 2,1e-300,4\nf2, 5,-0.0,7,10e-1\n",
                 True,
             ),
             (

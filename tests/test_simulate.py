@@ -16,6 +16,7 @@ from smallfdr import (
     run_grid,
     true_lfdr,
 )
+from smallfdr.cli import _build_parser, _parse_grid
 from smallfdr.lfdr import _tail_weight
 
 from oracles import coverage_fraction, coverage_scalar, nfdr_scalar
@@ -221,6 +222,27 @@ class TestPearsonSkewness:
         assert exact_skew < 0.0
 
 
+def _default_coverage_grids():
+    """The alpha and pi grids of ``coverage-exact`` when no flag sets them."""
+    args = _build_parser().parse_args(["coverage-exact", "--n", "1"])
+    return _parse_grid(args.alpha_grid, "--alpha-grid"), _parse_grid(args.pi_grid, "--pi-grid")
+
+
+def _assert_coverage_matches_mpmath(kind, trials, cells):
+    """The coverage of each (alpha, pi) cell is within 1e-12 of the exact
+    rational sum of the masses whose mpmath-only estimate reaches the bound."""
+    weight = _tail_weight(kind, None)
+    for alpha in sorted({a for a, _ in cells}):
+        estimates = [
+            nfdr_scalar(kind, alpha, x, trials, weight, mpmath_only=True)
+            for x in range(trials + 1)
+        ]
+        for pi in [p for a, p in cells if a == alpha]:
+            want = coverage_fraction(trials, alpha, pi, estimates.__getitem__)
+            got = exact_small_n_coverage(trials, alpha, pi, kind)
+            assert abs(got - want) <= 1e-12, (alpha, pi, got, want)
+
+
 class TestExactCoverage:
     def test_mle_examples(self):
         assert exact_small_n_coverage(1, 0.05, 0.8, "mle") == pytest.approx(0.2, abs=1e-12)
@@ -320,3 +342,26 @@ class TestExactCoverage:
                 want = coverage_fraction(trials, a, p, estimates.__getitem__)
                 got = exact_small_n_coverage(trials, a, p, kind)
                 assert got == pytest.approx(want, rel=1e-13, abs=0.0), (a, p)
+
+    @pytest.mark.parametrize("trials", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["mle", "corrected_median", "posterior_mean"])
+    def test_matches_mpmath_estimates(self, kind, trials):
+        # the default coverage-exact grids with every estimate from mpmath
+        # alone, independent of the package's medians and means; the corrected
+        # n = 3 cells at pi = 1/2 are the next test's
+        alphas, pis = _default_coverage_grids()
+        cells = [
+            (a, p) for a in alphas for p in pis
+            if p >= a and not (kind == "corrected_median" and trials == 3 and p == 0.5)
+        ]
+        _assert_coverage_matches_mpmath(kind, trials, cells)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="CHANGES.md:3 (FOUND): the package's Beta(2, 2) median is the bisection "
+        "midpoint 0.5000000000004547, so x = 2 misses the bound and coverage reads 0.5 "
+        "where it is 0.875; mended by ROADMAP items 1 (part A) and 2",
+    )
+    def test_corrected_n3_at_half_matches_mpmath(self):
+        alphas, _ = _default_coverage_grids()
+        _assert_coverage_matches_mpmath("corrected_median", 3, [(a, 0.5) for a in alphas])
