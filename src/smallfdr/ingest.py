@@ -205,7 +205,7 @@ def _read_table(path, expected: str) -> tuple[list[str], list[list[str]] | None]
         cells = [cell for row in rows for cell in row]
         labels = list(map(str.strip, cells[width::width]))
     values = [cells[width + j :: width] for j in range(1, width)]
-    if b"_" in raw and any("_" in cell for column in values for cell in column):
+    if b"_" in raw and any("_" in ",".join(column) for column in values):
         return header, None  # a cell that _number refuses, named row by row
     return header, [labels] + values
 

@@ -228,19 +228,31 @@ def _default_coverage_grids():
     return _parse_grid(args.alpha_grid, "--alpha-grid"), _parse_grid(args.pi_grid, "--pi-grid")
 
 
-def _assert_coverage_matches_mpmath(kind, trials, cells):
-    """The coverage of each (alpha, pi) cell is within 1e-12 of the exact
-    rational sum of the masses whose mpmath-only estimate reaches the bound."""
-    weight = _tail_weight(kind, None)
-    for alpha in sorted({a for a, _ in cells}):
-        estimates = [
-            nfdr_scalar(kind, alpha, x, trials, weight, mpmath_only=True)
-            for x in range(trials + 1)
-        ]
-        for pi in [p for a, p in cells if a == alpha]:
-            want = coverage_fraction(trials, alpha, pi, estimates.__getitem__)
-            got = exact_small_n_coverage(trials, alpha, pi, kind)
-            assert abs(got - want) <= 1e-12, (alpha, pi, got, want)
+_N3_AT_HALF = pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="CHANGES.md:3 (FOUND): the package's Beta(2, 2) median is the bisection "
+    "midpoint 0.5000000000004547, so x = 2 misses the bound and coverage reads 0.5 "
+    "where it is 0.875; mended by ROADMAP items 1 (part A) and 2",
+)
+
+
+def _exact_coverage_cases():
+    """(kind, trials, mpmath_only, keep) for N = 1..5 and every estimator,
+    the estimates from ``nfdr_scalar`` as it stands and from mpmath alone;
+    ``keep`` picks the pi of the grid.  From mpmath alone the corrected n = 3
+    cells at pi = 1/2 are a case of their own, a strict xfail."""
+    for mpmath_only, prefix in ((False, ""), (True, "mpmath-")):
+        for kind in ("mle", "corrected_median", "posterior_mean"):
+            for trials in range(1, 6):
+                case, name = (kind, trials, mpmath_only), f"{prefix}{kind}-{trials}"
+                if mpmath_only and kind == "corrected_median" and trials == 3:
+                    yield pytest.param(*case, lambda pi: pi != 0.5, id=f"{name}-pi!=0.5")
+                    yield pytest.param(
+                        *case, lambda pi: pi == 0.5, id=f"{name}-pi=0.5", marks=_N3_AT_HALF
+                    )
+                else:
+                    yield pytest.param(*case, lambda pi: True, id=name)
 
 
 class TestExactCoverage:
@@ -326,42 +338,22 @@ class TestExactCoverage:
             want = coverage_scalar(trials, a, p, lambda x: nfdr_scalar(kind, a, x, trials, w))
             assert got[i] == want, (trials, a, p, kind, weight)
 
-    @pytest.mark.parametrize("trials", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("kind", ["mle", "corrected_median", "posterior_mean"])
-    def test_masses_match_exact_rationals(self, kind, trials):
-        # the default coverage-exact grid, with each count's binomial mass
-        # built from math.comb in exact rationals instead of the log-space kernel
-        alphas = (0.01, 0.05, 0.1, 0.2, 0.3, 0.5)
-        pis = [round(0.05 * k, 12) for k in range(1, 21)]
+    @pytest.mark.parametrize("kind, trials, mpmath_only, keep", _exact_coverage_cases())
+    def test_masses_match_exact_rationals(self, kind, trials, mpmath_only, keep):
+        # the default coverage-exact grids, with each count's binomial mass
+        # built from math.comb in exact rationals instead of the log-space
+        # kernel; with mpmath_only no estimate shares the package's medians
+        # and means
+        alphas, pis = _default_coverage_grids()
         w = _tail_weight(kind, None)
         for a in alphas:
-            estimates = [nfdr_scalar(kind, a, x, trials, w) for x in range(trials + 1)]
+            estimates = [
+                nfdr_scalar(kind, a, x, trials, w, mpmath_only=mpmath_only)
+                for x in range(trials + 1)
+            ]
             for p in pis:
-                if p < a:
+                if p < a or not keep(p):
                     continue
                 want = coverage_fraction(trials, a, p, estimates.__getitem__)
                 got = exact_small_n_coverage(trials, a, p, kind)
                 assert got == pytest.approx(want, rel=1e-13, abs=0.0), (a, p)
-
-    @pytest.mark.parametrize("trials", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("kind", ["mle", "corrected_median", "posterior_mean"])
-    def test_matches_mpmath_estimates(self, kind, trials):
-        # the default coverage-exact grids with every estimate from mpmath
-        # alone, independent of the package's medians and means; the corrected
-        # n = 3 cells at pi = 1/2 are the next test's
-        alphas, pis = _default_coverage_grids()
-        cells = [
-            (a, p) for a in alphas for p in pis
-            if p >= a and not (kind == "corrected_median" and trials == 3 and p == 0.5)
-        ]
-        _assert_coverage_matches_mpmath(kind, trials, cells)
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason="CHANGES.md:3 (FOUND): the package's Beta(2, 2) median is the bisection "
-        "midpoint 0.5000000000004547, so x = 2 misses the bound and coverage reads 0.5 "
-        "where it is 0.875; mended by ROADMAP items 1 (part A) and 2",
-    )
-    def test_corrected_n3_at_half_matches_mpmath(self):
-        alphas, _ = _default_coverage_grids()
-        _assert_coverage_matches_mpmath("corrected_median", 3, [(a, 0.5) for a in alphas])
