@@ -50,6 +50,7 @@ _MARGIN_CAP = 1e-11
 # bounds the loop; the bracket halves wherever a step would leave it.
 _HALLEY_TOL = 1e-6
 _HALLEY_STEPS = 64
+_LEAST_SUBNORMAL = np.finfo(float).smallest_subnormal
 
 # Below the mean, an element whose binomial mass is under
 # exp(-min(_DEEP_PER_SUCCESS x, _DEEP_FLOOR)) takes the curve from the mass
@@ -322,7 +323,9 @@ def _halley(trials, x, weight, u):
     far tail the curve is close to a power of pi or of 1 - pi, which these
     steps solve in one.  A step that would leave the bracket of the
     evaluated points halves it instead, and a step shorter than
-    _HALLEY_TOL min(pi, 1 - pi) is the last.
+    _HALLEY_TOL min(pi, 1 - pi) is the last.  A step in pi (u <= 1/2) whose
+    end underflows to 0 ends at the least subnormal instead; one that
+    underflows from there is the last and gives 0, the root rounded.
     """
     pi = np.empty(x.size)
     top, bottom = np.flatnonzero(x == trials), np.flatnonzero(x == 0)
@@ -373,9 +376,12 @@ def _halley(trials, x, weight, u):
             # no finite slope (1 - pi rounded to nearly 0) halves the bracket
             step = np.where(np.isfinite(elasticity), excess / (elasticity * halley), np.nan)
             new = np.where(up, p - (1.0 - p) * np.expm1(-step), p * np.exp(-step))
+        underflow = ~up & (new == 0.0)
+        zero = underflow & (p == _LEAST_SUBNORMAL)
+        new = np.where(underflow & ~zero, _LEAST_SUBNORMAL, new)
         inside = (lo <= new) & (new <= hi) & (new > 0.0) & (new < 1.0)
-        last = inside & (np.abs(new - p) <= _HALLEY_TOL * np.minimum(p, 1.0 - p))
-        p = np.where(inside, new, 0.5 * (lo + hi))
+        last = zero | inside & (np.abs(new - p) <= _HALLEY_TOL * np.minimum(p, 1.0 - p))
+        p = np.where(inside | zero, new, 0.5 * (lo + hi))
         pi[index[last]] = p[last]
         keep = ~last
         state = [a[keep] for a in state]

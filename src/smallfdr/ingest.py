@@ -173,11 +173,11 @@ def _csv_rows(text: str) -> list[list[str]]:
 def _read_table(path, expected: str) -> tuple[list[str], list[list[str]] | None]:
     """The header cells of a csv table and the columns below them, the first
     column (the row labels) stripped; the columns are None when rows differ in
-    width or a value cell holds an underscore, and a file with no rows, which
-    should start with ``expected``, raises.  A plain file (no quote, NUL or
-    lone carriage return, as many commas on every line as on the first, no
-    blank label) is split at its commas and line ends without per-line work,
-    as the csv module would."""
+    width or a value cell holds an underscore or a non-ASCII character, and a
+    file with no rows, which should start with ``expected``, raises.  A plain
+    file (no quote, NUL or lone carriage return, as many commas on every line
+    as on the first, no blank label) is split at its commas and line ends
+    without per-line work, as the csv module would."""
     raw, text = _read_text(path)
     if not text.endswith("\n"):  # end the last line, as the csv module does
         raw, text = raw + b"\n", text + "\n"
@@ -205,15 +205,18 @@ def _read_table(path, expected: str) -> tuple[list[str], list[list[str]] | None]
         cells = [cell for row in rows for cell in row]
         labels = list(map(str.strip, cells[width::width]))
     values = [cells[width + j :: width] for j in range(1, width)]
-    if b"_" in raw and any("_" in ",".join(column) for column in values):
+    if (b"_" in raw or not raw.isascii()) and any(
+        "_" in joined or not joined.isascii() for joined in map(",".join, values)
+    ):
         return header, None  # a cell that _number refuses, named row by row
     return header, [labels] + values
 
 
 def _number(cell: str) -> float:
-    """``float(cell)``, refusing the digit-group underscores that float takes."""
-    if "_" in cell:
-        raise ValueError(f"underscore in {cell!r}")
+    """``float(cell)``, refusing the digit-group underscores and the
+    non-ASCII characters (such as Arabic-Indic digits) that float takes."""
+    if "_" in cell or not cell.isascii():
+        raise ValueError(f"not a plain ASCII number: {cell!r}")
     return float(cell)
 
 

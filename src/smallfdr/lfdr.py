@@ -30,16 +30,23 @@ from .nfdr import (
 from .nfdr import mean_nfdr, mle_nfdr  # noqa: F401
 
 
-def _rank_order(p: np.ndarray, tie_break_seed: int) -> np.ndarray:
-    """Indices of ``p`` in ascending order, ties broken by a seeded permutation.
+def _tie_order(tie_break_seed: int, n: int) -> np.ndarray:
+    """The seeded permutation of range(n) that breaks ties among n p-values."""
+    return np.random.default_rng(tie_break_seed).permutation(n)
 
-    This is ``np.lexsort((tie_order, p))``: a stable sort by p of the indices
-    already arranged by ``tie_order``, which is faster at large N.
+
+def _rank_order(p: np.ndarray, tie_order: np.ndarray) -> np.ndarray:
+    """Indices that sort ``p`` ascending along its last axis, ties broken by
+    the permutations ``tie_order`` of the same shape.
+
+    This is ``np.lexsort((tie_order, p))`` for each row: a stable sort by p
+    of the indices already arranged by ``tie_order``, which is faster at
+    large N.
     """
-    tie_order = np.random.default_rng(tie_break_seed).permutation(len(p))
     by_tie = np.empty_like(tie_order)
-    by_tie[tie_order] = np.arange(len(p))
-    return by_tie[np.argsort(p[by_tie], kind="stable")]
+    np.put_along_axis(by_tie, tie_order, np.arange(p.shape[-1]), axis=-1)
+    keys = np.take_along_axis(p, by_tie, axis=-1)
+    return np.take_along_axis(by_tie, np.argsort(keys, axis=-1, kind="stable"), axis=-1)
 
 
 class PValueSet:
@@ -76,7 +83,7 @@ class PValueSet:
             raise ValueError(f"p-value for {label!r} must lie in [0, 1], got {value}")
         self.tie_break_seed = int(tie_break_seed)
         self._p = p
-        self._order = _rank_order(p, self.tie_break_seed)
+        self._order = _rank_order(p, _tie_order(self.tie_break_seed, p.size))
         self._order.flags.writeable = False
 
     @classmethod

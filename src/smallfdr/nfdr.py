@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _special as special
-from .confidence import _quantile, _range
+from .confidence import _Curve, _quantile, _range
 from .distributions import _check_choice, _check_count, _check_unit
 # Kept as a module attribute: perfbench/tracing.py wraps nfdr.inverse_significance.
 from .confidence import inverse_significance  # noqa: F401
@@ -30,6 +30,13 @@ KIND_CORRECTED = "corrected_median"
 KIND_MEAN = "posterior_mean"
 ESTIMATOR_KINDS = (KIND_MLE, KIND_CORRECTED, KIND_MEAN)
 MEAN_METHODS = ("monte_carlo", "quadrature")
+
+# Relative margin of the Monte Carlo mean's cap screen (``_mean_mc``): it
+# must exceed the curve's rounding, which the log-gamma binomial coefficient
+# dominates (about 3e-9 at N = 10**6), and the 1e-14 of the 0 < C < 1 root.
+# A draw within the margin of the screen's edge is solved, about a share m
+# of the draws.
+_SCREEN_MARGIN = 1e-6
 
 
 class NumericFailure(RuntimeError):
@@ -143,10 +150,26 @@ def _mean_mc(alpha, x, trials, weight, u):
     each ratio is capped before the mean along the last axis of ``u``, whose
     leading axes broadcast with ``alpha`` and ``x``; pi = 0 gives the capped
     ratio 1.  Every mean depends only on its own level, count and uniforms.
+
+    For 0 < C < 1, where the inverse is the root to 1e-14 of itself, a draw
+    below F(alpha (1 - m)) (1 - m), F the curve and m = _SCREEN_MARGIN, has
+    its root below alpha (1 - m), so its solved pi is at most alpha and its
+    capped ratio is 1; it is given 1 without being solved.  For C in {0, 1}
+    the inverse is a bisection midpoint, which can lie above a small alpha,
+    and every draw is solved.
     """
-    pi = _quantile(trials, np.asarray(x)[..., None], weight, u)
-    alpha = np.asarray(alpha, dtype=float)[..., None]
-    ratio = np.divide(alpha, pi, out=np.full(pi.shape, np.inf), where=pi > 0.0)
+    alpha, x, u = np.broadcast_arrays(
+        np.asarray(alpha, dtype=float)[..., None], np.asarray(x)[..., None], u
+    )
+    solve = np.ones(u.shape, dtype=bool)
+    if 0.0 < weight < 1.0:
+        level = alpha[..., 0] * (1.0 - _SCREEN_MARGIN)
+        curve = _Curve(trials, x[..., 0].ravel(), weight)
+        top = curve(level.ravel()).reshape(level.shape) * (1.0 - _SCREEN_MARGIN)
+        solve = ~(u < top[..., None])  # a nan level solves every draw
+    pi = _quantile(trials, x[solve], weight, u[solve])
+    ratio = np.ones(u.shape)
+    ratio[solve] = np.divide(alpha[solve], pi, out=np.full(pi.shape, np.inf), where=pi > 0.0)
     value = np.minimum(ratio, 1.0).mean(axis=-1)
     return value, value >= 1.0
 

@@ -23,7 +23,7 @@ from .distributions import (
     _log_binomial_pmf,
     chi2_1df_sf,
 )
-from .lfdr import _rank_estimates, _rank_order, _running_max, _tail_weight
+from .lfdr import _rank_estimates, _rank_order, _running_max, _tail_weight, _tie_order
 from .nfdr import ESTIMATOR_KINDS, _estimate
 # Kept as module attributes: perfbench/tracing.py wraps these names in simulate.
 from .lfdr import lfdr_estimates  # noqa: F401
@@ -97,6 +97,20 @@ class MetricsRow:
     replicate_count: int
 
 
+def _mixture(seeds, n: int, pi0: float, delta: float):
+    """False-null labels and statistics, one row of n per seed.
+
+    Each row's generator draws n uniforms, a label of 1 (null false) where
+    one is below 1 - pi0, and then n standard normals Z; the statistic is
+    (Z + sqrt(delta) * label)**2.
+    """
+    generators = [np.random.default_rng(seed) for seed in seeds]
+    uniforms = np.array([rng.random(n) for rng in generators])
+    normals = np.array([rng.standard_normal(n) for rng in generators])
+    labels = (uniforms < 1.0 - pi0).astype(int)
+    return labels, (normals + math.sqrt(delta) * labels) ** 2
+
+
 def generate_dataset(pi0: float, n: int, delta: float, seed) -> SimulatedDataset:
     """Draw n independent statistics from the two-component mixture.
 
@@ -105,12 +119,8 @@ def generate_dataset(pi0: float, n: int, delta: float, seed) -> SimulatedDataset
     """
     Chi2MixtureParams(pi0, delta)
     n = _check_count("n", n, 1)
-    rng = np.random.default_rng(seed)
-    labels = (rng.random(n) < 1.0 - pi0).astype(int)
-    z = rng.standard_normal(n)
-    statistics = (z + math.sqrt(delta) * labels) ** 2
-    p_values = chi2_1df_sf(statistics)
-    return SimulatedDataset(statistics, labels, p_values)
+    labels, statistics = _mixture([seed], n, pi0, delta)
+    return SimulatedDataset(statistics[0], labels[0], chi2_1df_sf(statistics[0]))
 
 
 def true_lfdr(p, pi0: float, delta: float):
@@ -139,31 +149,31 @@ def run_grid(config: SimulationConfig) -> list[MetricsRow]:
     """Evaluate every (pi0, N, estimator) cell of the configured grid.
 
     Each replicate gets its own seed stream derived from (seed, pi0 index,
-    N index, replicate index), so results do not depend on evaluation order.
-    A cell's replicates are stacked as (replicates, N) arrays of rank-ordered
-    p-values and oracle values and each estimator solves them together; every
-    estimate depends only on its own replicate, so the metrics equal those of
-    per-replicate ``lfdr_estimates`` calls bit for bit.  Estimates are the
-    monotone ones; hypotheses of every rank are pooled, including the
-    trailing ranks whose estimates default to 1.
+    N index, replicate index), split three ways: the data draws, the
+    tie-break permutation and the Monte Carlo seed.  Only these are drawn
+    replicate by replicate; the statistics, p-values, rank order and oracle
+    values of a cell are computed once on its (replicates, N) stack, and
+    each estimator solves the stack together.  Every value depends only on
+    its own replicate, so the metrics equal those of per-replicate
+    ``generate_dataset`` and ``lfdr_estimates`` calls bit for bit.
+    Estimates are the monotone ones; hypotheses of every rank are pooled,
+    including the trailing ranks whose estimates default to 1.
     """
     # None pools a cell's (replicates, N) errors; 1 takes each replicate's metric
     axis = None if config.pooling == POOLING_POOLED else 1
     rows: list[MetricsRow] = []
     for i0, pi0 in enumerate(config.pi0_grid):
         for i1, n in enumerate(config.n_grid):
-            p_sorted = np.empty((config.replicates, n))
-            truth_sorted = np.empty((config.replicates, n))
-            mc_seeds = []
+            data_seeds, ties, mc_seeds = [], [], []
             for rep in range(config.replicates):
                 root = np.random.SeedSequence([config.seed, i0, i1, rep])
                 k_data, k_tie, k_mc = root.spawn(3)
-                dataset = generate_dataset(pi0, n, config.delta, seed=k_data)
-                truth = true_lfdr(dataset.p_values, pi0, config.delta)
+                data_seeds.append(k_data)
+                ties.append(_tie_order(int(k_tie.generate_state(1)[0]), n))
                 mc_seeds.append(int(k_mc.generate_state(1)[0]))
-                order = _rank_order(dataset.p_values, int(k_tie.generate_state(1)[0]))
-                p_sorted[rep] = dataset.p_values[order]
-                truth_sorted[rep] = truth[order]
+            p = chi2_1df_sf(_mixture(data_seeds, n, pi0, config.delta)[1])
+            p_sorted = np.take_along_axis(p, _rank_order(p, np.array(ties)), axis=-1)
+            truth_sorted = true_lfdr(p_sorted, pi0, config.delta)
             for est in config.estimators:
                 raw, _ = _rank_estimates(
                     p_sorted, est, None, config.mc_draws, mc_seeds, "monte_carlo"

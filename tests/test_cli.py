@@ -124,6 +124,15 @@ class TestLfdrCommand:
         assert out == ""
         assert f"{src}, line 2: non-numeric p-value '0.0_5'" in err
 
+    def test_non_ascii_digit_exit_code(self, tmp_path, capsys):
+        # float would read the Arabic-Indic digits of \u0660.\u0665 as 0.5
+        src = tmp_path / "p.csv"
+        src.write_text("id,p\na,\u0660.\u0665\nb,0.5\n", encoding="utf-8")
+        code, out, err = run(["lfdr", src, "--estimator", "mle"], capsys)
+        assert code == 3
+        assert out == ""
+        assert f"{src}, line 2: non-numeric p-value '\u0660.\u0665'" in err
+
 
 class TestBhCommand:
     def test_two_rejections(self, tmp_path, capsys):

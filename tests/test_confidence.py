@@ -462,9 +462,8 @@ class TestQuantileMatchesBisection:
 
 # At a subnormal u the result is within 1e-13 of the root, relative to it
 # (measured worst 4.7e-14, at (N, x, C, u) = (2, 2, 0.3, 5e-324)), or within
-# 1e-30 of it where the root rounds to 0 inside the range: the solver reaches
-# that only by halving its bracket (measured worst 1.4e-36, at
-# (32, 1, 0.3, 5e-324)).
+# 1e-30 of it where the root rounds to 0 inside the range: a step whose end
+# underflows gives 0 there (0 at every such u measured, N <= 100).
 _SUBNORMAL_RELATIVE = 1e-13
 _SUBNORMAL_ABSOLUTE = 1e-30
 
@@ -646,6 +645,17 @@ class TestSolverWork:
         points = _evaluated_points(monkeypatch)
         _quantile(n, x, weight, u)
         assert sum(p.size for p in points) <= 4
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_root_below_least_subnormal_is_zero(self, monkeypatch, n):
+        # the root, about 2e-324 at N = 8, rounds to 0: the step from the
+        # start underflows, and so does the one from the least subnormal
+        points = _evaluated_points(monkeypatch)
+        u = np.array([5e-324])
+        got = _quantile(n, 1, 0.3, u)
+        assert sum(p.size for p in points) <= 4
+        assert got[0] == 0.0
+        _assert_root(n, 1, 0.3, u, got)
 
     def test_fractional_weight_calls_no_beta_inverse(self, monkeypatch):
         def refuse(*args):

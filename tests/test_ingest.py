@@ -383,17 +383,22 @@ class TestLoaders:
             (load_pvalues_csv, "id,p\nid_1,0.1\n", "b,0.0_5", ": non-numeric p-value '0.0_5'"),
             (load_abundance_csv, "feature,s_1:case,b:case,c:control,d:control\nf_1,1,2,3,4\n",
              "g,1_0.5,2,3,4", ", column 2: non-numeric value '1_0.5'"),
+            (load_pvalues_csv, "id,p\n\u00e9,0.1\n", "b,\u0660.\u0665",
+             ": non-numeric p-value '\u0660.\u0665'"),
+            (load_abundance_csv, "feature,s\u00e9:case,b:case,c:control,d:control\nf\u00e9,1,2,3,4\n",
+             "g,1,\u0662,3,4", ", column 3: non-numeric value '\u0662'"),
         ],
-        ids=["pvalues", "abundance"],
+        ids=["pvalues", "abundance", "pvalues-non-ascii", "abundance-non-ascii"],
     )
     def test_digit_group_underscore_is_a_bad_cell(self, tmp_path, reads, load, good, bad, fault):
-        # float reads 0.0_5 as 0.05; ids, feature labels and subject ids may
-        # hold an underscore, and a file whose numbers hold none is read once
+        # float reads 0.0_5 as 0.05, and the Arabic-Indic digits of \u0660.\u0665 as
+        # 0.5; ids, feature labels and subject ids may hold an underscore or a
+        # non-ASCII character, and a file whose numbers hold neither is read once
         path = tmp_path / "t.csv"
-        path.write_text(good)
+        path.write_text(good, encoding="utf-8")
         load(path)
         assert reads["files"] == 1
-        path.write_text(good + bad + "\n")
+        path.write_text(good + bad + "\n", encoding="utf-8")
         with pytest.raises(TableFormatError) as err:
             load(path)
         assert str(err.value) == f"{path}, line 3{fault}"

@@ -18,9 +18,10 @@ from smallfdr import (
     sample_parameter,
 )
 
-from smallfdr.confidence import _quantile
-from smallfdr.nfdr import _estimate
-from smallfdr.simulate import exact_small_n_coverage
+from smallfdr import lfdr, nfdr
+from smallfdr.confidence import _Curve, _quantile
+from smallfdr.nfdr import _SCREEN_MARGIN, _estimate, _mean_mc
+from smallfdr.simulate import SimulationConfig, exact_small_n_coverage, run_grid
 
 from oracles import mean_capped_ratio_mp, mean_exact_scalar, nfdr_scalar
 
@@ -280,3 +281,109 @@ class TestKernelsMatchScalarReferences:
             for x, c in ((4, 0.0), (4, 0.4), (0, 0.6), (0, 1.0), (0, 0.5)):
                 est = corrected_nfdr(alpha, x, 4, c)
                 assert est.value == 1.0 and est.capped, (alpha, x, c)
+
+
+def unscreened_mean(alpha, x, n, weight, u):
+    """The Monte Carlo mean with every draw solved: min(alpha/pi, 1) averaged
+    along the last axis of ``u``, pi = 0 giving 1."""
+    pi = _quantile(n, np.asarray(x)[..., None], weight, u)
+    alpha = np.asarray(alpha, dtype=float)[..., None]
+    with np.errstate(over="ignore"):  # a subnormal pi, whose capped ratio is 1
+        ratio = np.divide(alpha, pi, out=np.full(pi.shape, np.inf), where=pi > 0.0)
+    return np.minimum(ratio, 1.0).mean(axis=-1)
+
+
+def screen_top(alpha, x, n, weight):
+    """F(alpha (1 - m)) (1 - m), below which a draw is not solved."""
+    alpha, x = np.broadcast_arrays(np.asarray(alpha, dtype=float), np.asarray(x, dtype=float))
+    level = alpha * (1.0 - _SCREEN_MARGIN)
+    f = _Curve(n, x.ravel(), weight)(level.ravel()).reshape(x.shape)
+    return f * (1.0 - _SCREEN_MARGIN)
+
+
+@st.composite
+def screen_cases(draw):
+    """N <= 1000, counts that include 0 and N, levels that include 0 and 1, a
+    weight in (0, 1), and for each (level, count) uniforms at, just below and
+    just above F(alpha (1 - m)) (1 - m), F(alpha (1 - m)) (1 + m) and
+    F(alpha), F the curve, and a few more anywhere in [0, 1]."""
+    n = draw(st.integers(1, 1000))
+    xs = np.array(sorted({0, n} | set(draw(st.lists(st.integers(0, n), max_size=4)))))
+    alphas = np.array([0.0, 1.0] + draw(st.lists(UNIT, min_size=1, max_size=3)))[:, None]
+    weight = draw(st.one_of(
+        st.sampled_from([1e-9, 0.3, 0.5, 1.0 - 1e-9]),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    ))
+    a, x = np.broadcast_arrays(alphas, xs.astype(float))
+    curve = _Curve(n, x.ravel(), weight)
+    f = curve((a * (1.0 - _SCREEN_MARGIN)).ravel()).reshape(a.shape + (1,))
+    # at F(alpha) a screen without the margin gives other bits
+    edges = np.concatenate(
+        [f * (1.0 - _SCREEN_MARGIN), f * (1.0 + _SCREEN_MARGIN),
+         curve(a.ravel()).reshape(f.shape)],
+        axis=-1,
+    )
+    spread = np.array(draw(st.lists(UNIT, min_size=1, max_size=4)))
+    u = np.concatenate(
+        [edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+         np.broadcast_to(spread, a.shape + spread.shape)],
+        axis=-1,
+    )
+    return alphas, xs, n, weight, np.minimum(u, 1.0)
+
+
+class TestMeanCapScreen:
+    """For 0 < C < 1 the Monte Carlo mean gives the capped ratio 1 to the
+    draws below F(alpha (1 - m)) (1 - m) without solving them, and keeps the
+    unscreened mean's bits."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=screen_cases())
+    def test_equals_unscreened_mean(self, case):
+        alphas, xs, n, weight, u = case
+        value, capped = _mean_mc(alphas, xs, n, weight, u)
+        want = unscreened_mean(alphas, xs, n, weight, u)
+        assert np.array_equal(value, want), (n, weight)
+        assert np.array_equal(capped, want >= 1.0)
+
+    def test_grid_solves_no_screened_draw(self, monkeypatch):
+        # the default simulate grid: every uniform below the screen's top
+        # stays out of the inverse, and the rest all reach it
+        calls, solved = [], []
+        mean_mc, quantile = lfdr._mean_mc, nfdr._quantile
+
+        def record_call(alpha, x, trials, weight, u):
+            calls.append((alpha, x, trials, weight, u))
+            return mean_mc(alpha, x, trials, weight, u)
+
+        def record_solve(trials, x, weight, u):
+            solved.append(np.array(u, dtype=float).ravel())
+            return quantile(trials, x, weight, u)
+
+        monkeypatch.setattr(lfdr, "_mean_mc", record_call)
+        monkeypatch.setattr(nfdr, "_quantile", record_solve)
+        run_grid(SimulationConfig(replicates=10, seed=0, estimators=("posterior_mean",)))
+        assert len(calls) == len(solved) == 20
+        skipped = 0
+        for (alpha, x, trials, weight, u), got in zip(calls, solved):
+            screened = u < screen_top(alpha, x, trials, weight)[..., None]
+            assert np.array_equal(np.sort(got), np.sort(u[~screened]))
+            skipped += int(screened.sum())
+        assert skipped > 0
+
+    @pytest.mark.parametrize("weight", [0.0, 1.0])
+    def test_integer_weights_solve_every_draw(self, monkeypatch, weight):
+        # the C in {0, 1} inverse is a bisection midpoint, which may lie above
+        # a small alpha even where the root is below it
+        solved = []
+        quantile = nfdr._quantile
+
+        def record_solve(trials, x, weight, u):
+            solved.append(np.broadcast(np.asarray(x), np.asarray(u)).size)
+            return quantile(trials, x, weight, u)
+
+        monkeypatch.setattr(nfdr, "_quantile", record_solve)
+        u = np.random.default_rng(5).random((3, 4, 50))
+        alphas = np.array([1e-6, 0.05, 0.5])[:, None]
+        _mean_mc(alphas, np.array([0, 2, 5, 8]), 8, weight, u)
+        assert solved == [u.size]

@@ -117,8 +117,9 @@ class TestRunGrid:
             assert 0.0 <= row.conservatism_proportion <= 1.0
             assert row.rmse >= abs(row.bias)
 
-    # N = 1 estimates no rank, and pi0 = 0 or 1 makes the truth constant
-    @pytest.mark.parametrize("pi0, n", [(0.0, 1), (1.0, 2), (0.75, 6)])
+    # N = 1 estimates no rank, pi0 = 0 or 1 makes the truth constant, and
+    # N = 32 is the default grid's largest
+    @pytest.mark.parametrize("pi0, n", [(0.0, 1), (1.0, 2), (0.75, 6), (0.9, 32)])
     @pytest.mark.parametrize("pooling", ["pooled", "per_replicate"])
     @pytest.mark.parametrize("estimator", ["mle", "corrected_median", "posterior_mean"])
     def test_replicate_streams_follow_documented_split(self, estimator, pooling, pi0, n):
