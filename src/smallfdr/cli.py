@@ -44,8 +44,6 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-SEED_ENV_VAR = "SMALLFDR_SEED"
-
 ESTIMATOR_FLAGS = {"mle": KIND_MLE, "corrected": KIND_CORRECTED, "mean": KIND_MEAN}
 
 # values in one grid flag, and (alpha, pi) cells of coverage-exact
@@ -62,20 +60,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        seed = args.seed
-    else:
-        raw = os.environ.get(SEED_ENV_VAR)
-        if raw is None:
-            return 0
-        try:
-            seed = int(raw)
-        except ValueError:
-            raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
-    if seed < 0:
-        raise UsageError(f"seed must be nonnegative, got {seed}")
-    return seed
+def _seed(text: str) -> int:
+    """A --seed value: a nonnegative integer written in decimal digits."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def _check_grid_size(what: str, count, unit: str = "values") -> None:
@@ -264,12 +253,11 @@ def _emit_table(header: list[str], columns: list, args, params: dict,
 
 
 def cmd_lfdr(args) -> int:
-    seed = _resolve_seed(args)
     if args.mc_draws < 1:
         raise UsageError(f"--mc-draws must be at least 1, got {args.mc_draws}")
-    pvals = load_pvalues_csv(args.input, tie_break_seed=seed)
+    pvals = load_pvalues_csv(args.input, tie_break_seed=args.seed)
     result = lfdr_estimates(
-        pvals, ESTIMATOR_FLAGS[args.estimator], mc_draws=args.mc_draws, seed=seed
+        pvals, ESTIMATOR_FLAGS[args.estimator], mc_draws=args.mc_draws, seed=args.seed
     )
     n = len(result.ids)
     columns = [
@@ -283,7 +271,7 @@ def cmd_lfdr(args) -> int:
         "input": args.input,
         "estimator": args.estimator,
         "mc_draws": args.mc_draws,
-        "seed": seed,
+        "seed": args.seed,
     }
     _emit_table(
         ["id", "p", "rank", "raw_lfdr", "monotone_lfdr"], columns, args, params, [args.input]
@@ -292,10 +280,9 @@ def cmd_lfdr(args) -> int:
 
 
 def cmd_bh(args) -> int:
-    seed = _resolve_seed(args)
     if not 0.0 < args.q < 1.0:
         raise UsageError(f"--q must lie in (0, 1), got {args.q}")
-    pvals = load_pvalues_csv(args.input, tie_break_seed=seed)
+    pvals = load_pvalues_csv(args.input, tie_break_seed=args.seed)
     link = bh_lfdr_link(pvals, args.q)
     rejection = link.rejection
     lines = [
@@ -321,20 +308,19 @@ def cmd_bh(args) -> int:
     if args.out is not None:
         n, k = pvals.n, len(rejection.rejected_ids)
         columns = [pvals.sorted_ids(), pvals.sorted_p(), range(1, n + 1), [1] * k + [0] * (n - k)]
-        params = {"input": args.input, "q": args.q, "seed": seed}
+        params = {"input": args.input, "q": args.q, "seed": args.seed}
         _emit_table(["id", "p", "rank", "rejected"], columns, args, params, [args.input])
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    seed = _resolve_seed(args)
     try:
         config = SimulationConfig(
             pi0_grid=tuple(_parse_grid(args.pi0_grid, "--pi0-grid")),
             n_grid=tuple(_parse_grid(args.n_grid, "--n-grid", int)),
             delta=args.delta,
             replicates=args.reps,
-            seed=seed,
+            seed=args.seed,
             estimators=tuple(_parse_grid(args.estimators, "--estimators", ESTIMATOR_FLAGS)),
             mc_draws=args.mc_draws,
             pooling=POOLING_PER_REPLICATE if args.per_replicate else POOLING_POOLED,
@@ -380,12 +366,11 @@ def cmd_coverage_exact(args) -> int:
 
 
 def cmd_ttest(args) -> int:
-    seed = _resolve_seed(args)
     matrix = load_abundance_csv(args.input)
     if args.transform == "shift-log":
         matrix = shift_log_transform(matrix)
-    pvals = two_sample_t_pvalues(matrix, tie_break_seed=seed)
-    params = {"input": args.input, "transform": args.transform, "seed": seed}
+    pvals = two_sample_t_pvalues(matrix, tie_break_seed=args.seed)
+    params = {"input": args.input, "transform": args.transform, "seed": args.seed}
     _emit_table(["id", "p"], [pvals.ids, pvals.p_values], args, params, [args.input])
     return EXIT_OK
 
@@ -401,8 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=None,
-                        help=f"random seed (default: ${SEED_ENV_VAR} or 0)")
+    seeded.add_argument("--seed", type=_seed, default=0, help="random seed (default: 0)")
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", default=None,
                         help="write the table to this CSV path, with a manifest "

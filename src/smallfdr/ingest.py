@@ -3,7 +3,8 @@
 The abundance table and the 'id,p' table are read by one rule: a leading
 UTF-8 byte-order mark and all-blank rows are dropped, row labels are
 stripped, and the table is built a column at a time.  A file with a bad line
-is read again row by row to name its first bad line, counting non-blank rows.
+is read again row by row, up to its first bad line, which is named by the
+file's own count: blank rows and the continuation lines of quoted cells count.
 
 The shift-log transform adds the 25th percentile of the pooled control
 values (one scalar across all features and control subjects) and takes the
@@ -170,14 +171,31 @@ def _csv_rows(text: str) -> list[list[str]]:
     return [row for row in rows if any(cell.strip() for cell in row)]
 
 
+def _numbered_rows(path):
+    """The line each row of ``path`` starts on, and its cells, for the rows with a
+    nonblank cell, read again from the file; a row that the csv module refuses
+    (a quoted cell over its field size limit) raises, naming its line.  The
+    file is streamed, so that a fault near its top is named at once."""
+    with open(path, encoding="utf-8-sig", newline="") as handle:
+        rows = csv.reader(handle)
+        line = 1
+        try:
+            for row in rows:
+                if any(cell.strip() for cell in row):
+                    yield line, row
+                line = rows.line_num + 1
+        except csv.Error as err:
+            raise TableFormatError(f"{path}, line {line}: {err}") from None
+
+
 def _read_table(path, expected: str) -> tuple[list[str], list[list[str]] | None]:
     """The header cells of a csv table and the columns below them, the first
     column (the row labels) stripped; the columns are None when rows differ in
-    width or a value cell holds an underscore or a non-ASCII character, and a
-    file with no rows, which should start with ``expected``, raises.  A plain
-    file (no quote, NUL or lone carriage return, as many commas on every line
-    as on the first, no blank label) is split at its commas and line ends
-    without per-line work, as the csv module would."""
+    width, a value cell holds an underscore or a non-ASCII character or the csv
+    module refuses a row, and a file with no rows, which should start with
+    ``expected``, raises.  A plain file (no quote, NUL or lone carriage return,
+    as many commas on every line as on the first, no blank label) is split at
+    its commas and line ends without per-line work, as the csv module would."""
     raw, text = _read_text(path)
     if not text.endswith("\n"):  # end the last line, as the csv module does
         raw, text = raw + b"\n", text + "\n"
@@ -196,7 +214,10 @@ def _read_table(path, expected: str) -> tuple[list[str], list[list[str]] | None]
         if cells[0].strip() and all(labels):
             header = cells[:width]
     if header is None:
-        rows = _csv_rows(text)
+        try:
+            rows = _csv_rows(text)
+        except csv.Error:  # a refused row, which the row-by-row read names
+            return next(_numbered_rows(path))[1], None
         if not rows:
             raise TableFormatError(f"{path}: empty file; expected {expected}")
         header, width = rows[0], len(rows[0])
@@ -221,21 +242,22 @@ def _number(cell: str) -> float:
 
 
 def _first_bad_line(path, label_name: str, cell_fault) -> TableFormatError:
-    """The error naming the first bad line of ``path``, read again row by row:
-    a wrong cell count, a repeated stripped label, or what ``cell_fault``
-    returns as the rest of the message."""
-    rows = _csv_rows(_read_text(path)[1])
+    """The error naming the first bad line of ``path``, read again row by row
+    up to it: a wrong cell count, a repeated stripped label, or what
+    ``cell_fault`` returns as the rest of the message."""
+    rows = _numbered_rows(path)
+    width = len(next(rows)[1])
     seen: set[str] = set()
-    for lineno, row in enumerate(rows[1:], start=2):
+    for line, row in rows:
         label = row[0].strip()
-        if len(row) != len(rows[0]):
-            fault = f": expected {len(rows[0])} cells, got {len(row)}"
+        if len(row) != width:
+            fault = f": expected {width} cells, got {len(row)}"
         elif label in seen:
             fault = f": duplicate {label_name} {label!r}"
         else:
             fault = cell_fault(row)
         if fault is not None:
-            return TableFormatError(f"{path}, line {lineno}{fault}")
+            return TableFormatError(f"{path}, line {line}{fault}")
         seen.add(label)
     return TableFormatError(f"{path}: the file changed while it was read")
 

@@ -563,22 +563,41 @@ class TestGlobalBehavior:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_env_var_seed(self, tmp_path, capsys, monkeypatch):
+    def test_seed_comes_from_argv_alone(self, tmp_path, capsys, monkeypatch):
         src = tmp_path / "p.csv"
-        write_pvalues(src, [("a", 0.2), ("b", 0.4)])
-        out = tmp_path / "r.csv"
-        monkeypatch.setenv("SMALLFDR_SEED", "123")
-        code, _, _ = run(["lfdr", src, "--out", out], capsys)
-        assert code == 0
-        manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
-        assert manifest["parameters"]["seed"] == 123
+        write_pvalues(src, [("a", 0.2), ("b", 0.2), ("c", 0.4)])
+        outputs = []
+        for value in (None, "123", "twelve"):
+            if value is not None:
+                monkeypatch.setenv("SMALLFDR_SEED", value)
+            out = tmp_path / f"r{len(outputs)}.csv"
+            code, _, _ = run(["lfdr", src, "--estimator", "mean", "--out", out], capsys)
+            assert code == 0
+            manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+            outputs.append((out.read_bytes(), manifest["parameters"]))
+        assert outputs[0][1]["seed"] == 0
+        assert outputs[1:] == outputs[:1] * 2
 
-    def test_bad_env_var_seed(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lfdr", "{src}"],
+            ["bh", "{src}", "--q", "0.05"],
+            ["simulate", "--n-grid", "2", "--reps", "1"],
+            ["ttest", str(FIXTURE)],
+        ],
+        ids=["lfdr", "bh", "simulate", "ttest"],
+    )
+    @pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
+    def test_bad_seed_is_usage_error(self, tmp_path, capsys, argv, seed):
         src = tmp_path / "p.csv"
-        write_pvalues(src, [("a", 0.2)])
-        monkeypatch.setenv("SMALLFDR_SEED", "twelve")
-        code, _, err = run(["lfdr", src], capsys)
-        assert code == 2
+        write_pvalues(src, [("a", 0.01), ("b", 0.4)])
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(src=src) for a in argv] + ["--seed", seed])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"argument --seed: must be a nonnegative integer, got {seed!r}" in out.err
 
     def test_twelve_significant_digits(self, tmp_path, capsys):
         src = tmp_path / "p.csv"

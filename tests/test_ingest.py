@@ -33,20 +33,22 @@ ABUNDANCE_HEADER = "feature,a:case,b:case,c:control,d:control"
 
 @pytest.fixture
 def reads(monkeypatch):
-    """Counts of the file reads and csv.reader calls made inside the loaders."""
+    """Counts of the file opens and csv.reader calls made inside the loaders."""
     counts = {"files": 0, "csv": 0}
-    read_text = ingest._read_text
 
-    def counting_read_text(path):
+    def counting_open(*args, **kwargs):
         counts["files"] += 1
-        return read_text(path)
+        return open(*args, **kwargs)
 
     def counting_reader(*args, **kwargs):
         counts["csv"] += 1
         return csv.reader(*args, **kwargs)
 
-    monkeypatch.setattr(ingest, "_read_text", counting_read_text)
-    monkeypatch.setattr(ingest, "csv", types.SimpleNamespace(reader=counting_reader))
+    monkeypatch.setattr(ingest, "open", counting_open, raising=False)
+    # a row generator closed early still evaluates its ``except csv.Error``
+    monkeypatch.setattr(
+        ingest, "csv", types.SimpleNamespace(reader=counting_reader, Error=csv.Error)
+    )
     return counts
 
 
@@ -376,6 +378,68 @@ class TestLoaders:
         # the first fault sits on line 4: header, "a,0.1", one good line
         assert str(err.value) == f"{path}, line 4: {self.FAULTS[faults[0]][1]}"
         assert reads["files"] == 2
+
+    # Each loader's header, a good row, a row with a bad cell and its fault,
+    # and a repeat of the good row's label and its fault.
+    LOADERS = {
+        "pvalues": (load_pvalues_csv, "id,p", "a,0.1", "b,zz", ": non-numeric p-value 'zz'",
+                    "a,0.3", ": duplicate id 'a'"),
+        "abundance": (load_abundance_csv, ABUNDANCE_HEADER, "a,1,2,3,4", "b,1,zz,3,4",
+                      ", column 3: non-numeric value 'zz'",
+                      "a,5,6,7,8", ": duplicate feature label 'a'"),
+    }
+
+    @pytest.mark.parametrize("loader", list(LOADERS))
+    @pytest.mark.parametrize(
+        "lines, line, fault",
+        [
+            (["{header}", "", "{good}", "{bad}"], 4, "bad"),
+            (["{header}", "{good}", '"c', 'd"{rest}', "{bad}"], 5, "bad"),
+            (["{header}", "{good}", "", "{other}", "{duplicate}"], 5, "duplicate"),
+        ],
+        ids=["blank-row", "quoted-two-lines", "duplicate-after-blank"],
+    )
+    def test_names_the_files_own_line(self, tmp_path, reads, loader, lines, line, fault):
+        # blank rows and the continuation line of a quoted cell are lines of the file
+        load, header, good, bad, bad_fault, duplicate, duplicate_fault = self.LOADERS[loader]
+        fields = {
+            "header": header, "good": good, "bad": bad, "duplicate": duplicate,
+            "rest": good[1:], "other": "o" + good[1:],
+        }
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join(lines).format(**fields) + "\n")
+        with pytest.raises(TableFormatError) as err:
+            load(path)
+        message = bad_fault if fault == "bad" else duplicate_fault
+        assert str(err.value) == f"{path}, line {line}{message}"
+        assert reads["files"] == 2
+
+    @pytest.mark.parametrize("loader", list(LOADERS))
+    @pytest.mark.parametrize(
+        "lines, line, refused",
+        [
+            (["{huge}{rest}", "{good}"], 1, True),
+            (["{header}", "{good}", "", "{huge}{rest}", "{bad}"], 4, True),
+            (["{header}", "{bad}", "{huge}{rest}"], 2, False),
+        ],
+        ids=["header", "after-blank", "after-bad-line"],
+    )
+    def test_refused_row_names_its_line(self, tmp_path, capsys, loader, lines, line, refused):
+        # a quoted cell over the csv module's field size limit; a bad line
+        # above it is named first, as the read stops there
+        load, header, good, bad, bad_fault = self.LOADERS[loader][:5]
+        huge = '"' + "x" * (csv.field_size_limit() + 1) + '"'
+        fields = {"header": header, "good": good, "bad": bad, "huge": huge, "rest": good[1:]}
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join(lines).format(**fields) + "\n")
+        message = f": field larger than field limit ({csv.field_size_limit()})"
+        expected = f"{path}, line {line}{message if refused else bad_fault}"
+        with pytest.raises(TableFormatError) as err:
+            load(path)
+        assert str(err.value) == expected
+        command = "lfdr" if load is load_pvalues_csv else "ttest"
+        assert main([command, str(path)]) == 3
+        assert capsys.readouterr().err == f"smallfdr: data error: {expected}\n"
 
     @pytest.mark.parametrize(
         "load, good, bad, fault",
