@@ -229,6 +229,11 @@ def _json_text(header: list[str], columns: list):
     yield "[]\n" if first else "\n]\n"
 
 
+def _mirror(out: str) -> str:
+    """The path of the JSON mirror of the table written to ``out``."""
+    return os.path.splitext(out)[0] + ".json"
+
+
 def _emit_table(header: list[str], columns: list, args, params: dict,
                 inputs: list[str]) -> None:
     """Write a CSV table to --out (with manifest, optional JSON mirror) or stdout.
@@ -245,7 +250,7 @@ def _emit_table(header: list[str], columns: list, args, params: dict,
         handle.writelines(_csv_text(header, columns))
     outputs = [out]
     if args.json:
-        mirror = os.path.splitext(out)[0] + ".json"
+        mirror = _mirror(out)
         with open(mirror, "w", encoding="utf-8") as handle:
             handle.writelines(_json_text(header, columns))
         outputs.append(mirror)
@@ -453,6 +458,13 @@ def main(argv=None) -> int:
     try:
         if args.json and args.out is None:
             raise UsageError("--json writes its mirror next to --out; give --out as well")
+        if args.out is not None:  # no output may overwrite the input or another output
+            paths = [getattr(args, "input", None), args.out, args.out + ".manifest.json",
+                     _mirror(args.out) if args.json else None]
+            paths = [os.path.realpath(path) for path in paths if path is not None]
+            if len(set(paths)) < len(paths):
+                raise UsageError(f"--out {args.out}: the input, the table, its manifest and "
+                                 "the JSON mirror must be distinct files")
         return args.func(args)
     except UsageError as err:
         print(f"smallfdr: error: {err}", file=sys.stderr)

@@ -2,9 +2,12 @@
 
 The abundance table and the 'id,p' table are read by one rule: a leading
 UTF-8 byte-order mark and all-blank rows are dropped, row labels are
-stripped, and the table is built a column at a time.  A file with a bad line
-is read again row by row, up to its first bad line, which is named by the
-file's own count: blank rows and the continuation lines of quoted cells count.
+stripped, and every value cell is parsed in one pass into a float64 grid.  A
+file with a bad line is read again row by row, up to its first bad line,
+which is named by the file's own count: blank rows and the continuation
+lines of quoted cells count.  A fault in the header, the subject rules of
+the abundance header among them, is named on the header's own line, which
+blank rows above it push down.
 
 The shift-log transform adds the 25th percentile of the pooled control
 values (one scalar across all features and control subjects) and takes the
@@ -58,25 +61,31 @@ class AbundanceMatrix:
             )
         if len(self.features) < 1:
             raise ValueError("at least one feature is required")
-        seen = set()
-        for subject in self.subjects:
-            if subject.group not in GROUP_LABELS:
-                raise ValueError(
-                    f"subject {subject.id!r} has group {subject.group!r}; "
-                    f"expected one of {GROUP_LABELS}"
-                )
-            if subject.id in seen:
-                raise ValueError(f"duplicate subject id {subject.id!r}")
-            seen.add(subject.id)
-        for group in GROUP_LABELS:
-            count = sum(1 for s in self.subjects if s.group == group)
-            if count < 2:
-                raise ValueError(f"at least 2 {group} subjects are required, found {count}")
+        _check_subjects(self.subjects)
         if not np.all(np.isfinite(values)):
             raise ValueError("abundance values must be finite")
 
     def columns(self, group: str) -> list[int]:
         return [j for j, s in enumerate(self.subjects) if s.group == group]
+
+
+def _check_subjects(subjects, fail=lambda k, message: ValueError(message)) -> None:
+    """The subject rules: every group is case or control, the ids are distinct and
+    each group has at least two subjects.  The first broken rule raises
+    ``fail(k, message)``, with k the index of the subject at fault, or None for
+    a group's count."""
+    seen = set()
+    for k, subject in enumerate(subjects):
+        if subject.group not in GROUP_LABELS:
+            raise fail(k, f"subject {subject.id!r} has group {subject.group!r}; "
+                          f"expected one of {GROUP_LABELS}")
+        if subject.id in seen:
+            raise fail(k, f"duplicate subject id {subject.id!r}")
+        seen.add(subject.id)
+    for group in GROUP_LABELS:
+        count = sum(1 for s in subjects if s.group == group)
+        if count < 2:
+            raise fail(None, f"at least 2 {group} subjects are required, found {count}")
 
 
 def shift_log_transform(matrix: AbundanceMatrix) -> AbundanceMatrix:
@@ -165,12 +174,6 @@ def _read_text(path) -> tuple[bytes, str]:
         raise TableFormatError(f"{path}: not UTF-8 text ({err})") from None
 
 
-def _csv_rows(text: str) -> list[list[str]]:
-    """The csv rows of ``text``, leaving out rows whose cells are all blank."""
-    rows = csv.reader(io.StringIO(text, newline=""))
-    return [row for row in rows if any(cell.strip() for cell in row)]
-
-
 def _numbered_rows(path):
     """The line each row of ``path`` starts on, and its cells, for the rows with a
     nonblank cell, read again from the file; a row that the csv module refuses
@@ -188,11 +191,13 @@ def _numbered_rows(path):
             raise TableFormatError(f"{path}, line {line}: {err}") from None
 
 
-def _read_table(path, expected: str) -> tuple[list[str], list[list[str]] | None]:
-    """The header cells of a csv table and the columns below them, the first
-    column (the row labels) stripped; the columns are None when rows differ in
-    width, a value cell holds an underscore or a non-ASCII character or the csv
-    module refuses a row, and a file with no rows, which should start with
+def _read_table(path, expected: str) -> tuple[list[str], tuple[list[str], np.ndarray] | None]:
+    """``(header, (labels, grid))`` for a csv table: its header cells, the row
+    labels below them, stripped, and the value cells parsed by ``float`` into a
+    C-contiguous float64 grid of one row per label.  ``(header, None)`` when
+    the row-by-row read must name a fault: rows differ in width, a value cell
+    holds an underscore or a non-ASCII character or is not a number, or the csv
+    module refuses a row.  A file with no rows, which should start with
     ``expected``, raises.  A plain file (no quote, NUL or lone carriage return,
     as many commas on every line as on the first, no blank label) is split at
     its commas and line ends without per-line work, as the csv module would."""
@@ -215,7 +220,8 @@ def _read_table(path, expected: str) -> tuple[list[str], list[list[str]] | None]
             header = cells[:width]
     if header is None:
         try:
-            rows = _csv_rows(text)
+            rows = [row for row in csv.reader(io.StringIO(text, newline=""))
+                    if any(cell.strip() for cell in row)]
         except csv.Error:  # a refused row, which the row-by-row read names
             return next(_numbered_rows(path))[1], None
         if not rows:
@@ -225,12 +231,20 @@ def _read_table(path, expected: str) -> tuple[list[str], list[list[str]] | None]
             return header, None
         cells = [cell for row in rows for cell in row]
         labels = list(map(str.strip, cells[width::width]))
-    values = [cells[width + j :: width] for j in range(1, width)]
-    if (b"_" in raw or not raw.isascii()) and any(
-        "_" in joined or not joined.isascii() for joined in map(",".join, values)
-    ):
-        return header, None  # a cell that _number refuses, named row by row
-    return header, [labels] + values
+    del cells[:width], cells[::width]  # the header, then the labels
+    joined = ",".join(cells) if b"_" in raw or not raw.isascii() else ""
+    if "_" in joined or not joined.isascii():
+        return header, None  # a cell that _number refuses
+    try:
+        grid = np.fromiter(map(float, cells), float, len(cells))
+    except ValueError:
+        return header, None  # a cell that is not a number
+    return header, (labels, grid.reshape(len(labels), width - 1))
+
+
+def _header_fault(path, fault: str) -> TableFormatError:
+    """The error naming ``fault`` on the header's own line, read again from the file."""
+    return TableFormatError(f"{path}, line {next(_numbered_rows(path))[0]}{fault}")
 
 
 def _number(cell: str) -> float:
@@ -275,35 +289,27 @@ def _abundance_fault(row: list[str]) -> str | None:
 
 def load_abundance_csv(path) -> AbundanceMatrix:
     """Parse a 'feature,<subject_id>:<group>,...' abundance table."""
-    header, columns = _read_table(path, "a header line")
+    header, table = _read_table(path, "a header line")
     if header[0].strip() != "feature":
-        raise TableFormatError(
-            f"{path}, line 1: first header column must be 'feature', got {header[0]!r}"
+        raise _header_fault(
+            path, f": first header column must be 'feature', got {header[0]!r}"
         )
-    if len(header) < 2:
-        raise TableFormatError(f"{path}, line 1: no subject columns found")
     subjects = []
     for j, cell in enumerate(header[1:], start=2):
         sid, sep, group = cell.strip().partition(":")
-        if not sep or not sid or group not in GROUP_LABELS:
-            raise TableFormatError(
-                f"{path}, line 1, column {j}: expected '<subject_id>:<case|control>', "
-                f"got {cell!r}"
+        if not sep or not sid:
+            raise _header_fault(
+                path, f", column {j}: expected '<subject_id>:<case|control>', got {cell!r}"
             )
-        if any(subject.id == sid for subject in subjects):
-            raise TableFormatError(f"{path}, line 1, column {j}: duplicate subject id {sid!r}")
         subjects.append(Subject(sid, group))
-    if columns is not None and not columns[0]:
+    _check_subjects(subjects, lambda k, message: _header_fault(
+        path, ("" if k is None else f", column {k + 2}") + f": {message}"
+    ))
+    if table is not None and not table[0]:
         raise TableFormatError(f"{path}: header only; no feature rows found")
-    if columns is not None and len(set(columns[0])) == len(columns[0]):
-        try:
-            # C-contiguous, as two_sample_t_pvalues expects of the value grid
-            values = np.column_stack([np.fromiter(map(float, c), float) for c in columns[1:]])
-        except ValueError:
-            pass  # a non-numeric cell, whose line the row-by-row read names
-        else:
-            if np.isfinite(values).all():  # else the read names the inf or nan cell
-                return AbundanceMatrix(tuple(columns[0]), tuple(subjects), values)
+    if table is not None and len(set(table[0])) == len(table[0]) and np.isfinite(table[1]).all():
+        return AbundanceMatrix(tuple(table[0]), tuple(subjects), table[1])
+    # a bad cell, an inf or nan or a repeated label, which the row-by-row read names
     raise _first_bad_line(path, "feature label", _abundance_fault)
 
 
@@ -317,15 +323,14 @@ def _pvalue_fault(row: list[str]) -> str | None:
 
 def load_pvalues_csv(path, tie_break_seed: int = 0) -> PValueSet:
     """Parse an 'id,p' table into a tie-broken p-value set."""
-    header, columns = _read_table(path, "an 'id,p' header")
+    header, table = _read_table(path, "an 'id,p' header")
     if [cell.strip() for cell in header] != ["id", "p"]:
-        raise TableFormatError(f"{path}, line 1: expected header 'id,p', got {header!r}")
-    if columns is not None and not columns[0]:
+        raise _header_fault(path, f": expected header 'id,p', got {header!r}")
+    if table is not None and not table[0]:
         raise TableFormatError(f"{path}: header only; no p-value rows found")
-    if columns is not None:
+    if table is not None:
         try:
-            p = np.fromiter(map(float, columns[1]), float, len(columns[1]))
-            return PValueSet(columns[0], p, tie_break_seed)
+            return PValueSet(table[0], table[1][:, 0], tie_break_seed)
         except ValueError:
-            pass  # a bad cell or a repeated id, whose line the row-by-row read names
+            pass  # a p-value outside [0, 1] or a repeated id, named row by row
     raise _first_bad_line(path, "id", _pvalue_fault)

@@ -640,6 +640,53 @@ class TestJsonNeedsOut:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv"]
 
 
+class TestOutputsAreDistinct:
+    """No output may overwrite the input or another output; the check runs first."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lfdr", "{src}"],
+            ["bh", "{src}", "--q", "0.05"],
+            ["simulate", "--n-grid", "2", "--reps", "1"],
+            ["coverage-exact", "--n", "1"],
+            ["ttest", str(FIXTURE)],
+        ],
+        ids=["lfdr", "bh", "simulate", "coverage-exact", "ttest"],
+    )
+    def test_json_mirror_onto_out_is_usage_error(self, tmp_path, capsys, argv):
+        # the mirror of x.json is x.json itself
+        src = tmp_path / "p.csv"
+        write_pvalues(src, [("a", 0.01), ("b", 0.4)])
+        argv = [a.format(src=src) for a in argv] + ["--out", str(tmp_path / "x.json"), "--json"]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert "must be distinct files" in err
+        assert out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["lfdr", "{src}"], ["bh", "{src}", "--q", "0.05"], ["ttest", "{src}"]],
+        ids=["lfdr", "bh", "ttest"],
+    )
+    @pytest.mark.parametrize("spelling", ["{src}", "{dir}/sub/../{name}"], ids=["same", "alias"])
+    def test_out_onto_input_is_usage_error(self, tmp_path, capsys, argv, spelling):
+        src = tmp_path / "in.csv"
+        if argv[0] == "ttest":
+            src.write_bytes(FIXTURE.read_bytes())
+        else:
+            write_pvalues(src, [("a", 0.01), ("b", 0.4)])
+        before = src.read_bytes()
+        out_path = spelling.format(src=src, dir=tmp_path, name=src.name)
+        code, out, err = run([a.format(src=src) for a in argv] + ["--out", out_path], capsys)
+        assert code == 2
+        assert "must be distinct files" in err
+        assert out == ""
+        assert src.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
+
+
 class TestEmitMatchesRowWriter:
     """The columnar writer gives the bytes of csv.writer and json.dump(indent=2)."""
 

@@ -79,6 +79,24 @@ class TestAbundanceMatrix:
         with pytest.raises(ValueError, match="duplicate subject id 'a'"):
             AbundanceMatrix(("f", "g"), subjects, [[1, 2, 3, 4], [1, 5, 3, 4]])
 
+    @pytest.mark.parametrize(
+        "groups, message",
+        [
+            (("case", "case", "ctrl", "control"),
+             "subject 's2' has group 'ctrl'; expected one of ('case', 'control')"),
+            (("case", "control", "control"), "at least 2 case subjects are required, found 1"),
+            (("case", "case", "control"), "at least 2 control subjects are required, found 1"),
+        ],
+        ids=["unknown-group", "one-case", "one-control"],
+    )
+    def test_subject_rule_messages(self, groups, message):
+        # the loader names the same faults on the header's line; built in code,
+        # the message carries no location
+        with pytest.raises(ValueError) as err:
+            tiny_matrix([[1.0] * len(groups)], groups=groups)
+        assert type(err.value) is ValueError
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_value(self, value):
         with pytest.raises(ValueError, match="abundance values must be finite"):
@@ -413,6 +431,77 @@ class TestLoaders:
         message = bad_fault if fault == "bad" else duplicate_fault
         assert str(err.value) == f"{path}, line {line}{message}"
         assert reads["files"] == 2
+
+    @pytest.mark.parametrize(
+        "load, text, line, fault",
+        [
+            (load_pvalues_csv, "name,pval\na,0.1\n", 1,
+             ": expected header 'id,p', got ['name', 'pval']"),
+            (load_pvalues_csv, "\n\nname,pval\na,0.1\n", 3,
+             ": expected header 'id,p', got ['name', 'pval']"),
+            (load_pvalues_csv, '\n"na\nme",pval\na,0.1\n', 2,
+             ": expected header 'id,p', got ['na\\nme', 'pval']"),
+            (load_abundance_csv, "\n\nname,a:case,b:case,c:control,d:control\nf,1,2,3,4\n", 3,
+             ": first header column must be 'feature', got 'name'"),
+            (load_abundance_csv, '\n"feat\nure",a:case,b:case,c:control,d:control\nf,1,2,3,4\n',
+             2, ": first header column must be 'feature', got 'feat\\nure'"),
+            (load_abundance_csv, "\nfeature,a:case,b:case,c,d:control\nf,1,2,3,4\n", 2,
+             ", column 4: expected '<subject_id>:<case|control>', got 'c'"),
+            (load_abundance_csv, "\nfeature,a:case,b:case,c:ctl,d:control\nf,1,2,3,4\n", 2,
+             ", column 4: subject 'c' has group 'ctl'; expected one of ('case', 'control')"),
+            (load_abundance_csv, "\n\nfeature,a:case,b:case,c:control,a:control\nf,1,2,3,4\n",
+             3, ", column 5: duplicate subject id 'a'"),
+            (load_abundance_csv, "\n\n\nfeature,a:case,c:control,d:control\nf,1,2,3\n", 4,
+             ": at least 2 case subjects are required, found 1"),
+            (load_abundance_csv, "feature,a:case,c:control,d:control\nf,1,2,3\n", 1,
+             ": at least 2 case subjects are required, found 1"),
+            (load_abundance_csv, "feature,a:case,c:control,d:control\nf,1,2,3\ng,1,x,3\n", 1,
+             ": at least 2 case subjects are required, found 1"),
+            (load_abundance_csv, "feature\nf\n", 1,
+             ": at least 2 case subjects are required, found 0"),
+        ],
+        ids=[
+            "pvalues-split", "pvalues-after-blank-lines", "pvalues-quoted-two-lines",
+            "abundance-after-blank-lines", "abundance-quoted-two-lines",
+            "abundance-subject-column", "abundance-unknown-group", "abundance-repeated-subject",
+            "abundance-group-size-after-blank-lines", "abundance-group-size",
+            "abundance-group-size-above-bad-row", "abundance-no-subject-columns",
+        ],
+    )
+    def test_header_fault_names_the_headers_line(self, tmp_path, capsys, reads, load, text,
+                                                  line, fault):
+        # blank lines above the header push it down; a header that spans lines
+        # is named by its first; a group too small for the t-test is a header
+        # fault, named before any row; the file is read once more, for the line
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        expected = f"{path}, line {line}{fault}"
+        with pytest.raises(TableFormatError) as err:
+            load(path)
+        assert str(err.value) == expected
+        assert reads["files"] == 2
+        assert main(["lfdr" if load is load_pvalues_csv else "ttest", str(path)]) == 3
+        assert capsys.readouterr().err == f"smallfdr: data error: {expected}\n"
+
+    @pytest.mark.parametrize(
+        "load, text",
+        [(load_pvalues_csv, "\n\nid,p\na,0.1\n"),
+         (load_abundance_csv, f"\n{ABUNDANCE_HEADER}\nf,1,2,3,4\n")],
+        ids=["pvalues", "abundance"],
+    )
+    def test_header_after_blank_lines_loads(self, tmp_path, reads, load, text):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        plain = tmp_path / "plain.csv"
+        plain.write_text(text.lstrip("\n"))
+        got = load(path)
+        assert reads == {"files": 1, "csv": 1}
+        want = load(plain)
+        if load is load_pvalues_csv:
+            assert got == want
+        else:
+            assert (got.features, got.subjects) == (want.features, want.subjects)
+            assert np.array_equal(got.values, want.values)
 
     @pytest.mark.parametrize("loader", list(LOADERS))
     @pytest.mark.parametrize(
