@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands cover local FDR estimation from a p-value table, the step-up
-control rule, the mixture simulation grid, exact small-N coverage, and the
+control rule, the mixture simulation grid, exact coverage, and the
 abundance-table t-test pipeline.  Every file written gets a sidecar
-manifest recording parameters, seeds, and input digests, and all numeric
-output uses 12 significant digits so reruns are byte-identical.
+manifest recording parameters, seeds, and input digests.  The CSV tables
+and the bh report write numbers with 12 significant digits, and the JSON
+mirror writes each one as json.dump does, the shortest text that reads
+back to the same float, so reruns are byte-identical.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 """
@@ -31,7 +33,6 @@ from .ingest import (
 from .lfdr import bh_lfdr_link, lfdr_estimates
 from .nfdr import KIND_CORRECTED, KIND_MEAN, KIND_MLE, NumericFailure
 from .simulate import (
-    MAX_EXACT_TRIALS,
     POOLING_PER_REPLICATE,
     POOLING_POOLED,
     SimulationConfig,
@@ -46,7 +47,7 @@ EXIT_NUMERIC = 4
 
 ESTIMATOR_FLAGS = {"mle": KIND_MLE, "corrected": KIND_CORRECTED, "mean": KIND_MEAN}
 
-# values in one grid flag, and (alpha, pi) cells of coverage-exact
+# values in one grid flag, and (alpha, pi) cells and their binomial masses in coverage-exact
 MAX_GRID_SIZE = 10**6
 
 
@@ -170,6 +171,15 @@ def _csv_cell(text: str) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
+def _report_id(text: str) -> str:
+    """One id in the bh report: as it is, or as a JSON string when it holds a comma, a
+    quote or an unprintable character such as a line break, so that each key keeps one
+    line and a list of ids splits back at its commas."""
+    if "," in text or '"' in text or not text.isprintable():
+        return json.encoder.encode_basestring_ascii(text)
+    return text
+
+
 def _csv_column(column) -> tuple[str, object]:
     """The %-spec that writes a column's cells as _fmt and _csv_cell would, and its values."""
     kind = _kind(column)
@@ -290,17 +300,18 @@ def cmd_bh(args) -> int:
     pvals = load_pvalues_csv(args.input, tie_break_seed=args.seed)
     link = bh_lfdr_link(pvals, args.q)
     rejection = link.rejection
+    rejected_ids = ",".join(map(_report_id, rejection.rejected_ids))
     lines = [
         f"controlled_level_q: {_fmt(args.q)}",
         f"rejections: {rejection.k_star}",
         f"threshold_rank: {rejection.k_star if rejection.k_star else 'none'}",
         f"threshold_p: {_fmt(rejection.threshold_p) if rejection.threshold_p is not None else 'none'}",
-        f"rejected_ids: {','.join(rejection.rejected_ids) if rejection.rejected_ids else 'none'}",
+        f"rejected_ids: {rejected_ids if rejection.rejected_ids else 'none'}",
     ]
     if link.applicable:
         lines += [
             f"median_rejected_rank: {link.median_rank}",
-            f"median_rejected_id: {link.median_id}",
+            f"median_rejected_id: {_report_id(link.median_id)}",
             f"median_rejected_p: {_fmt(link.median_p)}",
             f"mle_lfdr_at_median_rank: {_fmt(link.lfdr_at_median)}",
         ]
@@ -342,10 +353,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_coverage_exact(args) -> int:
+    if args.n < 1:
+        raise UsageError(f"--n must be at least 1, got {args.n}")
     alphas = _parse_grid(args.alpha_grid, "--alpha-grid")
     pis = _parse_grid(args.pi_grid, "--pi-grid")
-    kind = ESTIMATOR_FLAGS[args.estimator]
-    _check_grid_size("--alpha-grid x --pi-grid", len(alphas) * len(pis), "(alpha, pi) cells")
+    cells = len(alphas) * len(pis)
+    _check_grid_size("--alpha-grid x --pi-grid", cells, "(alpha, pi) cells")
+    _check_grid_size(f"--n {args.n} on the grid", cells * (args.n + 1), "binomial masses")
     for alpha in alphas:
         if not 0.0 < alpha <= 1.0:
             raise UsageError(f"--alpha-grid values must lie in (0, 1], got {alpha}")
@@ -357,7 +371,7 @@ def cmd_coverage_exact(args) -> int:
     defined = pi_column >= alpha_column  # the other cells stay blank
     coverage = np.full(len(alpha_column), "", dtype=object)
     coverage[defined] = exact_small_n_coverage(
-        args.n, alpha_column[defined], pi_column[defined], kind
+        args.n, alpha_column[defined], pi_column[defined], ESTIMATOR_FLAGS[args.estimator]
     ).tolist()
     params = {
         "n": args.n,
@@ -432,10 +446,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cov = sub.add_parser(
         "coverage-exact", parents=[output],
-        help="exact small-N probability of reaching the bound",
+        help="exact probability of reaching the bound",
     )
-    p_cov.add_argument("--n", type=int, required=True, choices=range(1, MAX_EXACT_TRIALS + 1),
-                       help=f"number of hypotheses (1..{MAX_EXACT_TRIALS})")
+    p_cov.add_argument("--n", type=int, required=True, help="number of hypotheses N >= 1, "
+                       f"at most {MAX_GRID_SIZE} (alpha, pi) cells x (N + 1) binomial masses")
     p_cov.add_argument("--alpha-grid", default="0.01,0.05,0.1,0.2,0.3,0.5")
     p_cov.add_argument("--pi-grid", default="0.05:1.0:0.05")
     p_cov.add_argument(

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import pytest
 import smallfdr
 from smallfdr.cli import _emit_table, main
 from smallfdr.lfdr import _tail_weight
-from smallfdr.simulate import SimulationConfig
+from smallfdr.simulate import SimulationConfig, exact_small_n_coverage
 
 from oracles import coverage_scalar, nfdr_scalar, table_text
 
@@ -187,6 +188,31 @@ class TestBhCommand:
         assert rows[0] == ["id", "p", "rank", "rejected"]
         assert [row[0] for row in rows[1:]] == ids
         assert all(len(row) == 4 for row in rows)
+
+    def test_report_ids_with_commas_quotes_and_line_breaks_read_back(self, tmp_path, capsys):
+        # such an id is printed as a JSON string, so each key keeps one line
+        ids = ["a,b", "c\nrejections: 99", 'e"f', "g\rh", "i\u2028j", "k"]
+        src = tmp_path / "p.csv"
+        with open(src, "w", newline="", encoding="utf-8") as handle:
+            rows = [[label, 0.001 * (k + 1)] for k, label in enumerate(ids)]
+            csv.writer(handle).writerows([["id", "p"]] + rows + [["z", 0.9]])
+        code, out, _ = run(["bh", src, "--q", "0.05"], capsys)
+        assert code == 0
+        report = [line.split(": ", 1) for line in out.splitlines()]
+        assert [key for key, _ in report] == [
+            "controlled_level_q", "rejections", "threshold_rank", "threshold_p",
+            "rejected_ids", "median_rejected_rank", "median_rejected_id",
+            "median_rejected_p", "mle_lfdr_at_median_rank",
+        ]
+        report = dict(report)
+
+        def read_ids(text):
+            cells = re.findall(r'"(?:[^"\\]|\\.)*"|[^,]+', text)
+            return [json.loads(cell) if cell.startswith('"') else cell for cell in cells]
+
+        assert report["rejections"] == "6"
+        assert read_ids(report["rejected_ids"]) == ids
+        assert read_ids(report["median_rejected_id"]) == ['e"f']
 
     def test_duplicate_ids_exit_code(self, tmp_path, capsys):
         src = tmp_path / "p.csv"
@@ -463,6 +489,41 @@ class TestCoverageExactCommand:
         assert len(smallfdr.cli._parse_grid(f"1:{limit}:1", "--pi-grid")) == limit
         with pytest.raises(smallfdr.cli.UsageError, match=f"--pi-grid has {limit + 1} values"):
             smallfdr.cli._parse_grid(f"0,1:{limit}:1", "--pi-grid")
+
+    @pytest.mark.parametrize("n", [6, 1000])
+    @pytest.mark.parametrize("estimator", ["mle", "corrected", "mean"])
+    def test_any_n_equals_library(self, n, estimator, capsys):
+        code, out, _ = run(["coverage-exact", "--n", n, "--estimator", estimator], capsys)
+        assert code == 0
+        alpha, pi, coverage = zip(*(line.split(",") for line in out.splitlines()[1:]))
+        alpha, pi = np.array(alpha, dtype=float), np.array(pi, dtype=float)
+        assert len(alpha) == 120
+        want = np.full(len(alpha), "", dtype=object)
+        want[pi >= alpha] = [format(value, ".12g") for value in exact_small_n_coverage(
+            n, alpha[pi >= alpha], pi[pi >= alpha], smallfdr.cli.ESTIMATOR_FLAGS[estimator]
+        )]
+        assert list(coverage) == want.tolist()
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_n_below_one_is_usage_error(self, n, capsys):
+        code, out, err = run(["coverage-exact", "--n", n], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"smallfdr: error: --n must be at least 1, got {n}\n"
+
+    @pytest.mark.parametrize("n, code", [(8332, 0), (8333, 2), (9000, 2)])
+    def test_binomial_masses_bounded_before_any_estimate(self, n, code, monkeypatch, capsys):
+        # the 120 default (alpha, pi) cells times N + 1 masses, against the one 10^6 bound
+        def library(*args):
+            assert code == 0, "an estimate was computed"
+            return np.zeros(len(args[1]))
+
+        monkeypatch.setattr(smallfdr.cli, "exact_small_n_coverage", library)
+        got, out, err = run(["coverage-exact", "--n", n], capsys)
+        assert got == code
+        if code:
+            assert out == ""
+            assert err == (f"smallfdr: error: --n {n} on the grid has {120 * (n + 1)} "
+                           "binomial masses, more than 1000000\n")
 
     @pytest.mark.parametrize("estimator", ["mle", "corrected", "mean"])
     def test_tables_equal_scalar_loop(self, estimator, capsys):

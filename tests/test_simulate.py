@@ -229,28 +229,31 @@ def _default_coverage_grids():
     return _parse_grid(args.alpha_grid, "--alpha-grid"), _parse_grid(args.pi_grid, "--pi-grid")
 
 
-_N3_AT_HALF = pytest.mark.xfail(
+_CORRECTED_AT_HALF = pytest.mark.xfail(
     raises=AssertionError,
     strict=True,
-    reason="CHANGES.md:3 (FOUND): the package's Beta(2, 2) median is the bisection "
-    "midpoint 0.5000000000004547, so x = 2 misses the bound and coverage reads 0.5 "
-    "where it is 0.875; mended by ROADMAP items 1 (part A) and 2",
+    reason="CHANGES.md:3 (FOUND): the package's Beta(2, 2) and Beta(5, 5) medians are the "
+    "bisection midpoint 0.5000000000004547, so x = 2 of N = 3 and x = 5 of N = 9 miss the "
+    "bound and coverage reads 0.5 where it is 0.875 and 0.74609375; mended by ROADMAP items "
+    "1 (part A) and 2",
 )
 
 
 def _exact_coverage_cases():
-    """(kind, trials, mpmath_only, keep) for N = 1..5 and every estimator,
-    the estimates from ``nfdr_scalar`` as it stands and from mpmath alone;
-    ``keep`` picks the pi of the grid.  From mpmath alone the corrected n = 3
-    cells at pi = 1/2 are a case of their own, a strict xfail."""
+    """(kind, trials, mpmath_only, keep) for every estimator at N = 1..7, 9 and 10,
+    and at N = 50 for the package's estimates, the estimates from ``nfdr_scalar`` as it
+    stands and from mpmath alone; ``keep`` picks the pi of the grid.  From mpmath alone
+    the corrected N = 3 and N = 9 cells at pi = 1/2 are a case of their own, a strict
+    xfail."""
     for mpmath_only, prefix in ((False, ""), (True, "mpmath-")):
         for kind in ("mle", "corrected_median", "posterior_mean"):
-            for trials in range(1, 6):
+            for trials in (1, 2, 3, 4, 5, 6, 7, 9, 10) + (() if mpmath_only else (50,)):
                 case, name = (kind, trials, mpmath_only), f"{prefix}{kind}-{trials}"
-                if mpmath_only and kind == "corrected_median" and trials == 3:
+                if mpmath_only and kind == "corrected_median" and trials in (3, 9):
                     yield pytest.param(*case, lambda pi: pi != 0.5, id=f"{name}-pi!=0.5")
                     yield pytest.param(
-                        *case, lambda pi: pi == 0.5, id=f"{name}-pi=0.5", marks=_N3_AT_HALF
+                        *case, lambda pi: pi == 0.5, id=f"{name}-pi=0.5",
+                        marks=_CORRECTED_AT_HALF,
                     )
                 else:
                     yield pytest.param(*case, lambda pi: True, id=name)
@@ -282,8 +285,8 @@ class TestExactCoverage:
         assert got == pytest.approx(expect, abs=1e-12)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            exact_small_n_coverage(6, 0.05, 0.5, "mle")
+        with pytest.raises(ValueError, match="trials"):
+            exact_small_n_coverage(0, 0.05, 0.5, "mle")
         with pytest.raises(ValueError):
             exact_small_n_coverage(2, 0.2, 0.1, "mle")
         with pytest.raises(ValueError, match="weight"):
@@ -316,7 +319,7 @@ class TestExactCoverage:
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
-        trials=st.integers(1, 5),
+        trials=st.integers(1, 40),
         cells=st.lists(
             st.tuples(
                 st.one_of(st.just(1.0), st.floats(1e-6, 1.0)),
@@ -344,7 +347,8 @@ class TestExactCoverage:
         # the default coverage-exact grids, with each count's binomial mass
         # built from math.comb in exact rationals instead of the log-space
         # kernel; with mpmath_only no estimate shares the package's medians
-        # and means
+        # and means.  The kernel's masses carry the log-gamma coefficient's
+        # rounding, 1.6e-14 relative at N = 50
         alphas, pis = _default_coverage_grids()
         w = _tail_weight(kind, None)
         for a in alphas:
@@ -358,3 +362,12 @@ class TestExactCoverage:
                 want = coverage_fraction(trials, a, p, estimates.__getitem__)
                 got = exact_small_n_coverage(trials, a, p, kind)
                 assert got == pytest.approx(want, rel=1e-13, abs=0.0), (a, p)
+
+    @pytest.mark.parametrize("trials", [10, 50, 100, 1000])
+    def test_corrected_conservative_with_probability_half(self, trials):
+        # the paper's guarantee for C = 1, exactly, on every default-grid cell
+        alphas, pis = _default_coverage_grids()
+        alpha, pi = np.repeat(alphas, len(pis)), np.tile(pis, len(alphas))
+        defined = pi >= alpha
+        coverage = exact_small_n_coverage(trials, alpha[defined], pi[defined], "corrected_median")
+        assert coverage.min() >= 0.5
