@@ -9,11 +9,16 @@ mirror writes each one as json.dump does, the shortest text that reads
 back to the same float, so reruns are byte-identical.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
+``main(argv)`` returns the exit code and may be called repeatedly in one
+process: it builds the argparse tree on its first call and reuses it.
+argparse's own usage errors, ``--help`` and ``--version`` raise
+``SystemExit``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -394,7 +399,9 @@ def cmd_ttest(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by later ones."""
     parser = argparse.ArgumentParser(
         prog="smallfdr",
         description="Conservative false discovery rate estimation from very few p-values.",
@@ -466,19 +473,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(args) -> None:
+    """Refuse an --out that cannot be written or that collides, before any work."""
+    if args.json and args.out is None:
+        raise UsageError("--json writes its mirror next to --out; give --out as well")
+    if args.out is None:
+        return
+    outputs = [args.out, args.out + ".manifest.json"] + ([_mirror(args.out)] if args.json else [])
+    # no output may overwrite the input or another output
+    paths = [os.path.realpath(path) for path in [getattr(args, "input", None)] + outputs
+             if path is not None]
+    if len(set(paths)) < len(paths):
+        raise UsageError(f"--out {args.out}: the input, the table, its manifest and "
+                         "the JSON mirror must be distinct files")
+    if not args.out:
+        raise UsageError("--out must name a file, got an empty path")
+    folder = os.path.dirname(args.out)
+    if not os.path.isdir(folder or "."):
+        raise UsageError(f"--out {args.out}: no directory {folder}")
+    for path in outputs:
+        if os.path.isdir(path):
+            raise UsageError(f"--out {args.out}: {path} is a directory")
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command on ``argv`` (default: ``sys.argv[1:]``) and return its exit code."""
+    args = _build_parser().parse_args(argv)
     try:
-        if args.json and args.out is None:
-            raise UsageError("--json writes its mirror next to --out; give --out as well")
-        if args.out is not None:  # no output may overwrite the input or another output
-            paths = [getattr(args, "input", None), args.out, args.out + ".manifest.json",
-                     _mirror(args.out) if args.json else None]
-            paths = [os.path.realpath(path) for path in paths if path is not None]
-            if len(set(paths)) < len(paths):
-                raise UsageError(f"--out {args.out}: the input, the table, its manifest and "
-                                 "the JSON mirror must be distinct files")
+        _check_outputs(args)
         return args.func(args)
     except UsageError as err:
         print(f"smallfdr: error: {err}", file=sys.stderr)

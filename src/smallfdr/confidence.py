@@ -351,8 +351,9 @@ def _halley(trials, x, weight, u):
     interior = np.flatnonzero((x > 0) & (x < trials))
     distinct, index = np.unique(x[interior], return_inverse=True)
     a, b = distinct + 1.0 - weight, trials - distinct + weight
-    mean = special.digamma(a) - special.digamma(b)
-    sd = np.sqrt(special.polygamma(1, a) + special.polygamma(1, b))
+    # digamma is psi, and the trigamma polygamma(1, .) is the Hurwitz zeta(2, .)
+    mean = special.psi(a) - special.psi(b)
+    sd = np.sqrt(special._zeta(2.0, a) + special._zeta(2.0, b))
     pi[interior] = special.expit(mean[index] + sd[index] * special.ndtri(u[interior]))
     log_coef = np.zeros(x.size)
     log_coef[interior] = _log_choose(trials, distinct)[index]

@@ -747,6 +747,38 @@ class TestOutputsAreDistinct:
         assert src.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lfdr", "p.csv"],
+            ["bh", "p.csv", "--q", "0.05"],
+            ["simulate", "--n-grid", "2", "--reps", "1"],
+            ["coverage-exact", "--n", "1"],
+            ["ttest", "t.csv"],
+        ],
+        ids=["lfdr", "bh", "simulate", "coverage-exact", "ttest"],
+    )
+    @pytest.mark.parametrize(
+        "out, message",
+        [("", "empty path"), ("d", "is a directory"), ("d/missing/x.csv", "no directory")],
+        ids=["empty", "directory", "missing-parent"],
+    )
+    def test_out_that_cannot_be_a_file_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                     argv, out, message):
+        # refused before the input is read or the command runs
+        monkeypatch.chdir(tmp_path)
+        write_pvalues(tmp_path / "p.csv", [("a", 0.01), ("b", 0.4)])
+        (tmp_path / "t.csv").write_bytes(FIXTURE.read_bytes())
+        (tmp_path / "d").mkdir()
+        before = {p.name: p.read_bytes() for p in tmp_path.glob("*.csv")}
+        code, stdout, err = run(argv + ["--out", out], capsys)
+        assert code == 2
+        assert err.startswith("smallfdr: error: --out") and message in err
+        assert stdout == ""
+        assert {p.name: p.read_bytes() for p in tmp_path.glob("*.csv")} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "p.csv", "t.csv"]
+        assert list((tmp_path / "d").iterdir()) == []
+
 
 class TestEmitMatchesRowWriter:
     """The columnar writer gives the bytes of csv.writer and json.dump(indent=2)."""
