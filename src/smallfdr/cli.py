@@ -474,7 +474,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_outputs(args) -> None:
-    """Refuse an --out that cannot be written or that collides, before any work."""
+    """Refuse an --out that cannot be written or that collides, or whose input
+    cannot be read a second time for its digest, before any work."""
     if args.json and args.out is None:
         raise UsageError("--json writes its mirror next to --out; give --out as well")
     if args.out is None:
@@ -494,6 +495,13 @@ def _check_outputs(args) -> None:
     for path in outputs:
         if os.path.isdir(path):
             raise UsageError(f"--out {args.out}: {path} is a directory")
+    # the manifest's digest reads the input again, which a pipe cannot give twice;
+    # a missing input or a directory is left to the loader, which names it
+    source = getattr(args, "input", None)
+    if source is not None and os.path.exists(source) and not (
+            os.path.isfile(source) or os.path.isdir(source)):
+        raise UsageError(f"--out {args.out}: the input {source} is not a regular file but "
+                         "a pipe or a device, which cannot be read again for the manifest")
 
 
 def main(argv=None) -> int:

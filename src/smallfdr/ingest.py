@@ -2,12 +2,13 @@
 
 The abundance table and the 'id,p' table are read by one rule: a leading
 UTF-8 byte-order mark and all-blank rows are dropped, row labels are
-stripped, and every value cell is parsed in one pass into a float64 grid.  A
-file with a bad line is read again row by row, up to its first bad line,
-which is named by the file's own count: blank rows and the continuation
-lines of quoted cells count.  A fault in the header, the subject rules of
-the abundance header among them, is named on the header's own line, which
-blank rows above it push down.
+stripped, and every value cell is parsed in one pass into a float64 grid.
+Each file is opened and read once.  For a table with a bad line, the bytes
+already read are scanned again row by row, up to its first bad line, which
+is named by the file's own count: blank rows and the continuation lines of
+quoted cells count.  So a table from a pipe is named as one from a file.  A
+fault in the header, the subject rules of the abundance header among them,
+is named on the header's own line, which blank rows above it push down.
 
 The shift-log transform adds the 25th percentile of the pooled control
 values (one scalar across all features and control subjects) and takes the
@@ -174,33 +175,35 @@ def _read_text(path) -> tuple[bytes, str]:
         raise TableFormatError(f"{path}: not UTF-8 text ({err})") from None
 
 
-def _numbered_rows(path):
-    """The line each row of ``path`` starts on, and its cells, for the rows with a
-    nonblank cell, read again from the file; a row that the csv module refuses
-    (a quoted cell over its field size limit) raises, naming its line.  The
-    file is streamed, so that a fault near its top is named at once."""
-    with open(path, encoding="utf-8-sig", newline="") as handle:
-        rows = csv.reader(handle)
-        line = 1
-        try:
-            for row in rows:
-                if any(cell.strip() for cell in row):
-                    yield line, row
-                line = rows.line_num + 1
-        except csv.Error as err:
-            raise TableFormatError(f"{path}, line {line}: {err}") from None
+def _numbered_rows(path, raw: bytes):
+    """The line each row of the table ``raw``, read from ``path``, starts on, and
+    its cells, for the rows with a nonblank cell; a row that the csv module
+    refuses (a quoted cell over its field size limit) raises, naming its line.
+    The bytes are decoded as the rows are read, so that a fault near the top
+    of the table is named at once."""
+    rows = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""))
+    line = 1
+    try:
+        for row in rows:
+            if any(cell.strip() for cell in row):
+                yield line, row
+            line = rows.line_num + 1
+    except csv.Error as err:
+        raise TableFormatError(f"{path}, line {line}: {err}") from None
 
 
-def _read_table(path, expected: str) -> tuple[list[str], tuple[list[str], np.ndarray] | None]:
-    """``(header, (labels, grid))`` for a csv table: its header cells, the row
-    labels below them, stripped, and the value cells parsed by ``float`` into a
-    C-contiguous float64 grid of one row per label.  ``(header, None)`` when
-    the row-by-row read must name a fault: rows differ in width, a value cell
-    holds an underscore or a non-ASCII character or is not a number, or the csv
-    module refuses a row.  A file with no rows, which should start with
-    ``expected``, raises.  A plain file (no quote, NUL or lone carriage return,
-    as many commas on every line as on the first, no blank label) is split at
-    its commas and line ends without per-line work, as the csv module would."""
+def _read_table(path, expected: str) -> tuple[bytes, list[str], tuple[list[str], np.ndarray] | None]:
+    """``(raw, header, (labels, grid))`` for a csv table: the file's bytes,
+    ended by a line end, its header cells, the row labels below them,
+    stripped, and the value cells parsed by ``float`` into a C-contiguous
+    float64 grid of one row per label.  ``(raw, header, None)`` when the
+    row-by-row scan of ``raw`` must name a fault: rows differ in width, a value
+    cell holds an underscore or a non-ASCII character or is not a number, or
+    the csv module refuses a row.  A file with no rows, which should start
+    with ``expected``, raises.  A plain file (no quote, NUL or lone carriage
+    return, as many commas on every line as on the first, no blank label) is
+    split at its commas and line ends without per-line work, as the csv
+    module would."""
     raw, text = _read_text(path)
     if not text.endswith("\n"):  # end the last line, as the csv module does
         raw, text = raw + b"\n", text + "\n"
@@ -219,32 +222,33 @@ def _read_table(path, expected: str) -> tuple[list[str], tuple[list[str], np.nda
         if cells[0].strip() and all(labels):
             header = cells[:width]
     if header is None:
-        try:
-            rows = [row for row in csv.reader(io.StringIO(text, newline=""))
-                    if any(cell.strip() for cell in row)]
-        except csv.Error:  # a refused row, which the row-by-row read names
-            return next(_numbered_rows(path))[1], None
-        if not rows:
+        rows = _numbered_rows(path, raw)
+        header = next(rows, (None, None))[1]  # a refused first row raises here
+        if header is None:
             raise TableFormatError(f"{path}: empty file; expected {expected}")
-        header, width = rows[0], len(rows[0])
-        if any(len(row) != width for row in rows):
-            return header, None
-        cells = [cell for row in rows for cell in row]
+        cells, width = list(header), len(header)
+        try:
+            for _, row in rows:
+                if len(row) != width:
+                    return raw, header, None
+                cells += row
+        except TableFormatError:  # a refused row, which the scan names
+            return raw, header, None
         labels = list(map(str.strip, cells[width::width]))
     del cells[:width], cells[::width]  # the header, then the labels
     joined = ",".join(cells) if b"_" in raw or not raw.isascii() else ""
     if "_" in joined or not joined.isascii():
-        return header, None  # a cell that _number refuses
+        return raw, header, None  # a cell that _number refuses
     try:
         grid = np.fromiter(map(float, cells), float, len(cells))
     except ValueError:
-        return header, None  # a cell that is not a number
-    return header, (labels, grid.reshape(len(labels), width - 1))
+        return raw, header, None  # a cell that is not a number
+    return raw, header, (labels, grid.reshape(len(labels), width - 1))
 
 
-def _header_fault(path, fault: str) -> TableFormatError:
-    """The error naming ``fault`` on the header's own line, read again from the file."""
-    return TableFormatError(f"{path}, line {next(_numbered_rows(path))[0]}{fault}")
+def _header_fault(path, raw: bytes, fault: str) -> TableFormatError:
+    """The error naming ``fault`` on the header's own line, found by the scan of ``raw``."""
+    return TableFormatError(f"{path}, line {next(_numbered_rows(path, raw))[0]}{fault}")
 
 
 def _number(cell: str) -> float:
@@ -255,11 +259,14 @@ def _number(cell: str) -> float:
     return float(cell)
 
 
-def _first_bad_line(path, label_name: str, cell_fault) -> TableFormatError:
-    """The error naming the first bad line of ``path``, read again row by row
-    up to it: a wrong cell count, a repeated stripped label, or what
-    ``cell_fault`` returns as the rest of the message."""
-    rows = _numbered_rows(path)
+def _first_bad_line(path, raw: bytes, label_name: str, cell_fault) -> TableFormatError | None:
+    """The error naming the first bad line of the table ``raw`` read from
+    ``path``, scanned row by row up to it: a wrong cell count, a repeated
+    stripped label, or what ``cell_fault`` returns as the rest of the message.
+    None when no row breaks a rule, which is never so for a table that
+    ``_read_table`` could not parse or whose labels or values a loader's
+    whole-table check refused."""
+    rows = _numbered_rows(path, raw)
     width = len(next(rows)[1])
     seen: set[str] = set()
     for line, row in rows:
@@ -273,7 +280,7 @@ def _first_bad_line(path, label_name: str, cell_fault) -> TableFormatError:
         if fault is not None:
             return TableFormatError(f"{path}, line {line}{fault}")
         seen.add(label)
-    return TableFormatError(f"{path}: the file changed while it was read")
+    return None
 
 
 def _abundance_fault(row: list[str]) -> str | None:
@@ -289,28 +296,28 @@ def _abundance_fault(row: list[str]) -> str | None:
 
 def load_abundance_csv(path) -> AbundanceMatrix:
     """Parse a 'feature,<subject_id>:<group>,...' abundance table."""
-    header, table = _read_table(path, "a header line")
+    raw, header, table = _read_table(path, "a header line")
     if header[0].strip() != "feature":
         raise _header_fault(
-            path, f": first header column must be 'feature', got {header[0]!r}"
+            path, raw, f": first header column must be 'feature', got {header[0]!r}"
         )
     subjects = []
     for j, cell in enumerate(header[1:], start=2):
         sid, sep, group = cell.strip().partition(":")
         if not sep or not sid:
             raise _header_fault(
-                path, f", column {j}: expected '<subject_id>:<case|control>', got {cell!r}"
+                path, raw, f", column {j}: expected '<subject_id>:<case|control>', got {cell!r}"
             )
         subjects.append(Subject(sid, group))
     _check_subjects(subjects, lambda k, message: _header_fault(
-        path, ("" if k is None else f", column {k + 2}") + f": {message}"
+        path, raw, ("" if k is None else f", column {k + 2}") + f": {message}"
     ))
     if table is not None and not table[0]:
         raise TableFormatError(f"{path}: header only; no feature rows found")
     if table is not None and len(set(table[0])) == len(table[0]) and np.isfinite(table[1]).all():
         return AbundanceMatrix(tuple(table[0]), tuple(subjects), table[1])
-    # a bad cell, an inf or nan or a repeated label, which the row-by-row read names
-    raise _first_bad_line(path, "feature label", _abundance_fault)
+    # a bad cell, an inf or nan or a repeated label, which the row-by-row scan names
+    raise _first_bad_line(path, raw, "feature label", _abundance_fault)
 
 
 def _pvalue_fault(row: list[str]) -> str | None:
@@ -323,14 +330,16 @@ def _pvalue_fault(row: list[str]) -> str | None:
 
 def load_pvalues_csv(path, tie_break_seed: int = 0) -> PValueSet:
     """Parse an 'id,p' table into a tie-broken p-value set."""
-    header, table = _read_table(path, "an 'id,p' header")
+    raw, header, table = _read_table(path, "an 'id,p' header")
     if [cell.strip() for cell in header] != ["id", "p"]:
-        raise _header_fault(path, f": expected header 'id,p', got {header!r}")
+        raise _header_fault(path, raw, f": expected header 'id,p', got {header!r}")
     if table is not None and not table[0]:
         raise TableFormatError(f"{path}: header only; no p-value rows found")
     if table is not None:
         try:
             return PValueSet(table[0], table[1][:, 0], tie_break_seed)
-        except ValueError:
-            pass  # a p-value outside [0, 1] or a repeated id, named row by row
-    raise _first_bad_line(path, "id", _pvalue_fault)
+        except ValueError as err:
+            # a p-value outside [0, 1] or a repeated id, named row by row;
+            # with no row at fault, the set refused the seed
+            raise (_first_bad_line(path, raw, "id", _pvalue_fault) or err) from None
+    raise _first_bad_line(path, raw, "id", _pvalue_fault)

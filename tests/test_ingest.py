@@ -1,7 +1,12 @@
+import contextlib
 import csv
+import hashlib
 import itertools
+import json
 import math
+import os
 import re
+import threading
 import types
 import warnings
 from pathlib import Path
@@ -9,6 +14,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from smallfdr import (
@@ -50,6 +57,29 @@ def reads(monkeypatch):
         ingest, "csv", types.SimpleNamespace(reader=counting_reader, Error=csv.Error)
     )
     return counts
+
+
+@contextlib.contextmanager
+def piped(data: bytes):
+    """The path ``/dev/fd/N`` of a pipe's read end, fed ``data`` by a thread, so
+    that a table larger than the pipe's buffer does not block the writer."""
+    read_end, write_end = os.pipe()
+
+    def feed():
+        try:
+            with open(write_end, "wb") as sink:
+                sink.write(data)
+        except BrokenPipeError:
+            pass  # the read end was closed before the table was read
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        yield f"/dev/fd/{read_end}", read_end
+    finally:
+        os.close(read_end)
+        writer.join(timeout=30)
+    assert not writer.is_alive()
 
 
 def tiny_matrix(values, groups=("case", "case", "control", "control")):
@@ -328,7 +358,7 @@ class TestLoaders:
         with pytest.raises(TableFormatError) as err:
             load_abundance_csv(path)
         assert str(err.value) == f"{path}, line 3, column 3: non-finite value {cell!r}"
-        assert reads["files"] == 2
+        assert reads["files"] == 1
 
     # Four faults, each with the rest of its message; a duplicate needs the
     # label "f" that the first data line holds.
@@ -350,7 +380,7 @@ class TestLoaders:
             load_abundance_csv(path)
         # the first fault sits on line 4: header, "f,1,2,3,4", one good line
         assert str(err.value) == f"{path}, line 4{self.ABUNDANCE_FAULTS[faults[0]][1]}"
-        assert reads["files"] == 2
+        assert reads["files"] == 1
 
     def test_pvalues_round_trip(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -395,7 +425,7 @@ class TestLoaders:
             load_pvalues_csv(path)
         # the first fault sits on line 4: header, "a,0.1", one good line
         assert str(err.value) == f"{path}, line 4: {self.FAULTS[faults[0]][1]}"
-        assert reads["files"] == 2
+        assert reads["files"] == 1
 
     # Each loader's header, a good row, a row with a bad cell and its fault,
     # and a repeat of the good row's label and its fault.
@@ -430,7 +460,7 @@ class TestLoaders:
             load(path)
         message = bad_fault if fault == "bad" else duplicate_fault
         assert str(err.value) == f"{path}, line {line}{message}"
-        assert reads["files"] == 2
+        assert reads["files"] == 1
 
     @pytest.mark.parametrize(
         "load, text, line, fault",
@@ -472,14 +502,14 @@ class TestLoaders:
                                                   line, fault):
         # blank lines above the header push it down; a header that spans lines
         # is named by its first; a group too small for the t-test is a header
-        # fault, named before any row; the file is read once more, for the line
+        # fault, named before any row; the line is found in the bytes already read
         path = tmp_path / "t.csv"
         path.write_text(text)
         expected = f"{path}, line {line}{fault}"
         with pytest.raises(TableFormatError) as err:
             load(path)
         assert str(err.value) == expected
-        assert reads["files"] == 2
+        assert reads["files"] == 1
         assert main(["lfdr" if load is load_pvalues_csv else "ttest", str(path)]) == 3
         assert capsys.readouterr().err == f"smallfdr: data error: {expected}\n"
 
@@ -546,7 +576,7 @@ class TestLoaders:
     def test_digit_group_underscore_is_a_bad_cell(self, tmp_path, reads, load, good, bad, fault):
         # float reads 0.0_5 as 0.05, and the Arabic-Indic digits of \u0660.\u0665 as
         # 0.5; ids, feature labels and subject ids may hold an underscore or a
-        # non-ASCII character, and a file whose numbers hold neither is read once
+        # non-ASCII character; each file is opened once, the one with a bad cell too
         path = tmp_path / "t.csv"
         path.write_text(good, encoding="utf-8")
         load(path)
@@ -555,7 +585,7 @@ class TestLoaders:
         with pytest.raises(TableFormatError) as err:
             load(path)
         assert str(err.value) == f"{path}, line 3{fault}"
-        assert reads["files"] == 3
+        assert reads["files"] == 2
 
     @pytest.mark.parametrize(
         "text, split_without_csv",
@@ -656,3 +686,144 @@ class TestLoaders:
             load(path)
         assert main([command, str(path)]) == 3
         assert f"smallfdr: data error: {path}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_refused_seed_is_not_a_row_fault(self, tmp_path):
+        # a seed that the p-value set refuses is raised as it is; a bad row still wins
+        path = tmp_path / "p.csv"
+        path.write_text("id,p\na,0.1\nb,0.2\n")
+        with pytest.raises(ValueError, match="^expected non-negative integer$") as err:
+            load_pvalues_csv(path, tie_break_seed=-1)
+        assert not isinstance(err.value, TableFormatError)
+        path.write_text("id,p\na,0.1\na,0.2\n")
+        with pytest.raises(TableFormatError) as err:
+            load_pvalues_csv(path, tie_break_seed=-1)
+        assert str(err.value) == f"{path}, line 3: duplicate id 'a'"
+
+
+class TestPipedTables:
+    """A table from a pipe, as ``smallfdr lfdr <(...)`` gives it, is read once,
+    so each fault is named as it is for the same bytes in a regular file."""
+
+    HUGE = '"' + "x" * (csv.field_size_limit() + 1) + '"'
+    # each command's tables: a good one, then bad ones with the line they name
+    TABLES = {
+        "lfdr": {
+            "good": ("id,p\na,0.1\nb,0.5\n", None),
+            "bad-row": ("id,p\na,0.1\n\nb,zz\n", 4),
+            "bad-header": ("\nname,pval\na,0.1\n", 2),
+            "field-limit": (f"id,p\na,0.1\n{HUGE},0.2\n", 3),
+        },
+        "ttest": {
+            "good": (f"{ABUNDANCE_HEADER}\nf,1,2,3,4\ng,2,1,5,3\n", None),
+            "bad-row": (f"{ABUNDANCE_HEADER}\nf,1,2,3,4\n\ng,1,zz,3,4\n", 4),
+            "bad-header": ("\nfeature,a:case,b:case,c,d:control\nf,1,2,3,4\n", 2),
+            "field-limit": (f"{ABUNDANCE_HEADER}\nf,1,2,3,4\n{HUGE},1,2,3,4\n", 3),
+        },
+    }
+
+    @pytest.mark.parametrize("case", ["good", "bad-row", "bad-header", "field-limit"])
+    @pytest.mark.parametrize("command", list(TABLES))
+    def test_same_result_as_from_a_file(self, tmp_path, capsys, command, case):
+        text, line = self.TABLES[command][case]
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        file_code = main([command, str(path)])
+        from_file = capsys.readouterr()
+        with piped(text.encode()) as (name, _):
+            code = main([command, name])
+        from_pipe = capsys.readouterr()
+        assert code == file_code == (0 if line is None else 3)
+        assert from_pipe.out == from_file.out
+        assert from_pipe.err == from_file.err.replace(str(path), name)
+        if line is not None:
+            assert from_pipe.err.startswith(f"smallfdr: data error: {name}, line {line}")
+
+    @pytest.mark.parametrize("command", ["lfdr", "bh", "ttest"])
+    def test_out_refuses_a_piped_input(self, tmp_path, capsys, command):
+        # the manifest's digest would read the input a second time and find no
+        # bytes; the input is refused before it is read
+        text = self.TABLES["ttest" if command == "ttest" else "lfdr"]["good"][0].encode()
+        out = tmp_path / "r.csv"
+        with piped(text) as (name, read_end):
+            argv = [command, name, "--out", str(out)] + (["--q", "0.05"] if command == "bh" else [])
+            code = main(argv)
+            assert os.read(read_end, len(text) + 1) == text
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"smallfdr: error: --out {out}: the input {name} is not a "
+                              "regular file")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_keeps_a_regular_file_under_another_name(self, tmp_path):
+        # /dev/stdin redirected from a file is such a name: a second read
+        # gives the same bytes, so the manifest records their digest
+        text = self.TABLES["lfdr"]["good"][0].encode()
+        src, out = tmp_path / "p.csv", tmp_path / "r.csv"
+        src.write_bytes(text)
+        handle = os.open(src, os.O_RDONLY)
+        try:
+            assert main(["lfdr", f"/dev/fd/{handle}", "--out", str(out)]) == 0
+        finally:
+            os.close(handle)
+        manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
+        digest = f"sha256:{hashlib.sha256(text).hexdigest()}"
+        assert manifest["inputs"] == {f"/dev/fd/{handle}": digest}
+
+
+@st.composite
+def scanned_tables(draw):
+    """A small 'id,p' or abundance table, plain or quoted, with blank rows,
+    labels that span two lines and the faults of ``TestLoaders``, and the
+    loader's label name and cell rule."""
+    if draw(st.booleans()):
+        load, label_name, cell_fault = load_pvalues_csv, "id", ingest._pvalue_fault
+        header, faults = "id,p", TestLoaders.FAULTS
+        value = st.floats(0.0, 1.0).map(repr)
+        width, blank = 2, st.sampled_from(["", "  ", " , "])
+    else:
+        load, label_name, cell_fault = load_abundance_csv, "feature label", ingest._abundance_fault
+        header, faults = ABUNDANCE_HEADER, TestLoaders.ABUNDANCE_FAULTS
+        value = st.floats(-1e3, 1e3).map(repr)
+        width, blank = 5, st.sampled_from(["", "  ", " , , , , "])
+    # distinct labels, so that a repeat comes from the duplicate fault
+    labels = draw(st.lists(st.sampled_from(["a", "f", " b ", "c", "e_1", "\u00e9", "g\nh"]),
+                           min_size=1, max_size=6, unique=True))
+    kinds = [None, *faults] if draw(st.booleans()) else [None]
+    rows = []
+    for label in labels:
+        fault = draw(st.sampled_from(kinds))
+        cells = (faults[fault][0].split(",") if fault is not None
+                 else [label] + [draw(value) for _ in range(width - 1)])
+        rows.append(cells)
+    quoted = draw(st.booleans())
+    lines = [draw(blank)] * draw(st.integers(0, 2)) + [header]
+    for cells in rows:
+        if draw(st.booleans()):
+            lines.append(draw(blank))
+        # a line break in a cell needs quotes
+        cells = [f'"{cell}"' if "\n" in cell or quoted and draw(st.booleans()) else cell
+                 for cell in cells]
+        lines.append(",".join(cells))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + (end if draw(st.booleans()) else "")
+    return text, load, label_name, cell_fault
+
+
+class TestScanAgreesWithLoaders:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(table=scanned_tables())
+    def test_loads_exactly_when_the_scan_finds_no_fault(self, tmp_path_factory, table):
+        # a refused table is named by the scan's first fault, so the scan never
+        # reaches its end for a table that its loader refuses
+        text, load, label_name, cell_fault = table
+        path = tmp_path_factory.mktemp("scan") / "t.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        raw = ingest._read_table(path, "")[0]
+        fault = ingest._first_bad_line(path, raw, label_name, cell_fault)
+        try:
+            load(path)
+        except TableFormatError as err:
+            assert fault is not None
+            assert str(err) == str(fault)
+        else:
+            assert fault is None
