@@ -52,7 +52,8 @@ EXIT_NUMERIC = 4
 
 ESTIMATOR_FLAGS = {"mle": KIND_MLE, "corrected": KIND_CORRECTED, "mean": KIND_MEAN}
 
-# values in one grid flag, and (alpha, pi) cells and their binomial masses in coverage-exact
+# values in one grid flag, and (alpha, pi) cells and estimates (alpha values x (N + 1)) in
+# coverage-exact
 MAX_GRID_SIZE = 10**6
 
 
@@ -364,7 +365,7 @@ def cmd_coverage_exact(args) -> int:
     pis = _parse_grid(args.pi_grid, "--pi-grid")
     cells = len(alphas) * len(pis)
     _check_grid_size("--alpha-grid x --pi-grid", cells, "(alpha, pi) cells")
-    _check_grid_size(f"--n {args.n} on the grid", cells * (args.n + 1), "binomial masses")
+    _check_grid_size(f"--n {args.n} on --alpha-grid", len(alphas) * (args.n + 1), "estimates")
     for alpha in alphas:
         if not 0.0 < alpha <= 1.0:
             raise UsageError(f"--alpha-grid values must lie in (0, 1], got {alpha}")
@@ -456,7 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="exact probability of reaching the bound",
     )
     p_cov.add_argument("--n", type=int, required=True, help="number of hypotheses N >= 1, "
-                       f"at most {MAX_GRID_SIZE} (alpha, pi) cells x (N + 1) binomial masses")
+                       f"at most {MAX_GRID_SIZE} --alpha-grid values x (N + 1) estimates")
     p_cov.add_argument("--alpha-grid", default="0.01,0.05,0.1,0.2,0.3,0.5")
     p_cov.add_argument("--pi-grid", default="0.05:1.0:0.05")
     p_cov.add_argument(

@@ -19,8 +19,6 @@ from .distributions import (
     _check_choice,
     _check_count,
     _chi2_1df_isf_arrays,
-    _log_binomial_coef,
-    _log_binomial_pmf,
     chi2_1df_sf,
 )
 from .lfdr import _rank_estimates, _rank_order, _running_max, _tail_weight, _tie_order
@@ -185,6 +183,24 @@ def run_grid(config: SimulationConfig) -> list[MetricsRow]:
     return rows
 
 
+def _binomial_cdf(trials, k, pi):
+    """Pr(X <= k) for X ~ Binomial(trials, pi), elementwise: I_{1 - pi}(N - k, k + 1),
+    Abramowitz & Stegun 26.5.24, with 0 below k = 0 and 1 from k = N."""
+    cdf = special.betainc(trials - k, k + 1, 1.0 - pi)
+    return np.where(k < 0, 0.0, np.where(k < trials, cdf, 1.0))
+
+
+def _covered_mass(trials, covered, pi):
+    """Pr(X in covered) for X ~ Binomial(trials, pi) and a mask over x = 0..N,
+    summed over the runs lo..hi of covered x.  A run is a difference of lower
+    tails where Pr(X <= hi) < 1/2 and otherwise of upper tails, Pr(X >= x) =
+    Pr(N - X <= N - x), so that no run is lost against a tail near 1."""
+    lo, end = np.flatnonzero(np.diff(covered, prepend=False, append=False)).reshape(-1, 2).T
+    below = _binomial_cdf(trials, np.stack([end - 1, lo - 1]), pi)
+    above = _binomial_cdf(trials, trials - np.stack([lo, end]), 1.0 - pi)
+    return np.sum(np.where(below[0] < 0.5, below[0] - below[1], above[0] - above[1]))
+
+
 def exact_small_n_coverage(
     trials: int,
     alpha,
@@ -194,16 +210,19 @@ def exact_small_n_coverage(
 ):
     """Exact probability that the estimate reaches the bound alpha / pi.
 
-    Enumerates all N + 1 discovery counts, for any whole N >= 1; no
-    sampling is involved.  The bound is the ratio of the test level to the
-    discovery probability, so pi below alpha makes no sense and is rejected.
-    Broadcasts over ``alpha`` and ``pi``, and scalars give a float: the
-    estimates are computed once per alpha and the binomial masses once per
-    pi, and the masses are added in order of x, as an element-by-element
-    loop would.  Time and memory grow with the (alpha, pi) cells times
-    N + 1.  The masses carry the rounding of the log-gamma binomial
-    coefficient: against exact-rational masses the result is within
-    1.6e-14 relative at N = 50, 1.8e-13 at N = 200 and 7.6e-13 at N = 1000.
+    Exact over all N + 1 discovery counts, for any whole N >= 1; no
+    sampling is involved.  The bound is the ratio of the test level to the discovery
+    probability, so pi below alpha makes no sense and is rejected.
+    Broadcasts over ``alpha`` and ``pi``, and scalars give a float.
+
+    The N + 1 estimates are computed once per distinct alpha.  Where the
+    counts x whose estimate reaches the bound are 0..K, as for the plug-in
+    and for the corrected estimator at weight >= 1/2, the coverage is
+    Pr(X <= K) for X ~ Binomial(N, pi), one incomplete beta per (alpha, pi)
+    cell.  A cell whose covered counts have a gap (the corrected estimate is
+    1 at x = N for weight < 1/2; the mean just under its cap, ROADMAP item
+    15) adds up the runs of its covered counts instead.  Memory grows with
+    the distinct alpha values times N + 1, never with the cells times N + 1.
     """
     trials = _check_count("trials", trials, 1)
     alpha = np.asarray(alpha, dtype=float)
@@ -217,9 +236,18 @@ def exact_small_n_coverage(
         low, value = a[bad].flat[0], p[bad].flat[0]
         raise ValueError(f"pi must lie in [alpha, 1] = [{low}, 1], got {value}")
     weight = _tail_weight(estimator_kind, weight)
-    xs = np.arange(trials + 1.0)
-    estimate, _ = _estimate(estimator_kind, alpha[..., None], xs, trials, weight)
-    pmf = np.exp(_log_binomial_pmf(trials, xs, pi[..., None], _log_binomial_coef(trials, xs)))
-    # cumsum adds in order of x; np.sum's pairwise order would move the last bits
-    total = np.cumsum(np.where(estimate >= (alpha / pi)[..., None], pmf, 0.0), axis=-1)[..., -1]
+    values = np.unique(a)
+    estimate, _ = _estimate(estimator_kind, values[:, None], np.arange(trials + 1.0), trials, weight)
+    row, bound = np.searchsorted(values, a), a / p
+    # the running minimum over x falls, so the x where it reaches the bound are 0..k;
+    # the keys alpha + i * minimum, from x = N down, are in order, and those from
+    # alpha + i * bound up to alpha + 2i (every estimate is at most 1) count them
+    floor = np.minimum.accumulate(estimate, axis=-1)
+    keys = (values[:, None] + 1j * floor[:, ::-1]).ravel()
+    k = np.searchsorted(keys, a + 2j) - np.searchsorted(keys, a + 1j * bound) - 1
+    total = _binomial_cdf(trials, k, p)
+    # the cells where an x after k still reaches the bound, by the running maximum from x = N
+    ceiling = np.maximum.accumulate(estimate[:, ::-1], axis=-1)[:, ::-1]
+    for i in np.flatnonzero((k < trials) & (ceiling[row, np.minimum(k + 1, trials)] >= bound)):
+        total.flat[i] = _covered_mass(trials, estimate[row.flat[i]] >= bound.flat[i], p.flat[i])
     return float(total) if total.ndim == 0 else total

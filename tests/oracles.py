@@ -158,37 +158,19 @@ def nfdr_scalar(kind: str, alpha: float, x: int, n: int, weight: float, mpmath_o
     return 1.0 if median == 0.0 else min(alpha / median, 1.0)
 
 
-def coverage_scalar(trials: int, alpha: float, pi: float, estimate) -> float:
-    """Pr_pi(estimate(x) >= alpha / pi) for X ~ Binomial(trials, pi), by a loop.
-
-    ``estimate`` maps a discovery count to the estimate; the binomial mass of
-    each count that reaches the bound is added in order of x.  The masses are
-    the package's own log-space ones, so that a vectorised coverage can be
-    held to this loop bit for bit; ``coverage_fraction`` is the independent
-    reference.
-    """
-    from smallfdr.distributions import _log_binomial_coef, _log_binomial_pmf
-
-    bound = alpha / pi
-    total = 0.0
-    for x in range(trials + 1):
-        if estimate(x) >= bound:
-            log_pmf = _log_binomial_pmf(trials, x, pi, _log_binomial_coef(trials, x))
-            total += float(np.exp(log_pmf))
-    return total
-
-
 def coverage_fraction(trials: int, alpha: float, pi: float, estimate) -> float:
     """Pr_pi(estimate(x) >= alpha / pi) with the binomial masses in exact
     rationals, math.comb(N, x) pi**x (1 - pi)**(N - x), rounded once."""
     bound = alpha / pi
-    p = Fraction(pi)
-    total = sum(
-        (math.comb(trials, x) * p**x * (1 - p) ** (trials - x)
-         for x in range(trials + 1) if estimate(x) >= bound),
-        Fraction(0),
-    )
-    return float(total)
+    covered = {x for x in range(trials + 1) if estimate(x) >= bound}
+    # pi = num / den; by Horner's rule in 1 - pi, after step x the integer total is
+    # the sum over covered j <= x of comb(N, j) num**j (den - num)**(x - j)
+    num, den = float(pi).as_integer_ratio()
+    total, power = 0, 1
+    for x in range(trials + 1):
+        total = total * (den - num) + (math.comb(trials, x) * power if x in covered else 0)
+        power *= num
+    return float(Fraction(total, den**trials))
 
 
 def bisection_quantile(trials, x, weight, u):

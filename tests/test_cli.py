@@ -18,7 +18,7 @@ from smallfdr.cli import _emit_table, main
 from smallfdr.lfdr import _tail_weight
 from smallfdr.simulate import SimulationConfig, exact_small_n_coverage
 
-from oracles import coverage_scalar, nfdr_scalar, table_text
+from oracles import coverage_fraction, nfdr_scalar, table_text
 
 FIXTURE = Path(__file__).parent / "data" / "abundance_20protein.csv"
 
@@ -510,9 +510,9 @@ class TestCoverageExactCommand:
         assert (code, out) == (2, "")
         assert err == f"smallfdr: error: --n must be at least 1, got {n}\n"
 
-    @pytest.mark.parametrize("n, code", [(8332, 0), (8333, 2), (9000, 2)])
-    def test_binomial_masses_bounded_before_any_estimate(self, n, code, monkeypatch, capsys):
-        # the 120 default (alpha, pi) cells times N + 1 masses, against the one 10^6 bound
+    @pytest.mark.parametrize("n, code", [(166665, 0), (166666, 2)])
+    def test_estimates_bounded_before_any_estimate(self, n, code, monkeypatch, capsys):
+        # the 6 default alpha values times N + 1 estimates, against the one 10^6 bound
         def library(*args):
             assert code == 0, "an estimate was computed"
             return np.zeros(len(args[1]))
@@ -522,8 +522,8 @@ class TestCoverageExactCommand:
         assert got == code
         if code:
             assert out == ""
-            assert err == (f"smallfdr: error: --n {n} on the grid has {120 * (n + 1)} "
-                           "binomial masses, more than 1000000\n")
+            assert err == (f"smallfdr: error: --n {n} on --alpha-grid has {6 * (n + 1)} "
+                           "estimates, more than 1000000\n")
 
     @pytest.mark.parametrize("estimator", ["mle", "corrected", "mean"])
     def test_tables_equal_scalar_loop(self, estimator, capsys):
@@ -544,9 +544,12 @@ class TestCoverageExactCommand:
             for alpha in alphas:
                 estimates = [nfdr_scalar(kind, alpha, x, n, weight) for x in range(n + 1)]
                 for pi in pis:
-                    want = "" if pi < alpha else "%.12g" % coverage_scalar(
-                        n, alpha, pi, estimates.__getitem__
-                    )
+                    want = ""
+                    if pi >= alpha:
+                        value = exact_small_n_coverage(n, alpha, pi, kind)
+                        exact = coverage_fraction(n, alpha, pi, estimates.__getitem__)
+                        assert value == pytest.approx(exact, rel=1e-13, abs=0.0), (n, alpha, pi)
+                        want = "%.12g" % value
                     assert next(cells) == f"{alpha:.12g},{pi:.12g},{want}", (n, alpha, pi)
 
 

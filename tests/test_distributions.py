@@ -99,7 +99,7 @@ def _pmf(trials, x, p):
 
 
 class TestBinomial:
-    # the log-space mass behind the significance curve and the exact coverage
+    # the log-space mass behind the significance curve
     def test_pmf_examples(self):
         assert _pmf(1, 0, 0.5) == pytest.approx(0.5, abs=1e-15)
         # direct enumeration of the 4 equally likely outcomes

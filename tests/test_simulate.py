@@ -18,8 +18,9 @@ from smallfdr import (
 )
 from smallfdr.cli import _build_parser, _parse_grid
 from smallfdr.lfdr import _tail_weight
+from smallfdr.nfdr import _estimate
 
-from oracles import coverage_fraction, coverage_scalar, nfdr_scalar
+from oracles import coverage_fraction, nfdr_scalar
 
 
 class TestGenerateDataset:
@@ -242,9 +243,9 @@ _CORRECTED_AT_HALF = pytest.mark.xfail(
 def _exact_coverage_cases():
     """(kind, trials, mpmath_only, keep) for every estimator at N = 1..7, 9 and 10,
     and at N = 50 for the package's estimates, the estimates from ``nfdr_scalar`` as it
-    stands and from mpmath alone; ``keep`` picks the pi of the grid.  From mpmath alone
-    the corrected N = 3 and N = 9 cells at pi = 1/2 are a case of their own, a strict
-    xfail."""
+    stands and from mpmath alone, and the plug-in at N = 1000; ``keep`` picks the pi of
+    the grid.  From mpmath alone the corrected N = 3 and N = 9 cells at pi = 1/2 are a
+    case of their own, a strict xfail."""
     for mpmath_only, prefix in ((False, ""), (True, "mpmath-")):
         for kind in ("mle", "corrected_median", "posterior_mean"):
             for trials in (1, 2, 3, 4, 5, 6, 7, 9, 10) + (() if mpmath_only else (50,)):
@@ -257,6 +258,8 @@ def _exact_coverage_cases():
                     )
                 else:
                     yield pytest.param(*case, lambda pi: True, id=name)
+    # 15 cells, so that the exact sums at N = 1000 stay quick
+    yield pytest.param("mle", 1000, False, lambda pi: pi in (0.1, 0.5, 0.9), id="mle-1000")
 
 
 class TestExactCoverage:
@@ -339,16 +342,16 @@ class TestExactCoverage:
         w = _tail_weight(kind, weight)
         for i, (a, p) in enumerate(zip(alpha.tolist(), pi.tolist())):
             assert got[i] == exact_small_n_coverage(trials, a, p, kind, weight)
-            want = coverage_scalar(trials, a, p, lambda x: nfdr_scalar(kind, a, x, trials, w))
-            assert got[i] == want, (trials, a, p, kind, weight)
+            estimates = [nfdr_scalar(kind, a, x, trials, w) for x in range(trials + 1)]
+            want = coverage_fraction(trials, a, p, estimates.__getitem__)
+            assert got[i] == pytest.approx(want, rel=1e-13, abs=0.0), (trials, a, p, kind, weight)
 
     @pytest.mark.parametrize("kind, trials, mpmath_only, keep", _exact_coverage_cases())
     def test_masses_match_exact_rationals(self, kind, trials, mpmath_only, keep):
         # the default coverage-exact grids, with each count's binomial mass
-        # built from math.comb in exact rationals instead of the log-space
-        # kernel; with mpmath_only no estimate shares the package's medians
-        # and means.  The kernel's masses carry the log-gamma coefficient's
-        # rounding, 1.6e-14 relative at N = 50
+        # built from math.comb in exact rationals instead of the kernel's one
+        # incomplete beta per cell; with mpmath_only no estimate shares the
+        # package's medians and means
         alphas, pis = _default_coverage_grids()
         w = _tail_weight(kind, None)
         for a in alphas:
@@ -363,7 +366,7 @@ class TestExactCoverage:
                 got = exact_small_n_coverage(trials, a, p, kind)
                 assert got == pytest.approx(want, rel=1e-13, abs=0.0), (a, p)
 
-    @pytest.mark.parametrize("trials", [10, 50, 100, 1000])
+    @pytest.mark.parametrize("trials", [10, 50, 100, 1000, 10**4, 10**5])
     def test_corrected_conservative_with_probability_half(self, trials):
         # the paper's guarantee for C = 1, exactly, on every default-grid cell
         alphas, pis = _default_coverage_grids()
@@ -371,3 +374,29 @@ class TestExactCoverage:
         defined = pi >= alpha
         coverage = exact_small_n_coverage(trials, alpha[defined], pi[defined], "corrected_median")
         assert coverage.min() >= 0.5
+
+    @pytest.mark.parametrize(
+        "trials, alpha, pi, kind, weight",
+        [
+            # the median is undefined at x = N for C < 1/2, which caps the estimate at
+            # 1 there: x = 9 misses the bound and x = 10 reaches it
+            (10, 0.05, 0.8, "corrected_median", 0.3),
+            (10, 0.05, 0.05, "corrected_median", 0.3),
+            # only x = N, whose mass 0.05**10 a lower tail near 1 would lose
+            (10, 0.05, 0.05, "corrected_median", 0.0),
+            (1000, 0.05, 0.3, "corrected_median", 0.3),
+            (1000, 0.3, 0.999, "corrected_median", 0.0),
+            # x = 0 and 1 fall short of the cap while x = 2..35 reach it
+            # (ROADMAP item 15, cancellation in the mean)
+            (1000, 0.1, 0.1, "posterior_mean", None),
+        ],
+    )
+    def test_covered_counts_after_a_gap(self, trials, alpha, pi, kind, weight):
+        # the covered x are not 0..K, and the kernel sums the covered set itself
+        w = _tail_weight(kind, weight)
+        estimate, _ = _estimate(kind, alpha, np.arange(trials + 1.0), trials, w)
+        covered = estimate >= alpha / pi
+        assert (covered[1:] > covered[:-1]).any()
+        want = coverage_fraction(trials, alpha, pi, estimate.__getitem__)
+        got = exact_small_n_coverage(trials, alpha, pi, kind, weight)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
