@@ -29,12 +29,10 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .ingest import (
-    load_abundance_csv,
-    load_pvalues_csv,
-    shift_log_transform,
-    two_sample_t_pvalues,
-)
+from .ingest import _read_bytes, shift_log_transform, two_sample_t_pvalues
+# The parsers of a table's bytes, (path, raw, *options), under the names that
+# perfbench/tracing.py wraps for its ingest.load span.
+from .ingest import _abundance as load_abundance_csv, _pvalues as load_pvalues_csv
 from .lfdr import bh_lfdr_link, lfdr_estimates
 from .nfdr import KIND_CORRECTED, KIND_MEAN, KIND_MLE, NumericFailure
 from .simulate import (
@@ -131,28 +129,26 @@ def _parse_grid(text: str, flag: str, convert=float) -> list:
     return values
 
 
-def _sha256(path: str) -> str:
+def _load(args, parse, *options) -> tuple[object, dict]:
+    """``parse(path, raw, *options)`` of the bytes of the input table, read
+    once, and the manifest's inputs: with --out, the SHA-256 of exactly those
+    bytes.  The bytes are dropped on return."""
+    raw = _read_bytes(args.input)
+    table = parse(args.input, raw, *options)
+    if args.out is None:
+        return table, {}
+    return table, {args.input: f"sha256:{hashlib.sha256(raw).hexdigest()}"}
+
+
+def _write(path: str, pieces) -> str:
+    """Write the text ``pieces`` to ``path`` as UTF-8 and return the SHA-256 of the bytes."""
     digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
+    with open(path, "wb") as handle:
+        for piece in pieces:
+            data = piece.encode("utf-8")
+            digest.update(data)
+            handle.write(data)
     return f"sha256:{digest.hexdigest()}"
-
-
-def _write_manifest(out_path: str, command: str, params: dict, inputs: list[str],
-                    outputs: list[str]) -> None:
-    manifest = {
-        "tool": "smallfdr",
-        "version": __version__,
-        "command": command,
-        "parameters": params,
-        "inputs": {p: _sha256(p) for p in inputs},
-        "outputs": {p: _sha256(p) for p in outputs},
-        "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    }
-    with open(out_path + ".manifest.json", "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 # Cells holding one of these are quoted, as csv.writer quotes a cell holding
@@ -250,33 +246,37 @@ def _mirror(out: str) -> str:
     return os.path.splitext(out)[0] + ".json"
 
 
-def _emit_table(header: list[str], columns: list, args, params: dict,
-                inputs: list[str]) -> None:
+def _emit_table(header: list[str], columns: list, args, params: dict, inputs: dict) -> None:
     """Write a CSV table to --out (with manifest, optional JSON mirror) or stdout.
 
     ``columns`` holds one sequence or array per header name.  Each row is
     one %-formatted line, with the bytes csv.writer would write, except that
-    a cell holding a CR is quoted too.
+    a cell holding a CR is quoted too.  ``inputs`` maps each input to its
+    digest, and each output's digest is taken of the bytes as they are written.
     """
     out = args.out
     if out is None:
         sys.stdout.writelines(_csv_text(header, columns))
         return
-    with open(out, "w", encoding="utf-8", newline="") as handle:
-        handle.writelines(_csv_text(header, columns))
-    outputs = [out]
+    outputs = {out: _write(out, _csv_text(header, columns))}
     if args.json:
-        mirror = _mirror(out)
-        with open(mirror, "w", encoding="utf-8") as handle:
-            handle.writelines(_json_text(header, columns))
-        outputs.append(mirror)
-    _write_manifest(out, args.command, params, inputs, outputs)
+        outputs[_mirror(out)] = _write(_mirror(out), _json_text(header, columns))
+    manifest = {
+        "tool": "smallfdr",
+        "version": __version__,
+        "command": args.command,
+        "parameters": params,
+        "inputs": inputs,
+        "outputs": outputs,
+        "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+    }
+    _write(out + ".manifest.json", [json.dumps(manifest, indent=2, sort_keys=True), "\n"])
 
 
 def cmd_lfdr(args) -> int:
     if args.mc_draws < 1:
         raise UsageError(f"--mc-draws must be at least 1, got {args.mc_draws}")
-    pvals = load_pvalues_csv(args.input, tie_break_seed=args.seed)
+    pvals, inputs = _load(args, load_pvalues_csv, args.seed)
     result = lfdr_estimates(
         pvals, ESTIMATOR_FLAGS[args.estimator], mc_draws=args.mc_draws, seed=args.seed
     )
@@ -294,16 +294,14 @@ def cmd_lfdr(args) -> int:
         "mc_draws": args.mc_draws,
         "seed": args.seed,
     }
-    _emit_table(
-        ["id", "p", "rank", "raw_lfdr", "monotone_lfdr"], columns, args, params, [args.input]
-    )
+    _emit_table(["id", "p", "rank", "raw_lfdr", "monotone_lfdr"], columns, args, params, inputs)
     return EXIT_OK
 
 
 def cmd_bh(args) -> int:
     if not 0.0 < args.q < 1.0:
         raise UsageError(f"--q must lie in (0, 1), got {args.q}")
-    pvals = load_pvalues_csv(args.input, tie_break_seed=args.seed)
+    pvals, inputs = _load(args, load_pvalues_csv, args.seed)
     link = bh_lfdr_link(pvals, args.q)
     rejection = link.rejection
     rejected_ids = ",".join(map(_report_id, rejection.rejected_ids))
@@ -331,7 +329,7 @@ def cmd_bh(args) -> int:
         n, k = pvals.n, len(rejection.rejected_ids)
         columns = [pvals.sorted_ids(), pvals.sorted_p(), range(1, n + 1), [1] * k + [0] * (n - k)]
         params = {"input": args.input, "q": args.q, "seed": args.seed}
-        _emit_table(["id", "p", "rank", "rejected"], columns, args, params, [args.input])
+        _emit_table(["id", "p", "rank", "rejected"], columns, args, params, inputs)
     return EXIT_OK
 
 
@@ -354,7 +352,7 @@ def cmd_simulate(args) -> int:
     fields = ("pi0", "n", "estimator", "rmse", "conservatism_proportion", "bias",
               "replicate_count")
     columns = [[getattr(row, field) for row in metrics] for field in fields]
-    _emit_table(list(fields[:-1]) + ["replicates"], columns, args, asdict(config), [])
+    _emit_table(list(fields[:-1]) + ["replicates"], columns, args, asdict(config), {})
     return EXIT_OK
 
 
@@ -386,17 +384,17 @@ def cmd_coverage_exact(args) -> int:
         "estimator": args.estimator,
     }
     columns = [alpha_column, pi_column, coverage.tolist()]
-    _emit_table(["alpha", "pi", "coverage"], columns, args, params, [])
+    _emit_table(["alpha", "pi", "coverage"], columns, args, params, {})
     return EXIT_OK
 
 
 def cmd_ttest(args) -> int:
-    matrix = load_abundance_csv(args.input)
+    matrix, inputs = _load(args, load_abundance_csv)
     if args.transform == "shift-log":
         matrix = shift_log_transform(matrix)
     pvals = two_sample_t_pvalues(matrix, tie_break_seed=args.seed)
     params = {"input": args.input, "transform": args.transform, "seed": args.seed}
-    _emit_table(["id", "p"], [pvals.ids, pvals.p_values], args, params, [args.input])
+    _emit_table(["id", "p"], [pvals.ids, pvals.p_values], args, params, inputs)
     return EXIT_OK
 
 
@@ -475,8 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_outputs(args) -> None:
-    """Refuse an --out that cannot be written or that collides, or whose input
-    cannot be read a second time for its digest, before any work."""
+    """Refuse an --out that cannot be written or that collides, before any work."""
     if args.json and args.out is None:
         raise UsageError("--json writes its mirror next to --out; give --out as well")
     if args.out is None:
@@ -496,13 +493,6 @@ def _check_outputs(args) -> None:
     for path in outputs:
         if os.path.isdir(path):
             raise UsageError(f"--out {args.out}: {path} is a directory")
-    # the manifest's digest reads the input again, which a pipe cannot give twice;
-    # a missing input or a directory is left to the loader, which names it
-    source = getattr(args, "input", None)
-    if source is not None and os.path.exists(source) and not (
-            os.path.isfile(source) or os.path.isdir(source)):
-        raise UsageError(f"--out {args.out}: the input {source} is not a regular file but "
-                         "a pipe or a device, which cannot be read again for the manifest")
 
 
 def main(argv=None) -> int:

@@ -3,12 +3,14 @@
 The abundance table and the 'id,p' table are read by one rule: a leading
 UTF-8 byte-order mark and all-blank rows are dropped, row labels are
 stripped, and every value cell is parsed in one pass into a float64 grid.
-Each file is opened and read once.  For a table with a bad line, the bytes
-already read are scanned again row by row, up to its first bad line, which
-is named by the file's own count: blank rows and the continuation lines of
-quoted cells count.  So a table from a pipe is named as one from a file.  A
-fault in the header, the subject rules of the abundance header among them,
-is named on the header's own line, which blank rows above it push down.
+Each file is opened and read once, by ``_read_bytes``; the parsers take its
+bytes, which the command line hashes for its manifest.  For a table with a
+bad line, the bytes already read are scanned again row by row, up to its
+first bad line, which is named by the file's own count: blank rows and the
+continuation lines of quoted cells count.  So a table from a pipe is named
+as one from a file.  A fault in the header, the subject rules of the
+abundance header among them, is named on the header's own line, which blank
+rows above it push down.
 
 The shift-log transform adds the 25th percentile of the pooled control
 values (one scalar across all features and control subjects) and takes the
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -165,14 +168,10 @@ def two_sample_t_pvalues(matrix: AbundanceMatrix, tie_break_seed: int = 0) -> PV
     return PValueSet(matrix.features, p, tie_break_seed)
 
 
-def _read_text(path) -> tuple[bytes, str]:
-    """A file's bytes and its UTF-8 text, less a leading byte-order mark."""
+def _read_bytes(path) -> bytes:
+    """A file's bytes, read by the one ``open`` of an input table."""
     with open(path, "rb") as handle:
-        raw = handle.read()
-    try:
-        return raw, raw.decode("utf-8-sig")
-    except UnicodeDecodeError as err:
-        raise TableFormatError(f"{path}: not UTF-8 text ({err})") from None
+        return handle.read()
 
 
 def _numbered_rows(path, raw: bytes):
@@ -180,8 +179,10 @@ def _numbered_rows(path, raw: bytes):
     its cells, for the rows with a nonblank cell; a row that the csv module
     refuses (a quoted cell over its field size limit) raises, naming its line.
     The bytes are decoded as the rows are read, so that a fault near the top
-    of the table is named at once."""
-    rows = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""))
+    of the table is named at once.  A missing last line end is supplied, as
+    ``_read_table`` supplies it."""
+    lines = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
+    rows = csv.reader(itertools.chain(lines, () if raw.endswith(b"\n") else ["\n"]))
     line = 1
     try:
         for row in rows:
@@ -192,23 +193,28 @@ def _numbered_rows(path, raw: bytes):
         raise TableFormatError(f"{path}, line {line}: {err}") from None
 
 
-def _read_table(path, expected: str) -> tuple[bytes, list[str], tuple[list[str], np.ndarray] | None]:
-    """``(raw, header, (labels, grid))`` for a csv table: the file's bytes,
-    ended by a line end, its header cells, the row labels below them,
-    stripped, and the value cells parsed by ``float`` into a C-contiguous
-    float64 grid of one row per label.  ``(raw, header, None)`` when the
-    row-by-row scan of ``raw`` must name a fault: rows differ in width, a value
-    cell holds an underscore or a non-ASCII character or is not a number, or
-    the csv module refuses a row.  A file with no rows, which should start
-    with ``expected``, raises.  A plain file (no quote, NUL or lone carriage
-    return, as many commas on every line as on the first, no blank label) is
-    split at its commas and line ends without per-line work, as the csv
-    module would."""
-    raw, text = _read_text(path)
-    if not text.endswith("\n"):  # end the last line, as the csv module does
-        raw, text = raw + b"\n", text + "\n"
+def _read_table(path, raw: bytes,
+                expected: str) -> tuple[list[str], tuple[list[str], np.ndarray] | None]:
+    """``(header, (labels, grid))`` for the csv table ``raw`` read from
+    ``path``: its header cells, decoded as UTF-8 less a leading byte-order
+    mark, the row labels below them, stripped, and the value cells parsed by
+    ``float`` into a C-contiguous float64 grid of one row per label.
+    ``(header, None)`` when the row-by-row scan of ``raw`` must name a fault:
+    rows differ in width, a value cell holds an underscore or a non-ASCII
+    character or is not a number, or the csv module refuses a row.  A file
+    with no rows, which should start with ``expected``, raises.  A plain file
+    (no quote, NUL or lone carriage return, as many commas on every line as
+    on the first, no blank label) is split at its commas and line ends
+    without per-line work, as the csv module would.  ``raw`` is not copied."""
+    try:
+        text = raw.decode("utf-8-sig")
+    except UnicodeDecodeError as err:
+        raise TableFormatError(f"{path}: not UTF-8 text ({err})") from None
     codes = np.frombuffer(raw, dtype=np.uint8)
     seps = codes[(codes == ord(",")) | (codes == ord("\n"))]
+    ended = text.endswith("\n")
+    if not ended:  # end the last line, as the csv module does
+        seps = np.append(seps, np.uint8(ord("\n")))
     width = int(np.argmax(seps == ord("\n"))) + 1
     crlf, header = b"\r" in raw, None
     if (
@@ -217,7 +223,8 @@ def _read_table(path, expected: str) -> tuple[bytes, list[str], tuple[list[str],
         and seps.size % width == 0 and (seps.reshape(-1, width) == seps[:width]).all()
     ):
         cells = (text.replace("\r\n", "\n") if crlf else text).replace("\n", ",").split(",")
-        cells.pop()  # the empty cell after the last line end
+        if ended:
+            cells.pop()  # the empty cell after the last line end
         labels = list(map(str.strip, cells[width::width]))
         if cells[0].strip() and all(labels):
             header = cells[:width]
@@ -230,20 +237,20 @@ def _read_table(path, expected: str) -> tuple[bytes, list[str], tuple[list[str],
         try:
             for _, row in rows:
                 if len(row) != width:
-                    return raw, header, None
+                    return header, None
                 cells += row
         except TableFormatError:  # a refused row, which the scan names
-            return raw, header, None
+            return header, None
         labels = list(map(str.strip, cells[width::width]))
     del cells[:width], cells[::width]  # the header, then the labels
     joined = ",".join(cells) if b"_" in raw or not raw.isascii() else ""
     if "_" in joined or not joined.isascii():
-        return raw, header, None  # a cell that _number refuses
+        return header, None  # a cell that _number refuses
     try:
         grid = np.fromiter(map(float, cells), float, len(cells))
     except ValueError:
-        return raw, header, None  # a cell that is not a number
-    return raw, header, (labels, grid.reshape(len(labels), width - 1))
+        return header, None  # a cell that is not a number
+    return header, (labels, grid.reshape(len(labels), width - 1))
 
 
 def _header_fault(path, raw: bytes, fault: str) -> TableFormatError:
@@ -296,7 +303,12 @@ def _abundance_fault(row: list[str]) -> str | None:
 
 def load_abundance_csv(path) -> AbundanceMatrix:
     """Parse a 'feature,<subject_id>:<group>,...' abundance table."""
-    raw, header, table = _read_table(path, "a header line")
+    return _abundance(path, _read_bytes(path))
+
+
+def _abundance(path, raw: bytes) -> AbundanceMatrix:
+    """The abundance table ``raw`` read from ``path``."""
+    header, table = _read_table(path, raw, "a header line")
     if header[0].strip() != "feature":
         raise _header_fault(
             path, raw, f": first header column must be 'feature', got {header[0]!r}"
@@ -330,7 +342,12 @@ def _pvalue_fault(row: list[str]) -> str | None:
 
 def load_pvalues_csv(path, tie_break_seed: int = 0) -> PValueSet:
     """Parse an 'id,p' table into a tie-broken p-value set."""
-    raw, header, table = _read_table(path, "an 'id,p' header")
+    return _pvalues(path, _read_bytes(path), tie_break_seed)
+
+
+def _pvalues(path, raw: bytes, tie_break_seed: int) -> PValueSet:
+    """The 'id,p' table ``raw`` read from ``path``, as a tie-broken p-value set."""
+    header, table = _read_table(path, raw, "an 'id,p' header")
     if [cell.strip() for cell in header] != ["id", "p"]:
         raise _header_fault(path, raw, f": expected header 'id,p', got {header!r}")
     if table is not None and not table[0]:

@@ -11,6 +11,7 @@ one row at a time.
 """
 
 import csv
+import functools
 import io
 import json
 import math
@@ -151,11 +152,17 @@ def nfdr_scalar(kind: str, alpha: float, x: int, n: int, weight: float, mpmath_o
     high = 1.0 if x < n else weight
     if low == high or not low <= 0.5 <= high:
         return 1.0
-    if weight in (0.0, 1.0) and not mpmath_only:
-        median = float(bisection_quantile(n, x, weight, 0.5)[0])
-    else:
-        median = quantile_mp(n, x, weight, 0.5)
+    median = _median(n, x, weight, mpmath_only)
     return 1.0 if median == 0.0 else min(alpha / median, 1.0)
+
+
+# a median depends only on its arguments (quantile_mp works at a fixed 40
+# digits), so each is solved once however many alpha values ask for it
+@functools.lru_cache(maxsize=None)
+def _median(n: int, x: int, weight: float, mpmath_only: bool) -> float:
+    if weight in (0.0, 1.0) and not mpmath_only:
+        return float(bisection_quantile(n, x, weight, 0.5)[0])
+    return quantile_mp(n, x, weight, 0.5)
 
 
 def coverage_fraction(trials: int, alpha: float, pi: float, estimate) -> float:

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 import math
 import os
@@ -104,6 +105,24 @@ class TestLfdrCommand:
         assert manifest["inputs"][str(src)].startswith("sha256:")
         mirror = json.loads((tmp_path / "res.json").read_text())
         assert mirror[0]["id"] == "a"
+
+    def test_manifest_keeps_the_digest_of_the_bytes_parsed(self, tmp_path, monkeypatch):
+        # the input is replaced after it was read; the manifest names the bytes
+        # the table was computed from, not what the path holds afterwards
+        src, out = tmp_path / "p.csv", tmp_path / "res.csv"
+        write_pvalues(src, [("a", 0.01), ("b", 0.4)])
+        parsed = src.read_bytes()
+        estimate = smallfdr.cli.lfdr_estimates
+
+        def replace_input_then_estimate(*args, **kwargs):
+            write_pvalues(src, [("z", 0.9)])
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(smallfdr.cli, "lfdr_estimates", replace_input_then_estimate)
+        assert main(["lfdr", str(src), "--out", str(out)]) == 0
+        assert src.read_bytes() != parsed
+        manifest = json.loads((tmp_path / "res.csv.manifest.json").read_text())
+        assert manifest["inputs"] == {str(src): f"sha256:{hashlib.sha256(parsed).hexdigest()}"}
 
     def test_parse_failure_exit_code(self, tmp_path, capsys):
         src = tmp_path / "p.csv"

@@ -739,24 +739,32 @@ class TestPipedTables:
             assert from_pipe.err.startswith(f"smallfdr: data error: {name}, line {line}")
 
     @pytest.mark.parametrize("command", ["lfdr", "bh", "ttest"])
-    def test_out_refuses_a_piped_input(self, tmp_path, capsys, command):
-        # the manifest's digest would read the input a second time and find no
-        # bytes; the input is refused before it is read
+    def test_out_takes_a_piped_input(self, tmp_path, capsys, command):
+        # the manifest's digest is of the bytes the command read, so a pipe,
+        # which gives them once, is written and recorded as a file would be
         text = self.TABLES["ttest" if command == "ttest" else "lfdr"]["good"][0].encode()
-        out = tmp_path / "r.csv"
-        with piped(text) as (name, read_end):
-            argv = [command, name, "--out", str(out)] + (["--q", "0.05"] if command == "bh" else [])
-            code = main(argv)
-            assert os.read(read_end, len(text) + 1) == text
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith(f"smallfdr: error: --out {out}: the input {name} is not a "
-                              "regular file")
-        assert list(tmp_path.iterdir()) == []
+        options = {"lfdr": ["--json"], "bh": ["--q", "0.05"], "ttest": []}[command]
+        tables = ["csv", "json"] if command == "lfdr" else ["csv"]
+        src = tmp_path / "t.csv"
+        src.write_bytes(text)
+        assert main([command, str(src), "--out", str(tmp_path / "f.csv")] + options) == 0
+        from_file = capsys.readouterr()
+        with piped(text) as (name, _):
+            code = main([command, name, "--out", str(tmp_path / "p.csv")] + options)
+        assert code == 0
+        assert capsys.readouterr() == from_file
+        for ext in tables:
+            assert (tmp_path / f"p.{ext}").read_bytes() == (tmp_path / f"f.{ext}").read_bytes()
+        manifest = json.loads((tmp_path / "p.csv.manifest.json").read_text())
+        assert manifest["inputs"] == {name: f"sha256:{hashlib.sha256(text).hexdigest()}"}
+        written = [tmp_path / f"p.{ext}" for ext in tables]
+        assert manifest["outputs"] == {
+            str(path): f"sha256:{hashlib.sha256(path.read_bytes()).hexdigest()}" for path in written
+        }
 
     def test_out_keeps_a_regular_file_under_another_name(self, tmp_path):
-        # /dev/stdin redirected from a file is such a name: a second read
-        # gives the same bytes, so the manifest records their digest
+        # /dev/stdin redirected from a file is such a name; the manifest
+        # records the digest of the bytes read from it
         text = self.TABLES["lfdr"]["good"][0].encode()
         src, out = tmp_path / "p.csv", tmp_path / "r.csv"
         src.write_bytes(text)
@@ -818,7 +826,7 @@ class TestScanAgreesWithLoaders:
         text, load, label_name, cell_fault = table
         path = tmp_path_factory.mktemp("scan") / "t.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        raw = ingest._read_table(path, "")[0]
+        raw = ingest._read_bytes(path)
         fault = ingest._first_bad_line(path, raw, label_name, cell_fault)
         try:
             load(path)
