@@ -314,10 +314,13 @@ def _halley(trials, x, weight, u):
     ``x`` and ``u`` are flat and u lies in each curve's range.  The curve is
     C pi**N at x = N and 1 - (1 - C)(1 - pi)**N at x = 0, whose roots are in
     closed form, and u = 0 and u = 1 have the roots 0 and 1; none of these
-    evaluates the curve.  The other elements start from the normal
-    approximation to logit pi under Beta(a, b) = Beta(x + 1 - C, N - x + C):
-    mean digamma(a) - digamma(b) and variance trigamma(a) + trigamma(b),
-    computed once per distinct x.  Bracketed Halley steps in log pi on
+    evaluates the curve.  The other elements start from the Cornish-Fisher
+    approximation to logit pi under Beta(a, b) = Beta(x + 1 - C, N - x + C)
+    to the third cumulant, mean + sd (z + skew (z**2 - 1) / 6) with
+    z = ndtri(u): mean digamma(a) - digamma(b), variance trigamma(a) +
+    trigamma(b) and skewness (polygamma(2, a) - polygamma(2, b)) / sd**3,
+    computed once per distinct x; past the turn of the quadratic in z the
+    skew term is dropped.  Bracketed Halley steps in log pi on
     log F - log u (u <= 1/2), or in log(1 - pi) on the log of the
     complementary curve (u > 1/2), refine the start (``_log_excess``); in a
     far tail the curve is close to a power of pi or of 1 - pi, which these
@@ -346,15 +349,22 @@ def _halley(trials, x, weight, u):
         )
         pi[bottom] = 0.0 - np.expm1(log_rest / trials)
 
-    # the normal start only where 0 < x < N: at x = N, b is the weight, whose
+    # the skew-corrected start only where 0 < x < N: at x = N, b is the weight, whose
     # digamma overflows when it is subnormal
     interior = np.flatnonzero((x > 0) & (x < trials))
     distinct, index = np.unique(x[interior], return_inverse=True)
     a, b = distinct + 1.0 - weight, trials - distinct + weight
-    # digamma is psi, and the trigamma polygamma(1, .) is the Hurwitz zeta(2, .)
+    # digamma is psi, the trigamma polygamma(1, .) is the Hurwitz zeta(2, .)
+    # and polygamma(2, .) is -2 zeta(3, .)
     mean = special.psi(a) - special.psi(b)
     sd = np.sqrt(special._zeta(2.0, a) + special._zeta(2.0, b))
-    pi[interior] = special.expit(mean[index] + sd[index] * special.ndtri(u[interior]))
+    skew = (2.0 * (special._zeta(3.0, b) - special._zeta(3.0, a)) / sd**3)[index]
+    # u = 0 and u = 1 keep z = -inf and +inf, and so their roots 0 and 1; past
+    # the turn of z + skew (z**2 - 1) / 6, at skew z = -3, the term is dropped
+    z = special.ndtri(u[interior])
+    finite = np.where(np.isfinite(z), z, 0.0)
+    shift = np.where(skew * finite < -3.0, 0.0, skew * (finite**2 - 1.0) / 6.0)
+    pi[interior] = special.expit(mean[index] + sd[index] * (z + shift))
     log_coef = np.zeros(x.size)
     log_coef[interior] = _log_choose(trials, distinct)[index]
 

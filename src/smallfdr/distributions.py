@@ -100,9 +100,11 @@ def _chi2_1df_isf_arrays(p: np.ndarray) -> np.ndarray:
 
 def student_t_sf(t, df: int):
     """Pr(T > t) for Student's t, via the regularized incomplete beta function;
-    broadcasts over ``t``, and a scalar ``t`` gives a float."""
+    broadcasts over ``t``, a scalar ``t`` gives a float, and a nan raises."""
     _check_count("df", df, 1)
     t = np.asarray(t, dtype=float)
+    if np.isnan(t).any():
+        raise ValueError(f"t must not be nan, got {t[np.isnan(t)].flat[0]}")
     upper = 0.5 * special.betainc(0.5 * df, 0.5, df / (df + t * t))
     sf = np.where(t >= 0.0, upper, 1.0 - upper)
     return float(sf) if sf.ndim == 0 else sf

@@ -155,7 +155,8 @@ def two_sample_t_pvalues(matrix: AbundanceMatrix, tie_break_seed: int = 0) -> PV
         np.ascontiguousarray(matrix.values[:, matrix.columns(GROUP_CONTROL)]),
     )
     zero_variance = np.isnan(t)
-    p = np.where(zero_variance, 1.0, 2.0 * student_t_sf(np.abs(t), df))
+    p = np.ones(t.size)
+    p[~zero_variance] = 2.0 * student_t_sf(np.abs(t[~zero_variance]), df)
     degenerate = [matrix.features[i] for i in np.flatnonzero(zero_variance)]
     if degenerate:
         named = ", ".join(repr(f) for f in degenerate[:5])

@@ -22,7 +22,7 @@ from .distributions import (
     chi2_1df_sf,
 )
 from .lfdr import _rank_estimates, _rank_order, _running_max, _tail_weight, _tie_order
-from .nfdr import ESTIMATOR_KINDS, _estimate
+from .nfdr import ESTIMATOR_KINDS, KIND_MEAN, _estimate
 # Kept as module attributes: perfbench/tracing.py wraps these names in simulate.
 from .lfdr import lfdr_estimates  # noqa: F401
 from .nfdr import corrected_nfdr, mean_nfdr, mle_nfdr  # noqa: F401
@@ -145,7 +145,9 @@ def run_grid(config: SimulationConfig) -> list[MetricsRow]:
 
     Each replicate gets its own seed stream derived from (seed, pi0 index,
     N index, replicate index), split three ways: the data draws, the
-    tie-break permutation and the Monte Carlo seed.  Only these are drawn
+    tie-break permutation and the Monte Carlo seed, the children 0, 1 and 2
+    that ``spawn(3)`` gives, each built directly, and the last only when the
+    mean estimator runs.  Only these are drawn
     replicate by replicate; the statistics, p-values, rank order and oracle
     values of a cell are computed once on its (replicates, N) stack, and
     each estimator solves the stack together.  Every value depends only on
@@ -156,16 +158,19 @@ def run_grid(config: SimulationConfig) -> list[MetricsRow]:
     """
     # None pools a cell's (replicates, N) errors; 1 takes each replicate's metric
     axis = None if config.pooling == POOLING_POOLED else 1
+    mean = KIND_MEAN in config.estimators
     rows: list[MetricsRow] = []
     for i0, pi0 in enumerate(config.pi0_grid):
         for i1, n in enumerate(config.n_grid):
             data_seeds, ties, mc_seeds = [], [], []
             for rep in range(config.replicates):
-                root = np.random.SeedSequence([config.seed, i0, i1, rep])
-                k_data, k_tie, k_mc = root.spawn(3)
-                data_seeds.append(k_data)
-                ties.append(_tie_order(int(k_tie.generate_state(1)[0]), n))
-                mc_seeds.append(int(k_mc.generate_state(1)[0]))
+                entropy = [config.seed, i0, i1, rep]
+                data_seeds.append(np.random.SeedSequence(entropy, spawn_key=(0,)))
+                tie = np.random.SeedSequence(entropy, spawn_key=(1,))
+                ties.append(_tie_order(int(tie.generate_state(1)[0]), n))
+                if mean:
+                    mc = np.random.SeedSequence(entropy, spawn_key=(2,))
+                    mc_seeds.append(int(mc.generate_state(1)[0]))
             p = chi2_1df_sf(_mixture(data_seeds, n, pi0, config.delta)[1])
             p_sorted = np.take_along_axis(p, _rank_order(p, np.array(ties)), axis=-1)
             truth_sorted = true_lfdr(p_sorted, pi0, config.delta)

@@ -26,8 +26,10 @@ give the root to 1e-14 of its size:
 - one element of each chunk with normal u, one below 1e-240 where there is
   one, is within 1e-14 of ``oracles.quantile_mp``, the mpmath root.
 
-The script prints a summary and exits 1, printing the first failures, if any
-element fails.  It is not collected by pytest.
+The script also counts the curve evaluations of the 0 < C < 1 solve (the pi
+passed to ``_log_excess``) and prints their mean per 0 < C < 1 element.  It
+prints a summary and exits 1, printing the first failures, if any element
+fails or that mean exceeds MAX_EVALUATIONS.  It is not collected by pytest.
 """
 
 import argparse
@@ -40,6 +42,7 @@ from scipy import special
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from smallfdr import confidence  # noqa: E402
 from smallfdr.confidence import _Curve, _quantile  # noqa: E402
 
 from oracles import bisection_quantile, quantile_mp  # noqa: E402
@@ -52,6 +55,8 @@ SLACK = 2.0**-44
 TINY = np.finfo(float).tiny
 # below this level betainc loses digits (pi**x underflows inside it)
 DEEP = 1e-240
+# about 20 % over the mean measured at --elements 1000000 --seed 0
+MAX_EVALUATIONS = 1.5
 
 
 def draw_weight(rng):
@@ -133,6 +138,19 @@ def fractional_failures(n, weight, x, u, got, rng):
     return np.flatnonzero(bad)
 
 
+def count_evaluations():
+    """A one-element list that counts the pi at which ``_log_excess`` is
+    evaluated from now on."""
+    count, log_excess = [0], confidence._log_excess
+
+    def counted(trials, x, weight, pi, *rest):
+        count[0] += np.size(pi)
+        return log_excess(trials, x, weight, pi, *rest)
+
+    confidence._log_excess = counted
+    return count
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--elements", type=int, default=100_000)
@@ -141,7 +159,8 @@ def main(argv=None):
 
     rng = np.random.default_rng(args.seed)
     start = time.perf_counter()
-    done, failures = 0, []
+    done, fractional, failures = 0, 0, []
+    evaluations = count_evaluations()
     while done < args.elements:
         n, weight, x, u = draw_chunk(rng)
         got = _quantile(n, x, weight, u)
@@ -149,18 +168,24 @@ def main(argv=None):
             want = bisection_quantile(n, x, weight, u)
             wrong = np.flatnonzero(got != want)
         else:
+            fractional += x.size
             want = np.full(x.size, np.nan)
             wrong = fractional_failures(n, weight, x, u, got, rng)
         for i in wrong:
             failures.append((n, x[i], weight, float(u[i]), float(got[i]), float(want[i])))
         done += x.size
+    work = evaluations[0] / max(fractional, 1)
     print(
         f"{done} elements, {len(failures)} failures, seed {args.seed}, "
         f"{time.perf_counter() - start:.1f} s"
     )
+    print(
+        f"{work:.4f} curve evaluations per 0 < C < 1 element "
+        f"({fractional} elements, bound {MAX_EVALUATIONS})"
+    )
     for n, x, weight, u, got, want in failures[:SHOWN]:
         print(f"  N={n} x={x:g} C={weight!r} u={u!r}: {got!r}, bisection {want!r}")
-    return 1 if failures else 0
+    return 1 if failures or work > MAX_EVALUATIONS else 0
 
 
 if __name__ == "__main__":

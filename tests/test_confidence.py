@@ -633,6 +633,16 @@ class TestSolverWork:
             total += _quantile(n, 2 * np.arange(1, n // 2 + 1)[:, None], 0.5, u).size
         assert sum(p.size for p in points) <= 3 * total
 
+    @pytest.mark.parametrize("weight", [0.3, 0.5])
+    def test_large_n_medians_take_about_one_evaluation(self, monkeypatch, weight):
+        # the medians of every x at N = 10**4: the skew-corrected start is
+        # within one step of the root (about 1.05 evaluations; 1.97 from the
+        # plain normal start)
+        points = _evaluated_points(monkeypatch)
+        n = 10_000
+        got = _quantile(n, np.arange(n + 1), weight, 0.5)
+        assert sum(p.size for p in points) <= 1.2 * got.size
+
     @pytest.mark.parametrize(
         "n, x, weight, u",
         # far tails, where a plain Halley loop in pi needed 100 steps and the

@@ -211,3 +211,11 @@ class TestStudentT:
     def test_domain(self):
         with pytest.raises(ValueError):
             student_t_sf(1.0, 0)
+
+    def test_rejects_nan(self):
+        # as chi2_1df_sf does: infinite t are tails, nan is named
+        assert student_t_sf(np.array([-np.inf, np.inf]), 3).tolist() == [1.0, 0.0]
+        with pytest.raises(ValueError, match="got nan"):
+            student_t_sf(np.nan, 3)
+        with pytest.raises(ValueError, match="got nan"):
+            student_t_sf(np.array([1.0, np.nan]), 3)

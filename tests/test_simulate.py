@@ -122,43 +122,54 @@ class TestRunGrid:
     # N = 32 is the default grid's largest
     @pytest.mark.parametrize("pi0, n", [(0.0, 1), (1.0, 2), (0.75, 6), (0.9, 32)])
     @pytest.mark.parametrize("pooling", ["pooled", "per_replicate"])
-    @pytest.mark.parametrize("estimator", ["mle", "corrected_median", "posterior_mean"])
-    def test_replicate_streams_follow_documented_split(self, estimator, pooling, pi0, n):
+    @pytest.mark.parametrize(
+        "estimators",
+        [("mle",), ("corrected_median",), ("posterior_mean",),
+         ("corrected_median", "posterior_mean")],
+        ids="+".join,
+    )
+    def test_replicate_streams_follow_documented_split(self, estimators, pooling, pi0, n):
         # rebuild one cell by hand from the (seed, pi0-index, n-index,
-        # replicate-index) splitting contract, one lfdr_estimates call per
-        # replicate, and match the batched grid's metrics bit for bit
+        # replicate-index) splitting contract, root.spawn(3) into the data,
+        # tie-break and Monte Carlo streams, one lfdr_estimates call per
+        # replicate and estimator, and match each row of the batched grid bit
+        # for bit, whether or not the set draws Monte Carlo seeds
         reps, seed = 8, 33
         cfg = SimulationConfig(
             pi0_grid=(pi0,), n_grid=(n,), replicates=reps, seed=seed,
-            estimators=(estimator,), mc_draws=40, pooling=pooling,
+            estimators=estimators, mc_draws=40, pooling=pooling,
         )
-        row = run_grid(cfg)[0]
-        diffs = []
+        rows = run_grid(cfg)
+        assert [row.estimator for row in rows] == list(estimators)
+        replicates = []
         for rep in range(reps):
             root = np.random.SeedSequence([seed, 0, 0, rep])
             k_data, k_tie, k_mc = root.spawn(3)
             ds = generate_dataset(pi0, n, 2.0, seed=k_data)
-            truth = true_lfdr(ds.p_values, pi0, 2.0)
             pset = PValueSet.from_pairs(
                 ((f"h{j}", float(p)) for j, p in enumerate(ds.p_values)),
                 tie_break_seed=int(k_tie.generate_state(1)[0]),
             )
-            res = lfdr_estimates(
-                pset, estimator, mc_draws=40, seed=int(k_mc.generate_state(1)[0])
+            truth = true_lfdr(ds.p_values, pi0, 2.0)[pset.order()]
+            replicates.append((pset, truth, int(k_mc.generate_state(1)[0])))
+        for row in rows:
+            diffs = [
+                lfdr_estimates(pset, row.estimator, mc_draws=40, seed=mc_seed).monotone()
+                - truth
+                for pset, truth, mc_seed in replicates
+            ]
+            if pooling == "pooled":
+                pooled = np.concatenate(diffs)
+                rmse = float(np.sqrt(np.mean(pooled**2)))
+                bias = float(np.mean(pooled))
+                conservatism = float(np.mean(pooled >= 0))
+            else:
+                rmse = float(np.mean([np.sqrt(np.mean(d**2)) for d in diffs]))
+                bias = float(np.mean([np.mean(d) for d in diffs]))
+                conservatism = float(np.mean([np.mean(d >= 0) for d in diffs]))
+            assert (row.rmse, row.bias, row.conservatism_proportion) == (
+                rmse, bias, conservatism
             )
-            diffs.append(res.monotone() - truth[pset.order()])
-        if pooling == "pooled":
-            pooled = np.concatenate(diffs)
-            rmse = float(np.sqrt(np.mean(pooled**2)))
-            bias = float(np.mean(pooled))
-            conservatism = float(np.mean(pooled >= 0))
-        else:
-            rmse = float(np.mean([np.sqrt(np.mean(d**2)) for d in diffs]))
-            bias = float(np.mean([np.mean(d) for d in diffs]))
-            conservatism = float(np.mean([np.mean(d >= 0) for d in diffs]))
-        assert (row.rmse, row.bias, row.conservatism_proportion) == (
-            rmse, bias, conservatism
-        )
 
     def test_per_replicate_pooling_mode(self):
         base = dict(pi0_grid=(0.5,), n_grid=(8,), replicates=12, seed=44)
