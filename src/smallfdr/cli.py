@@ -246,13 +246,20 @@ def _mirror(out: str) -> str:
     return os.path.splitext(out)[0] + ".json"
 
 
-def _emit_table(header: list[str], columns: list, args, params: dict, inputs: dict) -> None:
+# Entries of a parsed namespace that are not parameters: the subcommand, its
+# handler and the outputs.
+_NOT_PARAMETERS = ("command", "func", "out", "json")
+
+
+def _emit_table(header: list[str], columns: list, args, params=None, inputs=None) -> None:
     """Write a CSV table to --out (with manifest, optional JSON mirror) or stdout.
 
     ``columns`` holds one sequence or array per header name.  Each row is
     one %-formatted line, with the bytes csv.writer would write, except that
-    a cell holding a CR is quoted too.  ``inputs`` maps each input to its
-    digest, and each output's digest is taken of the bytes as they are written.
+    a cell holding a CR is quoted too.  The manifest's parameters are the
+    dict ``params``, by default the flags as parsed, less ``_NOT_PARAMETERS``.
+    The dict ``inputs`` maps each input to its digest, and each output's
+    digest is taken of the bytes as they are written.
     """
     out = args.out
     if out is None:
@@ -261,12 +268,14 @@ def _emit_table(header: list[str], columns: list, args, params: dict, inputs: di
     outputs = {out: _write(out, _csv_text(header, columns))}
     if args.json:
         outputs[_mirror(out)] = _write(_mirror(out), _json_text(header, columns))
+    if params is None:
+        params = vars(args)
     manifest = {
         "tool": "smallfdr",
         "version": __version__,
         "command": args.command,
-        "parameters": params,
-        "inputs": inputs,
+        "parameters": {key: value for key, value in params.items() if key not in _NOT_PARAMETERS},
+        "inputs": inputs or {},
         "outputs": outputs,
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
@@ -288,13 +297,7 @@ def cmd_lfdr(args) -> int:
         result.raw(),
         result.monotone(),
     ]
-    params = {
-        "input": args.input,
-        "estimator": args.estimator,
-        "mc_draws": args.mc_draws,
-        "seed": args.seed,
-    }
-    _emit_table(["id", "p", "rank", "raw_lfdr", "monotone_lfdr"], columns, args, params, inputs)
+    _emit_table(["id", "p", "rank", "raw_lfdr", "monotone_lfdr"], columns, args, inputs=inputs)
     return EXIT_OK
 
 
@@ -328,8 +331,7 @@ def cmd_bh(args) -> int:
     if args.out is not None:
         n, k = pvals.n, len(rejection.rejected_ids)
         columns = [pvals.sorted_ids(), pvals.sorted_p(), range(1, n + 1), [1] * k + [0] * (n - k)]
-        params = {"input": args.input, "q": args.q, "seed": args.seed}
-        _emit_table(["id", "p", "rank", "rejected"], columns, args, params, inputs)
+        _emit_table(["id", "p", "rank", "rejected"], columns, args, inputs=inputs)
     return EXIT_OK
 
 
@@ -352,7 +354,7 @@ def cmd_simulate(args) -> int:
     fields = ("pi0", "n", "estimator", "rmse", "conservatism_proportion", "bias",
               "replicate_count")
     columns = [[getattr(row, field) for row in metrics] for field in fields]
-    _emit_table(list(fields[:-1]) + ["replicates"], columns, args, asdict(config), {})
+    _emit_table(list(fields[:-1]) + ["replicates"], columns, args, asdict(config))
     return EXIT_OK
 
 
@@ -377,14 +379,9 @@ def cmd_coverage_exact(args) -> int:
     coverage[defined] = exact_small_n_coverage(
         args.n, alpha_column[defined], pi_column[defined], ESTIMATOR_FLAGS[args.estimator]
     ).tolist()
-    params = {
-        "n": args.n,
-        "alpha_grid": alphas,
-        "pi_grid": pis,
-        "estimator": args.estimator,
-    }
     columns = [alpha_column, pi_column, coverage.tolist()]
-    _emit_table(["alpha", "pi", "coverage"], columns, args, params, {})
+    params = dict(vars(args), alpha_grid=alphas, pi_grid=pis)
+    _emit_table(["alpha", "pi", "coverage"], columns, args, params)
     return EXIT_OK
 
 
@@ -393,8 +390,7 @@ def cmd_ttest(args) -> int:
     if args.transform == "shift-log":
         matrix = shift_log_transform(matrix)
     pvals = two_sample_t_pvalues(matrix, tie_break_seed=args.seed)
-    params = {"input": args.input, "transform": args.transform, "seed": args.seed}
-    _emit_table(["id", "p"], [pvals.ids, pvals.p_values], args, params, inputs)
+    _emit_table(["id", "p"], [pvals.ids, pvals.p_values], args, inputs=inputs)
     return EXIT_OK
 
 
@@ -418,20 +414,19 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(default: stdout; bh then writes no table)")
     output.add_argument("--json", action="store_true",
                         help="also write a JSON mirror next to --out")
+    estimating = argparse.ArgumentParser(add_help=False)
+    estimating.add_argument("--estimator", choices=sorted(ESTIMATOR_FLAGS), default="corrected")
+    pvalue_input = argparse.ArgumentParser(add_help=False)
+    pvalue_input.add_argument("input", help="p-value CSV with header 'id,p'")
 
-    p_lfdr = sub.add_parser("lfdr", parents=[seeded, output],
+    p_lfdr = sub.add_parser("lfdr", parents=[seeded, output, pvalue_input, estimating],
                             help="estimate local FDRs from an 'id,p' table")
-    p_lfdr.add_argument("input", help="p-value CSV with header 'id,p'")
-    p_lfdr.add_argument(
-        "--estimator", choices=sorted(ESTIMATOR_FLAGS), default="corrected"
-    )
     p_lfdr.add_argument("--mc-draws", type=int, default=100,
                         help="Monte Carlo draws for the mean estimator")
     p_lfdr.set_defaults(func=cmd_lfdr)
 
-    p_bh = sub.add_parser("bh", parents=[seeded, output],
+    p_bh = sub.add_parser("bh", parents=[seeded, output, pvalue_input],
                           help="step-up rejection report at level q")
-    p_bh.add_argument("input", help="p-value CSV with header 'id,p'")
     p_bh.add_argument("--q", type=float, required=True, help="control level in (0, 1)")
     p_bh.set_defaults(func=cmd_bh)
 
@@ -451,16 +446,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cov = sub.add_parser(
-        "coverage-exact", parents=[output],
+        "coverage-exact", parents=[output, estimating],
         help="exact probability of reaching the bound",
     )
     p_cov.add_argument("--n", type=int, required=True, help="number of hypotheses N >= 1, "
                        f"at most {MAX_GRID_SIZE} --alpha-grid values x (N + 1) estimates")
     p_cov.add_argument("--alpha-grid", default="0.01,0.05,0.1,0.2,0.3,0.5")
     p_cov.add_argument("--pi-grid", default="0.05:1.0:0.05")
-    p_cov.add_argument(
-        "--estimator", choices=sorted(ESTIMATOR_FLAGS), default="corrected"
-    )
     p_cov.set_defaults(func=cmd_coverage_exact)
 
     p_tt = sub.add_parser("ttest", parents=[seeded, output],

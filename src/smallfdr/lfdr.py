@@ -81,7 +81,7 @@ class PValueSet:
             i = int(np.argmax(bad))
             label, value = self.ids[i], float(p[i])
             raise ValueError(f"p-value for {label!r} must lie in [0, 1], got {value}")
-        self.tie_break_seed = int(tie_break_seed)
+        self.tie_break_seed = _check_count("tie_break_seed", tie_break_seed, 0)
         self._p = p
         self._order = _rank_order(p, _tie_order(self.tie_break_seed, p.size))
         self._order.flags.writeable = False
@@ -240,15 +240,15 @@ def _rank_estimates(
     substream seeded by (seed, rank) and go through one inverse call.
     """
     w = _tail_weight(kind, weight)
-    if kind == KIND_MEAN:
-        _check_choice("mean_method", mean_method, MEAN_METHODS)
+    # every kind checks the Monte Carlo options, which only the mean uses
+    _check_choice("mean_method", mean_method, MEAN_METHODS)
+    seeds = [_check_count("seed", seed, 0) for seed in seeds]
+    mc_draws = _check_count("mc_draws", mc_draws, 1)
     rows, n = p_sorted.shape
     m = n // 2
     xs = 2 * np.arange(1, m + 1)
     alphas = p_sorted[:, xs - 1]
     if kind == KIND_MEAN and mean_method == "monte_carlo":
-        seeds = [_check_count("seed", seed, 0) for seed in seeds]
-        mc_draws = _check_count("mc_draws", mc_draws, 1)
         u = np.array(
             [
                 np.random.default_rng(np.random.SeedSequence([seed, r])).random(mc_draws)

@@ -104,7 +104,9 @@ def _beta_mean(alpha, a, b):
     the atom at 1.  Above alpha the density weighted by 1/pi is
     (a + b - 1)/(a - 1) times the Beta(a - 1, b) density; at a = 1 that
     integral is b * sum_{j >= b} (1 - alpha)^j / j, summed as the full
-    series -log(alpha) less its first b - 1 terms (alpha = 0 gives 0).
+    series -log(alpha) less its first b - 1 terms (alpha = 0 gives 0).  The
+    a = 1 elements of one b sum their terms as the rows of one array, which
+    gives the bits of one sum per element.
     """
     below = special.betainc(a, b, alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -112,10 +114,13 @@ def _beta_mean(alpha, a, b):
         # the a = 1 elements divide by zero here and are replaced below.
         above = (a + b - 1.0) / (a - 1.0) * special.betainc(b, a - 1.0, 1.0 - alpha)
         value = below + alpha * above
-    for i in np.flatnonzero(a == 1.0):
-        j = np.arange(1.0, b[i])
-        series = special.xlogy(alpha[i], alpha[i]) + alpha[i] * np.sum((1.0 - alpha[i]) ** j / j)
-        value[i] = below[i] - b[i] * series
+    ones = np.flatnonzero(a == 1.0)
+    for count in np.unique(b[ones]):
+        i = ones[b[ones] == count]
+        j = np.arange(1.0, count)
+        terms = (1.0 - alpha[i, None]) ** j / j
+        series = special.xlogy(alpha[i], alpha[i]) + alpha[i] * np.sum(terms, axis=1)
+        value[i] = below[i] - count * series
     return np.where(b == 0.0, alpha, np.where(a == 0.0, 1.0, value))
 
 
@@ -226,13 +231,18 @@ def mean_nfdr(
     seeded, each ratio capped before averaging, which bounds the variance
     where the raw ratio integral diverges near pi = 0) or "quadrature" (the
     exact mean, from the Beta-mixture form of the confidence distribution).
+    ``draws`` and ``seed``, a whole number >= 0 or a SeedSequence, are checked
+    for either method.
     """
     _check_basic(alpha, x, trials)
     _check_unit("weight", weight)
     _check_choice("method", method, MEAN_METHODS)
+    draws = _check_count("draws", draws, 1)
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = _check_count("seed", seed, 0)
     if method == "quadrature":
         value, capped = _mean_exact(alpha, x, trials, weight)
     else:
-        u = np.random.default_rng(seed).random(_check_count("draws", draws, 1))
+        u = np.random.default_rng(seed).random(draws)
         value, capped = _mean_mc(alpha, x, trials, weight, u)
     return NfdrEstimate(float(value), KIND_MEAN, alpha, x, trials, weight, bool(capped))

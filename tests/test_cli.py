@@ -690,6 +690,51 @@ class TestGlobalBehavior:
         assert "0.123456789012" in out
 
 
+class TestManifestParameters:
+    """Each subcommand records every flag as parsed, less the outputs; coverage-exact its
+    grids as the values they expand to, and simulate the SimulationConfig its flags build."""
+
+    # argv after the subcommand, and the whole parameters block; "{p}" and "{abundance}"
+    # stand for the input paths
+    CASES = {
+        "lfdr": (
+            ["{p}", "--estimator", "mean", "--mc-draws", "7", "--seed", "5"],
+            {"input": "{p}", "estimator": "mean", "mc_draws": 7, "seed": 5},
+        ),
+        "bh": (["{p}", "--q", "0.2", "--seed", "3"], {"input": "{p}", "q": 0.2, "seed": 3}),
+        "ttest": (
+            ["{abundance}", "--transform", "none", "--seed", "4"],
+            {"input": "{abundance}", "transform": "none", "seed": 4},
+        ),
+        "coverage-exact": (
+            ["--n", "3", "--alpha-grid", "0.05,0.1:0.2:0.05", "--pi-grid", "0.5",
+             "--estimator", "mean"],
+            {"n": 3, "alpha_grid": [0.05, 0.1, 0.15, 0.2], "pi_grid": [0.5], "estimator": "mean"},
+        ),
+        "simulate": (
+            ["--pi0-grid", "0.9", "--n-grid", "2,3", "--delta", "1.5", "--reps", "2",
+             "--seed", "9", "--estimators", "mle,mean", "--mc-draws", "5", "--per-replicate"],
+            {"pi0_grid": [0.9], "n_grid": [2, 3], "delta": 1.5, "replicates": 2, "seed": 9,
+             "estimators": ["mle", "posterior_mean"], "mc_draws": 5, "pooling": "per_replicate"},
+        ),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_parameters_are_the_flags_as_parsed(self, command, tmp_path, capsys):
+        pvalues = tmp_path / "p.csv"
+        write_pvalues(pvalues, [("a", 0.01), ("b", 0.2), ("c", 0.5), ("d", 0.7)])
+        paths = {"{p}": str(pvalues), "{abundance}": str(FIXTURE)}
+        argv, expected = self.CASES[command]
+        argv = [command] + [paths.get(a, a) for a in argv] + ["--out", tmp_path / "r.csv", "--json"]
+        assert run(argv, capsys)[0] == 0
+        manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["parameters"] == {
+            key: paths.get(value, value) if isinstance(value, str) else value
+            for key, value in expected.items()
+        }
+
+
 class TestHelp:
     @pytest.mark.parametrize("command", ["lfdr", "bh", "simulate", "coverage-exact", "ttest"])
     def test_every_subcommand_lists_the_shared_flags(self, command, capsys):

@@ -691,7 +691,8 @@ class TestLoaders:
         # a seed that the p-value set refuses is raised as it is; a bad row still wins
         path = tmp_path / "p.csv"
         path.write_text("id,p\na,0.1\nb,0.2\n")
-        with pytest.raises(ValueError, match="^expected non-negative integer$") as err:
+        refused = "^tie_break_seed must be a whole number >= 0, got -1$"
+        with pytest.raises(ValueError, match=refused) as err:
             load_pvalues_csv(path, tie_break_seed=-1)
         assert not isinstance(err.value, TableFormatError)
         path.write_text("id,p\na,0.1\na,0.2\n")

@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 
 from smallfdr import (
+    AbundanceMatrix,
     LfdrRow,
     NfdrEstimate,
     PValueSet,
     SimulationConfig,
+    Subject,
     bh_lfdr_link,
     bh_reject,
     enforce_monotonicity,
     lfdr_estimates,
     mean_nfdr,
     run_grid,
+    two_sample_t_pvalues,
 )
 from smallfdr.lfdr import _rank_estimates
 
@@ -57,6 +60,15 @@ class TestPValueSet:
             pset([0.2, 1.4])
         with pytest.raises(ValueError):
             pset([float("nan")])
+
+    @pytest.mark.parametrize("seed", [1.5, -1])
+    def test_tie_break_seed_is_a_whole_number_at_least_zero(self, seed):
+        with pytest.raises(ValueError, match="^tie_break_seed must be a whole number >= 0"):
+            pset([0.1, 0.2], seed)
+        subjects = tuple(Subject(s, g) for s, g in zip("abcd", ["case"] * 2 + ["control"] * 2))
+        matrix = AbundanceMatrix(("f", "g"), subjects, np.array([[1, 2, 3, 4], [1, 5, 3, 4.0]]))
+        with pytest.raises(ValueError, match="^tie_break_seed must be a whole number >= 0"):
+            two_sample_t_pvalues(matrix, tie_break_seed=seed)
 
     # each constructor names the first id that repeats an earlier one
     def test_duplicate_ids_from_sequences(self):
@@ -256,6 +268,25 @@ class TestLfdrEstimates:
         # N = 1 has no rank with 2r <= N, yet bad options still fail as at N = 2
         with pytest.raises(ValueError, match=option):
             lfdr_estimates(pset([0.01, 0.3][:n]), "posterior_mean", **{option: value})
+
+    # the Monte Carlo options raise on the paths that ignore them as on the one that uses them
+    @pytest.mark.parametrize(
+        "kind, method",
+        [("mle", "monte_carlo"), ("corrected_median", "monte_carlo"),
+         ("posterior_mean", "quadrature")],
+    )
+    @pytest.mark.parametrize(
+        "option, value", [("mc_draws", 0), ("mc_draws", -3), ("seed", -1), ("seed", 2.5)]
+    )
+    def test_monte_carlo_options_checked_on_every_path(self, kind, method, option, value):
+        with pytest.raises(ValueError, match=f"^{option} must be a whole number"):
+            lfdr_estimates(pset([0.01, 0.2, 0.5, 0.7]), kind, mean_method=method,
+                           **{option: value})
+
+    @pytest.mark.parametrize("kind", ["mle", "corrected_median"])
+    def test_mean_method_checked_for_every_kind(self, kind):
+        with pytest.raises(ValueError, match="^mean_method must be one of"):
+            lfdr_estimates(pset([0.01, 0.2]), kind, mc_draws=0, seed=-1, mean_method="bogus")
 
 
 class TestBh:

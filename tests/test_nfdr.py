@@ -175,6 +175,14 @@ class TestMean:
         with pytest.raises(ValueError):
             mean_nfdr(0.1, 1, 2, draws=0)
 
+    @pytest.mark.parametrize("method", ["monte_carlo", "quadrature"])
+    @pytest.mark.parametrize(
+        "option, value", [("draws", 0), ("draws", 1.5), ("seed", -1), ("seed", 2.5)]
+    )
+    def test_draws_and_seed_checked_for_every_method(self, method, option, value):
+        with pytest.raises(ValueError, match=f"^{option} must be a whole number"):
+            mean_nfdr(0.05, 1, 3, method=method, **{option: value})
+
 
 class TestLargeNConservatism:
     def test_all_kinds_exceed_true_ratio(self):
