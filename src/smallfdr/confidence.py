@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _special as special
-from .distributions import _check_count, _check_unit, _log_binomial_coef, _log_binomial_pmf
+from .distributions import _check_count, _check_seed, _check_unit
+from .distributions import _log_binomial_coef, _log_binomial_pmf
 
 # For C in {0, 1} the inverse is the midpoint of the cell of width
 # 2**-40 < 1e-12 that 40 halvings of [0, 1] reach; every cell along the way
@@ -475,5 +476,5 @@ def sample_parameter(cd: ConfidenceDistribution, n_draws: int, seed) -> np.ndarr
     The generator is owned by this call; the same seed always reproduces the
     same draws.
     """
-    u = np.random.default_rng(seed).random(_check_count("n_draws", n_draws, 1))
+    u = np.random.default_rng(_check_seed("seed", seed)).random(_check_count("n_draws", n_draws, 1))
     return _quantile(cd.trials, cd.successes, cd.weight, u)

@@ -33,6 +33,12 @@ def _check_count(name: str, value, low: int, high: int | None = None) -> int:
     return int(value)
 
 
+def _check_seed(name: str, seed):
+    """``seed`` as an int when it is a whole number >= 0, a SeedSequence as
+    it is, else a ValueError naming ``name``."""
+    return seed if isinstance(seed, np.random.SeedSequence) else _check_count(name, seed, 0)
+
+
 def _check_unit(name: str, value) -> None:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value}")

@@ -194,6 +194,10 @@ def _numbered_rows(path, raw: bytes):
         raise TableFormatError(f"{path}, line {line}: {err}") from None
 
 
+# every byte but the comma and the line feed, which bytes.translate deletes
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
+
+
 def _read_table(path, raw: bytes,
                 expected: str) -> tuple[list[str], tuple[list[str], np.ndarray] | None]:
     """``(header, (labels, grid))`` for the csv table ``raw`` read from
@@ -206,22 +210,23 @@ def _read_table(path, raw: bytes,
     with no rows, which should start with ``expected``, raises.  A plain file
     (no quote, NUL or lone carriage return, as many commas on every line as
     on the first, no blank label) is split at its commas and line ends
-    without per-line work, as the csv module would.  ``raw`` is not copied."""
+    without per-line work, as the csv module would.  The comma rule is read
+    from the separator bytes alone, which ``bytes.translate`` keeps in one
+    pass: the first line's run of commas and its line end repeat to the
+    end.  ``raw`` is not copied."""
     try:
         text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as err:
         raise TableFormatError(f"{path}: not UTF-8 text ({err})") from None
-    codes = np.frombuffer(raw, dtype=np.uint8)
-    seps = codes[(codes == ord(",")) | (codes == ord("\n"))]
     ended = text.endswith("\n")
-    if not ended:  # end the last line, as the csv module does
-        seps = np.append(seps, np.uint8(ord("\n")))
-    width = int(np.argmax(seps == ord("\n"))) + 1
+    # the commas and line ends in order, the last line ended as the csv module ends it
+    seps = raw.translate(None, _NOT_SEPARATORS) + (b"" if ended else b"\n")
+    width = seps.index(b"\n") + 1
     crlf, header = b"\r" in raw, None
     if (
         b'"' not in raw and b"\0" not in raw
         and (not crlf or raw.count(b"\r") == raw.count(b"\r\n"))
-        and seps.size % width == 0 and (seps.reshape(-1, width) == seps[:width]).all()
+        and seps == seps[:width] * (len(seps) // width)
     ):
         cells = (text.replace("\r\n", "\n") if crlf else text).replace("\n", ",").split(",")
         if ended:

@@ -56,9 +56,10 @@ class PValueSet:
     ties resolved by a seeded random permutation so that ranks are always a
     bijection onto 1..N and reruns with the same seed agree.
 
-    The set holds the ids, one float64 array of p-values and the rank order,
-    which is computed once, here.  The ``p_values`` and ``ranks`` tuples are
-    built on first use.
+    The set holds the ids and one float64 array of p-values.  The rank order
+    is computed once, on first read (``order``, ``sorted_p``, ``sorted_ids``
+    or ``ranks``), so a set whose ranks are never read is never sorted.  The
+    ``p_values`` and ``ranks`` tuples are built on first use.
     """
 
     def __init__(self, ids, p_values, tie_break_seed: int = 0):
@@ -83,8 +84,6 @@ class PValueSet:
             raise ValueError(f"p-value for {label!r} must lie in [0, 1], got {value}")
         self.tie_break_seed = _check_count("tie_break_seed", tie_break_seed, 0)
         self._p = p
-        self._order = _rank_order(p, _tie_order(self.tie_break_seed, p.size))
-        self._order.flags.writeable = False
 
     @classmethod
     def from_pairs(cls, pairs, tie_break_seed: int = 0) -> "PValueSet":
@@ -106,14 +105,18 @@ class PValueSet:
         return len(self.ids)
 
     @cached_property
+    def _order(self) -> np.ndarray:
+        order = _rank_order(self._p, _tie_order(self.tie_break_seed, self.n))
+        order.flags.writeable = False
+        return order
+
+    @cached_property
     def p_values(self) -> tuple[float, ...]:
         return tuple(self._p.tolist())
 
     @cached_property
     def ranks(self) -> tuple[int, ...]:
-        ranks = np.empty(self.n, dtype=int)
-        ranks[self._order] = np.arange(1, self.n + 1)
-        return tuple(ranks.tolist())
+        return tuple((np.argsort(self._order) + 1).tolist())  # the inverse permutation
 
     def order(self) -> np.ndarray:
         """Input indices arranged by ascending rank (a read-only array)."""

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _special as special
 from .confidence import _Curve, _quantile, _range
-from .distributions import _check_choice, _check_count, _check_unit
+from .distributions import _check_choice, _check_count, _check_seed, _check_unit
 # Kept as a module attribute: perfbench/tracing.py wraps nfdr.inverse_significance.
 from .confidence import inverse_significance  # noqa: F401
 
@@ -238,8 +238,7 @@ def mean_nfdr(
     _check_unit("weight", weight)
     _check_choice("method", method, MEAN_METHODS)
     draws = _check_count("draws", draws, 1)
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = _check_count("seed", seed, 0)
+    seed = _check_seed("seed", seed)
     if method == "quadrature":
         value, capped = _mean_exact(alpha, x, trials, weight)
     else:

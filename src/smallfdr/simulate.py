@@ -18,6 +18,7 @@ from .distributions import (
     Chi2MixtureParams,
     _check_choice,
     _check_count,
+    _check_seed,
     _chi2_1df_isf_arrays,
     chi2_1df_sf,
 )
@@ -114,7 +115,7 @@ def generate_dataset(pi0: float, n: int, delta: float, seed) -> SimulatedDataset
     """
     Chi2MixtureParams(pi0, delta)
     n = _check_count("n", n, 1)
-    labels, statistics = _mixture([seed], n, pi0, delta)
+    labels, statistics = _mixture([_check_seed("seed", seed)], n, pi0, delta)
     return SimulatedDataset(statistics[0], labels[0], chi2_1df_sf(statistics[0]))
 
 

@@ -51,6 +51,9 @@ COUNT_ENTRY_POINTS = {
     "sample_parameter": (
         "n_draws", lambda v: sample_parameter(ConfidenceDistribution(5, 2, 0.5), v, 0)
     ),
+    "sample_parameter-seed": (
+        "seed", lambda v: sample_parameter(ConfidenceDistribution(5, 2, 0.5), 3, v)
+    ),
     "mle_nfdr": ("trials", lambda v: mle_nfdr(0.1, 2, v)),
     "corrected_nfdr": ("x", lambda v: corrected_nfdr(0.1, v, 4)),
     "mean_nfdr-x": ("x", lambda v: mean_nfdr(0.1, v, 4)),
@@ -65,6 +68,7 @@ COUNT_ENTRY_POINTS = {
         "seed", lambda v: lfdr_estimates(_PVALUES, "posterior_mean", seed=v)
     ),
     "generate_dataset": ("n", lambda v: generate_dataset(0.5, v, 2.0, 0)),
+    "generate_dataset-seed": ("seed", lambda v: generate_dataset(0.5, 4, 2.0, v)),
     "exact_small_n_coverage": ("trials", lambda v: exact_small_n_coverage(v, 0.1, 0.5, "mle")),
     "SimulationConfig-n_grid": ("n_grid", lambda v: SimulationConfig(n_grid=(2, v))),
     "SimulationConfig-replicates": ("replicates", lambda v: SimulationConfig(replicates=v)),
@@ -80,6 +84,23 @@ class TestCounts:
         name, call = COUNT_ENTRY_POINTS[entry]
         with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
             call(value)
+
+    @pytest.mark.parametrize(
+        "entry", sorted(e for e, (name, _) in COUNT_ENTRY_POINTS.items() if "seed" in name)
+    )
+    def test_negative_seed_names_the_parameter(self, entry):
+        name, call = COUNT_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=f"^{name} must be a whole number >= 0, got -1$"):
+            call(-1)
+
+    def test_seed_sequences_are_seeds(self):
+        cd = ConfidenceDistribution(5, 2, 0.5)
+        seq = np.random.SeedSequence([4, 1])
+        assert np.array_equal(sample_parameter(cd, 3, seq), sample_parameter(cd, 3, seq))
+        a, b = (generate_dataset(0.5, 4, 2.0, seq) for _ in range(2))
+        assert np.array_equal(a.p_values, b.p_values)
+        assert mean_nfdr(0.1, 2, 4, seed=seq) == mean_nfdr(0.1, 2, 4, seed=seq)
+        assert np.array_equal(sample_parameter(cd, 3, 2.0), sample_parameter(cd, 3, np.int64(2)))
 
     def test_whole_floats_and_numpy_integers_are_counts(self):
         assert corrected_nfdr(0.1, 2.0, np.int64(5)) == corrected_nfdr(0.1, 2, 5)

@@ -463,6 +463,28 @@ class TestLoaders:
         assert reads["files"] == 1
 
     @pytest.mark.parametrize(
+        "load, text, fault",
+        [
+            (load_pvalues_csv, "id,p\n1,0.1,0.2\n0.3\n", ": expected 2 cells, got 3"),
+            (load_pvalues_csv, "id,p\r\n1,0.1,0.2\r\n0.3", ": expected 2 cells, got 3"),
+            (load_abundance_csv, f"{ABUNDANCE_HEADER}\n1,1,2,3,4,5\n6,7,8,9\n",
+             ": expected 5 cells, got 6"),
+            (load_abundance_csv, f"{ABUNDANCE_HEADER}\nf,1,2,3\n4,5,6,7,8,9\n",
+             ": expected 5 cells, got 4"),
+        ],
+        ids=["pvalues", "pvalues-crlf-unended", "abundance-long-first", "abundance-short-first"],
+    )
+    def test_ragged_lines_that_balance_name_the_first(self, tmp_path, reads, load, text, fault):
+        # the comma counts of lines 2 and 3 sum to two lines' worth, so a check
+        # of the total count alone would split the file into two numeric rows
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(TableFormatError) as err:
+            load(path)
+        assert str(err.value) == f"{path}, line 2{fault}"
+        assert reads["files"] == 1
+
+    @pytest.mark.parametrize(
         "load, text, line, fault",
         [
             (load_pvalues_csv, "name,pval\na,0.1\n", 1,

@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from smallfdr import lfdr
 from smallfdr import (
     AbundanceMatrix,
     LfdrRow,
@@ -16,6 +19,7 @@ from smallfdr import (
     run_grid,
     two_sample_t_pvalues,
 )
+from smallfdr.cli import main
 from smallfdr.lfdr import _rank_estimates
 
 from oracles import pvalue_tuples, textbook_bh
@@ -91,6 +95,47 @@ class TestPValueSet:
     def test_duplicate_ids_from_pairs(self):
         with pytest.raises(ValueError, match="duplicate id 'h1'"):
             PValueSet.from_pairs([("h1", 0.3), ("h2", 0.3), ("h1", 0.3)], tie_break_seed=4)
+
+
+class TestLazyRankOrder:
+    """A set is ranked once, on the first read of its order; ``ttest`` never reads it."""
+
+    @pytest.fixture
+    def rank_calls(self, monkeypatch):
+        calls = []
+        rank_order = lfdr._rank_order
+
+        def counting(*args):
+            calls.append(args)
+            return rank_order(*args)
+
+        monkeypatch.setattr(lfdr, "_rank_order", counting)
+        return calls
+
+    def test_building_a_set_does_not_rank(self, rank_calls):
+        ps = pset([0.4, 0.1, 0.4, 0.02])
+        assert (ps.n, ps.p_values) == (4, (0.4, 0.1, 0.4, 0.02))
+        assert ps == pset([0.4, 0.1, 0.4, 0.02])
+        assert rank_calls == []
+
+    def test_first_read_ranks_once(self, rank_calls):
+        ps = pset([0.4, 0.1, 0.4, 0.02], seed=5)
+        first = ps.sorted_p()
+        assert np.array_equal(ps.sorted_p(), first) and len(rank_calls) == 1
+        assert list(ps.sorted_ids()) == [f"h{i}" for i in ps.order()]
+        assert ps.ranks[1::2] == (2, 1) and sorted(ps.ranks) == [1, 2, 3, 4]
+        assert not ps.order().flags.writeable
+        assert len(rank_calls) == 1
+
+    def test_ttest_never_ranks_and_lfdr_and_bh_rank_once(self, tmp_path, rank_calls):
+        table = Path(__file__).parent / "data" / "abundance_20protein.csv"
+        out = tmp_path / "p.csv"
+        assert main(["ttest", str(table), "--seed", "3", "--out", str(out)]) == 0
+        assert rank_calls == []
+        for command in (["lfdr", str(out)], ["bh", str(out), "--q", "0.05"]):
+            rank_calls.clear()
+            assert main(command) == 0
+            assert len(rank_calls) == 1
 
 
 class TestMonotonicity:
