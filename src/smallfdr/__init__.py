@@ -5,7 +5,7 @@ FDRs from ranked p-values via rank doubling, runs the mixture simulation
 study behind those estimators, and ships a small CSV pipeline plus CLI.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .confidence import (
     ConfidenceDistribution,

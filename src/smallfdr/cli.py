@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .ingest import _read_bytes, shift_log_transform, two_sample_t_pvalues
-# The parsers of a table's bytes, (path, raw, *options), under the names that
+# The parsers of a table's bytes, (path, raw), under the names that
 # perfbench/tracing.py wraps for its ingest.load span.
 from .ingest import _abundance as load_abundance_csv, _pvalues as load_pvalues_csv
 from .lfdr import bh_lfdr_link, lfdr_estimates
@@ -129,12 +129,12 @@ def _parse_grid(text: str, flag: str, convert=float) -> list:
     return values
 
 
-def _load(args, parse, *options) -> tuple[object, dict]:
-    """``parse(path, raw, *options)`` of the bytes of the input table, read
-    once, and the manifest's inputs: with --out, the SHA-256 of exactly those
-    bytes.  The bytes are dropped on return."""
+def _load(args, parse) -> tuple[object, dict]:
+    """``parse(path, raw)`` of the bytes of the input table, read once, and
+    the manifest's inputs: with --out, the SHA-256 of exactly those bytes.
+    The bytes are dropped on return."""
     raw = _read_bytes(args.input)
-    table = parse(args.input, raw, *options)
+    table = parse(args.input, raw)
     if args.out is None:
         return table, {}
     return table, {args.input: f"sha256:{hashlib.sha256(raw).hexdigest()}"}
@@ -285,18 +285,11 @@ def _emit_table(header: list[str], columns: list, args, params=None, inputs=None
 def cmd_lfdr(args) -> int:
     if args.mc_draws < 1:
         raise UsageError(f"--mc-draws must be at least 1, got {args.mc_draws}")
-    pvals, inputs = _load(args, load_pvalues_csv, args.seed)
+    pvals, inputs = _load(args, load_pvalues_csv)
     result = lfdr_estimates(
         pvals, ESTIMATOR_FLAGS[args.estimator], mc_draws=args.mc_draws, seed=args.seed
     )
-    n = len(result.ids)
-    columns = [
-        result.ids,
-        result.p,
-        range(1, n + 1),
-        result.raw(),
-        result.monotone(),
-    ]
+    columns = [result.ids, result.p, result.ranks, result.raw(), result.monotone()]
     _emit_table(["id", "p", "rank", "raw_lfdr", "monotone_lfdr"], columns, args, inputs=inputs)
     return EXIT_OK
 
@@ -304,7 +297,7 @@ def cmd_lfdr(args) -> int:
 def cmd_bh(args) -> int:
     if not 0.0 < args.q < 1.0:
         raise UsageError(f"--q must lie in (0, 1), got {args.q}")
-    pvals, inputs = _load(args, load_pvalues_csv, args.seed)
+    pvals, inputs = _load(args, load_pvalues_csv)
     link = bh_lfdr_link(pvals, args.q)
     rejection = link.rejection
     rejected_ids = ",".join(map(_report_id, rejection.rejected_ids))
@@ -329,8 +322,9 @@ def cmd_bh(args) -> int:
         ]
     sys.stdout.write("\n".join(lines) + "\n")
     if args.out is not None:
-        n, k = pvals.n, len(rejection.rejected_ids)
-        columns = [pvals.sorted_ids(), pvals.sorted_p(), range(1, n + 1), [1] * k + [0] * (n - k)]
+        # k* ends a tie group, so the rejected p-values are those of count rank <= k*
+        ranks = pvals.sorted_ranks()
+        columns = [pvals.sorted_ids(), pvals.sorted_p(), ranks, 1 * (ranks <= rejection.k_star)]
         _emit_table(["id", "p", "rank", "rejected"], columns, args, inputs=inputs)
     return EXIT_OK
 
@@ -389,7 +383,7 @@ def cmd_ttest(args) -> int:
     matrix, inputs = _load(args, load_abundance_csv)
     if args.transform == "shift-log":
         matrix = shift_log_transform(matrix)
-    pvals = two_sample_t_pvalues(matrix, tie_break_seed=args.seed)
+    pvals = two_sample_t_pvalues(matrix)
     _emit_table(["id", "p"], [pvals.ids, pvals.p_values], args, inputs=inputs)
     return EXIT_OK
 
@@ -407,7 +401,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=_seed, default=0, help="random seed (default: 0)")
+    seeded.add_argument("--seed", type=_seed, default=0,
+                        help="random seed (default: 0); bh and ttest draw nothing and ignore it")
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", default=None,
                         help="write the table to this CSV path, with a manifest "

@@ -143,7 +143,7 @@ def pooled_t_statistic(a, b) -> tuple[float, int]:
     return float(t[0]), df
 
 
-def two_sample_t_pvalues(matrix: AbundanceMatrix, tie_break_seed: int = 0) -> PValueSet:
+def two_sample_t_pvalues(matrix: AbundanceMatrix) -> PValueSet:
     """Two-sided pooled-variance t-test p-value for every feature.
 
     Features with zero pooled variance (each group constant) carry no
@@ -166,7 +166,7 @@ def two_sample_t_pvalues(matrix: AbundanceMatrix, tie_break_seed: int = 0) -> PV
             f"for {named}{more}",
             stacklevel=2,
         )
-    return PValueSet(matrix.features, p, tie_break_seed)
+    return PValueSet(matrix.features, p)
 
 
 def _read_bytes(path) -> bytes:
@@ -346,13 +346,13 @@ def _pvalue_fault(row: list[str]) -> str | None:
     return None if 0.0 <= p <= 1.0 else f": p-value {p} outside [0, 1]"
 
 
-def load_pvalues_csv(path, tie_break_seed: int = 0) -> PValueSet:
-    """Parse an 'id,p' table into a tie-broken p-value set."""
-    return _pvalues(path, _read_bytes(path), tie_break_seed)
+def load_pvalues_csv(path) -> PValueSet:
+    """Parse an 'id,p' table into a p-value set."""
+    return _pvalues(path, _read_bytes(path))
 
 
-def _pvalues(path, raw: bytes, tie_break_seed: int) -> PValueSet:
-    """The 'id,p' table ``raw`` read from ``path``, as a tie-broken p-value set."""
+def _pvalues(path, raw: bytes) -> PValueSet:
+    """The 'id,p' table ``raw`` read from ``path``, as a p-value set."""
     header, table = _read_table(path, raw, "an 'id,p' header")
     if [cell.strip() for cell in header] != ["id", "p"]:
         raise _header_fault(path, raw, f": expected header 'id,p', got {header!r}")
@@ -360,9 +360,7 @@ def _pvalues(path, raw: bytes, tie_break_seed: int) -> PValueSet:
         raise TableFormatError(f"{path}: header only; no p-value rows found")
     if table is not None:
         try:
-            return PValueSet(table[0], table[1][:, 0], tie_break_seed)
-        except ValueError as err:
-            # a p-value outside [0, 1] or a repeated id, named row by row;
-            # with no row at fault, the set refused the seed
-            raise (_first_bad_line(path, raw, "id", _pvalue_fault) or err) from None
+            return PValueSet(table[0], table[1][:, 0])
+        except ValueError:
+            pass  # a p-value outside [0, 1] or a repeated id, named row by row below
     raise _first_bad_line(path, raw, "id", _pvalue_fault)

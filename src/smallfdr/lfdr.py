@@ -2,9 +2,11 @@
 
 The estimate at the p-value of rank r reuses a one-count estimator with the
 level set to the p-value of rank 2r and the discovery count set to 2r, or
-defaults to 1 when 2r exceeds the number of hypotheses.  A running maximum
-restores monotonicity in rank; the step-up control rule and its reading as
-an estimate at the median rejected p-value live here too.
+defaults to 1 when 2r exceeds the number of hypotheses.  A p-value's rank is
+the count #{j : p_j <= p}, so equal p-values share one rank and one
+estimate.  A running maximum restores monotonicity in rank; the step-up
+control rule and its reading as an estimate at the median rejected p-value
+live here too.
 """
 
 from __future__ import annotations
@@ -30,39 +32,30 @@ from .nfdr import (
 from .nfdr import mean_nfdr, mle_nfdr  # noqa: F401
 
 
-def _tie_order(tie_break_seed: int, n: int) -> np.ndarray:
-    """The seeded permutation of range(n) that breaks ties among n p-values."""
-    return np.random.default_rng(tie_break_seed).permutation(n)
-
-
-def _rank_order(p: np.ndarray, tie_order: np.ndarray) -> np.ndarray:
-    """Indices that sort ``p`` ascending along its last axis, ties broken by
-    the permutations ``tie_order`` of the same shape.
-
-    This is ``np.lexsort((tie_order, p))`` for each row: a stable sort by p
-    of the indices already arranged by ``tie_order``, which is faster at
-    large N.
-    """
-    by_tie = np.empty_like(tie_order)
-    np.put_along_axis(by_tie, tie_order, np.arange(p.shape[-1]), axis=-1)
-    keys = np.take_along_axis(p, by_tie, axis=-1)
-    return np.take_along_axis(by_tie, np.argsort(keys, axis=-1, kind="stable"), axis=-1)
+def _count_ranks(p_sorted: np.ndarray) -> np.ndarray:
+    """The count rank #{j : p_j <= p} of each p-value of rows sorted along the
+    last axis: one past the position of the last p-value equal to it."""
+    n = p_sorted.shape[-1]
+    # a tie group ends where the next p-value differs, and at the end of the row
+    ends = np.where(np.diff(p_sorted, axis=-1, append=np.inf) != 0.0, np.arange(1, n + 1), n)
+    return np.minimum.accumulate(ends[..., ::-1], axis=-1)[..., ::-1]
 
 
 class PValueSet:
-    """P-values with distinct labels and pseudorandomly tie-broken ranks.
+    """P-values with distinct labels, ranked by count.
 
-    ``ranks[i]`` is the 1-based rank of entry i after sorting by p-value,
-    ties resolved by a seeded random permutation so that ranks are always a
-    bijection onto 1..N and reruns with the same seed agree.
+    ``ranks[i]`` is the count rank #{j : p_j <= p_i} of entry i, so equal
+    p-values share the largest rank of their tie group.  The rank order
+    sorts by p-value, equal p-values in input order.
 
     The set holds the ids and one float64 array of p-values.  The rank order
-    is computed once, on first read (``order``, ``sorted_p``, ``sorted_ids``
-    or ``ranks``), so a set whose ranks are never read is never sorted.  The
-    ``p_values`` and ``ranks`` tuples are built on first use.
+    is computed once, on first read (``order``, ``sorted_p``, ``sorted_ids``,
+    ``sorted_ranks`` or ``ranks``), so a set whose ranks are never read is
+    never sorted.  The ``p_values`` and ``ranks`` tuples are built on first
+    use.
     """
 
-    def __init__(self, ids, p_values, tie_break_seed: int = 0):
+    def __init__(self, ids, p_values):
         # tolist turns the numpy scalars of an id array into plain Python values
         self.ids = tuple(ids.tolist() if isinstance(ids, np.ndarray) else ids)
         p = np.array(p_values, dtype=float)
@@ -82,33 +75,30 @@ class PValueSet:
             i = int(np.argmax(bad))
             label, value = self.ids[i], float(p[i])
             raise ValueError(f"p-value for {label!r} must lie in [0, 1], got {value}")
-        self.tie_break_seed = _check_count("tie_break_seed", tie_break_seed, 0)
         self._p = p
 
     @classmethod
-    def from_pairs(cls, pairs, tie_break_seed: int = 0) -> "PValueSet":
+    def from_pairs(cls, pairs) -> "PValueSet":
         pairs = list(pairs)
         ids = [str(label) for label, _ in pairs]
-        return cls(ids, [float(p) for _, p in pairs], tie_break_seed)
+        return cls(ids, [float(p) for _, p in pairs])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PValueSet):
             return NotImplemented
-        return (
-            self.tie_break_seed == other.tie_break_seed
-            and self.ids == other.ids
-            and np.array_equal(self._p, other._p)
-        )
+        return self.ids == other.ids and np.array_equal(self._p, other._p)
 
     @property
     def n(self) -> int:
         return len(self.ids)
 
     @cached_property
-    def _order(self) -> np.ndarray:
-        order = _rank_order(self._p, _tie_order(self.tie_break_seed, self.n))
-        order.flags.writeable = False
-        return order
+    def _ranking(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rank order, a stable sort by p-value, and the count ranks in that order."""
+        order = np.argsort(self._p, kind="stable")
+        ranks = _count_ranks(self._p[order])
+        order.flags.writeable = ranks.flags.writeable = False
+        return order, ranks
 
     @cached_property
     def p_values(self) -> tuple[float, ...]:
@@ -116,21 +106,25 @@ class PValueSet:
 
     @cached_property
     def ranks(self) -> tuple[int, ...]:
-        return tuple((np.argsort(self._order) + 1).tolist())  # the inverse permutation
+        return tuple(np.searchsorted(self.sorted_p(), self._p, side="right").tolist())
 
     def order(self) -> np.ndarray:
         """Input indices arranged by ascending rank (a read-only array)."""
-        return self._order
+        return self._ranking[0]
 
     def sorted_p(self) -> np.ndarray:
-        return self._p[self._order]
+        return self._p[self.order()]
 
     def sorted_ids(self) -> tuple[str, ...]:
         return self._sorted_ids
 
+    def sorted_ranks(self) -> np.ndarray:
+        """The count ranks in rank order (a read-only array)."""
+        return self._ranking[1]
+
     @cached_property
     def _sorted_ids(self) -> tuple[str, ...]:
-        return tuple(np.array(self.ids, dtype=object)[self._order].tolist())
+        return tuple(np.array(self.ids, dtype=object)[self.order()].tolist())
 
 
 @dataclass(frozen=True)
@@ -145,29 +139,36 @@ class LfdrRow:
 class LfdrResult:
     """Per-hypothesis estimates in rank order, before and after monotonicity.
 
-    Columns in rank order: ``ids``, the p-values ``p`` and the raw and
-    monotone estimates that ``raw()`` and ``monotone()`` return; ``capped``
-    flags the one-count estimate of each rank r with 2r <= N.  The arrays
-    are read-only.  ``rows`` and ``nfdr_trace``, the one-count estimates in
-    rank order, are tuples built from the columns on first use.
+    Columns in rank order: ``ids``, the p-values ``p``, their count
+    ``ranks`` and the raw and monotone estimates that ``raw()`` and
+    ``monotone()`` return.  ``estimates`` holds the rank-doubling estimate
+    of each rank 1..N, and ``capped`` flags the one-count estimate of each
+    rank r with 2r <= N.  A hypothesis of count rank r gets the estimate of
+    rank r as its raw estimate and the running maximum of the estimates of
+    ranks 1..r as its monotone one, so the members of a tie group share
+    both.  The arrays are read-only.  ``rows``, and ``nfdr_trace``, the
+    one-count estimates of ranks 1..N // 2, are tuples built from the
+    columns on first use.
     """
 
-    def __init__(self, estimator_kind: str, ids, p, raw, monotone, capped,
+    def __init__(self, estimator_kind: str, ids, p, ranks, estimates, capped,
                  weight: float | None):
         self.estimator_kind = estimator_kind
         self.ids = tuple(ids)
         self.p = p
+        self.ranks = ranks
         self.capped = capped
         self.weight = weight
-        self._raw = raw
-        self._monotone = monotone
-        for column in (p, capped, raw, monotone):
+        self.estimates = estimates
+        self._raw = estimates[ranks - 1]
+        self._monotone = _running_max(estimates)[ranks - 1]
+        for column in (p, ranks, capped, estimates, self._raw, self._monotone):
             column.flags.writeable = False
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LfdrResult):
             return NotImplemented
-        columns = ("p", "capped", "_raw", "_monotone")
+        columns = ("p", "ranks", "capped", "estimates")
         return (self.estimator_kind, self.weight, self.ids) == (
             other.estimator_kind, other.weight, other.ids
         ) and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in columns)
@@ -185,7 +186,7 @@ class LfdrResult:
                 LfdrRow,
                 self.ids,
                 self.p.tolist(),
-                range(1, len(self.ids) + 1),
+                self.ranks.tolist(),
                 self._raw.tolist(),
                 self._monotone.tolist(),
             )
@@ -198,7 +199,7 @@ class LfdrResult:
         return tuple(
             NfdrEstimate(v, self.estimator_kind, alpha, x, n, self.weight, c)
             for v, alpha, x, c in zip(
-                self._raw[:m].tolist(),
+                self.estimates[:m].tolist(),
                 self.p[1 : 2 * m : 2].tolist(),
                 range(2, 2 * m + 1, 2),
                 self.capped.tolist(),
@@ -233,10 +234,10 @@ def _rank_estimates(
     seeds,
     mean_method: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Raw estimates for a stack of rank-ordered p-value rows of one size N.
+    """Estimates of ranks 1..N for a stack of sorted p-value rows of one size N.
 
     ``p_sorted`` is (rows, N) and ``seeds`` holds one Monte Carlo seed per
-    row.  Returns the (rows, N) raw estimates, 1 past rank N // 2, and the
+    row.  Returns the (rows, N) estimates, 1 past rank N // 2, and the
     (rows, N // 2) capped flags.  Each element depends only on its own row:
     the corrected medians depend on (N, x) alone and are solved once, and
     the Monte Carlo uniforms of every (row, rank) come from their own
@@ -274,18 +275,17 @@ def lfdr_estimates(
     seed: int = 0,
     mean_method: str = "monte_carlo",
 ) -> LfdrResult:
-    """Estimate the local FDR of every hypothesis from its p-value rank.
+    """Estimate the local FDR of every hypothesis from its count rank.
 
     ``weight`` defaults to 1 for the corrected kind and 1/2 for the mean
     kind.  Raw estimates are always retained next to the monotone ones.
     """
     p_sorted = pvals.sorted_p()
-    raw_rows, capped_rows = _rank_estimates(
+    estimates, capped = _rank_estimates(
         p_sorted[None, :], kind, weight, mc_draws, (seed,), mean_method
     )
-    raw = raw_rows[0]
     return LfdrResult(
-        kind, pvals.sorted_ids(), p_sorted, raw, _running_max(raw), capped_rows[0],
+        kind, pvals.sorted_ids(), p_sorted, pvals.sorted_ranks(), estimates[0], capped[0],
         _tail_weight(kind, weight),
     )
 
@@ -301,28 +301,31 @@ class BhRejection:
 
 
 def bh_reject(pvals: PValueSet, q: float) -> BhRejection:
-    """Reject the hypotheses whose ranked plug-in estimate stays at or below q.
+    """Reject the hypotheses whose plug-in estimate N p / r at their count
+    rank r stays at or below q.
 
     Equivalent to the classical step-up rule: find the largest k with
-    N * p_(k) / k <= q and reject everything at or below p_(k).
+    N * p_(k) / k <= q and reject everything at or below p_(k).  That k
+    ends a tie group, since the p-value after a tie would pass too, so the
+    count rank gives each tie group the value of its last member and the
+    same k.
     """
     if not 0.0 < q < 1.0:
         raise ValueError(f"q must lie in (0, 1), got {q}")
-    n = pvals.n
     p_sorted = pvals.sorted_p()
-    ids_sorted = pvals.sorted_ids()
-    estimates, _ = _mle(p_sorted, np.arange(1, n + 1), n)
+    estimates, _ = _mle(p_sorted, pvals.sorted_ranks(), pvals.n)
     passing = np.nonzero(estimates <= q)[0]
     if passing.size == 0:
         return BhRejection((), 0, None)
     k_star = int(passing[-1]) + 1
-    return BhRejection(tuple(ids_sorted[:k_star]), k_star, float(p_sorted[k_star - 1]))
+    return BhRejection(pvals.sorted_ids()[:k_star], k_star, float(p_sorted[k_star - 1]))
 
 
 @dataclass(frozen=True)
 class BhLfdrLink:
     """Control level q next to the plug-in local FDR estimate at the median
-    rejected rank.  All optional fields are None when nothing is rejected."""
+    rejected p-value, with its count rank.  All optional fields are None
+    when nothing is rejected."""
 
     q: float
     rejection: BhRejection
@@ -339,21 +342,29 @@ class BhLfdrLink:
 def bh_lfdr_link(pvals: PValueSet, q: float) -> BhLfdrLink:
     """Report the plug-in LFDR estimate at the median rejected p-value.
 
-    The estimate is the raw plug-in ``lfdr_estimates`` value at that rank.
-    Even-sized rejection sets use the lower median so the reported rank
-    stays inside the rejection set.  The near-equality of the estimate with
-    q is reported, never asserted; monotonicity violations and odd set sizes
-    break it slightly.
+    The median is the lower one, position (k* + 1) // 2 of the rejected ids
+    in rank order, so that it stays inside the rejection set.  The link
+    reports that position's id and p-value, its count rank and the raw
+    plug-in ``lfdr_estimates`` value of that id, which is the estimate of
+    its count rank: N p_(2r) / 2r, capped at 1, or 1 when 2r > N.  A tie
+    group ends at or before k*, so the count rank is at most k*.
+
+    Without ties, an even k* puts the median at rank k* / 2, whose estimate
+    N p_(k*) / k* is at most q; an odd k* reads p_(k* + 1).  A tie across
+    the median position raises its count rank past k* / 2.  Every rank r
+    with 2r > k* fails the step-up test, so the estimate is at most q
+    exactly when 2r = k*.  The comparison with q is reported, never
+    asserted.
     """
     rejection = bh_reject(pvals, q)
     if rejection.k_star == 0:
         return BhLfdrLink(q, rejection, None, None, None, None)
-    median_rank = (rejection.k_star + 1) // 2
+    median = (rejection.k_star + 1) // 2 - 1
     return BhLfdrLink(
         q,
         rejection,
-        median_rank,
-        pvals.sorted_ids()[median_rank - 1],
-        float(pvals.sorted_p()[median_rank - 1]),
-        float(lfdr_estimates(pvals, KIND_MLE).raw()[median_rank - 1]),
+        int(pvals.sorted_ranks()[median]),
+        pvals.sorted_ids()[median],
+        float(pvals.sorted_p()[median]),
+        float(lfdr_estimates(pvals, KIND_MLE).raw()[median]),
     )

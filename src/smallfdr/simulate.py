@@ -22,7 +22,7 @@ from .distributions import (
     _chi2_1df_isf_arrays,
     chi2_1df_sf,
 )
-from .lfdr import _rank_estimates, _rank_order, _running_max, _tail_weight, _tie_order
+from .lfdr import _count_ranks, _rank_estimates, _running_max, _tail_weight
 from .nfdr import ESTIMATOR_KINDS, KIND_MEAN, _estimate
 # Kept as module attributes: perfbench/tracing.py wraps these names in simulate.
 from .lfdr import lfdr_estimates  # noqa: F401
@@ -145,14 +145,13 @@ def run_grid(config: SimulationConfig) -> list[MetricsRow]:
     """Evaluate every (pi0, N, estimator) cell of the configured grid.
 
     Each replicate gets its own seed stream derived from (seed, pi0 index,
-    N index, replicate index), split three ways: the data draws, the
-    tie-break permutation and the Monte Carlo seed, the children 0, 1 and 2
-    that ``spawn(3)`` gives, each built directly, and the last only when the
-    mean estimator runs.  Only these are drawn
-    replicate by replicate; the statistics, p-values, rank order and oracle
-    values of a cell are computed once on its (replicates, N) stack, and
-    each estimator solves the stack together.  Every value depends only on
-    its own replicate, so the metrics equal those of per-replicate
+    N index, replicate index): the data draws and the Monte Carlo seed are
+    the children 0 and 2 that ``spawn(3)`` gives, each built directly, and
+    the second only when the mean estimator runs.  Only these are drawn
+    replicate by replicate; the statistics, sorted p-values, count ranks and
+    oracle values of a cell are computed once on its (replicates, N) stack,
+    and each estimator solves the stack together.  Every value depends only
+    on its own replicate, so the metrics equal those of per-replicate
     ``generate_dataset`` and ``lfdr_estimates`` calls bit for bit.
     Estimates are the monotone ones; hypotheses of every rank are pooled,
     including the trailing ranks whose estimates default to 1.
@@ -163,23 +162,21 @@ def run_grid(config: SimulationConfig) -> list[MetricsRow]:
     rows: list[MetricsRow] = []
     for i0, pi0 in enumerate(config.pi0_grid):
         for i1, n in enumerate(config.n_grid):
-            data_seeds, ties, mc_seeds = [], [], []
-            for rep in range(config.replicates):
-                entropy = [config.seed, i0, i1, rep]
-                data_seeds.append(np.random.SeedSequence(entropy, spawn_key=(0,)))
-                tie = np.random.SeedSequence(entropy, spawn_key=(1,))
-                ties.append(_tie_order(int(tie.generate_state(1)[0]), n))
-                if mean:
-                    mc = np.random.SeedSequence(entropy, spawn_key=(2,))
-                    mc_seeds.append(int(mc.generate_state(1)[0]))
-            p = chi2_1df_sf(_mixture(data_seeds, n, pi0, config.delta)[1])
-            p_sorted = np.take_along_axis(p, _rank_order(p, np.array(ties)), axis=-1)
+            entropy = [[config.seed, i0, i1, rep] for rep in range(config.replicates)]
+            data_seeds = [np.random.SeedSequence(e, spawn_key=(0,)) for e in entropy]
+            mc_seeds = [
+                int(np.random.SeedSequence(e, spawn_key=(2,)).generate_state(1)[0])
+                for e in entropy
+            ] if mean else []
+            p_sorted = np.sort(chi2_1df_sf(_mixture(data_seeds, n, pi0, config.delta)[1]))
+            last = _count_ranks(p_sorted) - 1
             truth_sorted = true_lfdr(p_sorted, pi0, config.delta)
             for est in config.estimators:
-                raw, _ = _rank_estimates(
+                estimates, _ = _rank_estimates(
                     p_sorted, est, None, config.mc_draws, mc_seeds, "monte_carlo"
                 )
-                diffs = _running_max(raw) - truth_sorted
+                # each p-value takes the monotone estimate of its count rank
+                diffs = np.take_along_axis(_running_max(estimates), last, axis=-1) - truth_sorted
                 rmse = float(np.mean(np.sqrt(np.mean(diffs**2, axis=axis))))
                 conservatism = float(np.mean(np.mean(diffs >= 0.0, axis=axis)))
                 bias = float(np.mean(np.mean(diffs, axis=axis)))

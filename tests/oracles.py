@@ -416,19 +416,18 @@ def table_text(header, rows) -> tuple[str, str]:
     return "".join(lines), json.dumps(records, indent=2) + "\n"
 
 
-def pvalue_tuples(pairs, tie_break_seed: int = 0):
+def pvalue_tuples(pairs):
     """(ids, p_values, ranks) of a p-value set, built pair by pair.
 
-    Ranks sort by p-value with ties broken by a seeded permutation of the
-    input positions, through ``np.lexsort``.
+    A p-value's rank is the count of p-values at or below it, taken by a
+    plain Python loop, in which -0.0 equals 0.
     """
     ids = tuple(str(label) for label, _ in pairs)
     ps = tuple(float(p) for _, p in pairs)
-    tie_order = np.random.default_rng(tie_break_seed).permutation(len(ps))
-    order = np.lexsort((tie_order, np.asarray(ps)))
-    ranks = np.empty(len(ps), dtype=int)
-    ranks[order] = np.arange(1, len(ps) + 1)
-    return ids, ps, tuple(int(r) for r in ranks)
+    ranks = []
+    for p in ps:
+        ranks.append(sum(1 for other in ps if other <= p))
+    return ids, ps, tuple(ranks)
 
 
 def csv_table_rows(path) -> list[list[str]]:

@@ -279,6 +279,42 @@ class TestBhCommand:
         assert report["mle_lfdr_at_median_rank"] == row["raw_lfdr"]
 
 
+class TestTiedPValues:
+    """b, c and d tie: each gets the count rank 4 and one estimate, for every --seed."""
+
+    TIED = [("a", 0.001), ("b", 0.01), ("c", 0.01), ("d", 0.01),
+            ("e", 0.5), ("f", 0.6), ("g", 0.7), ("h", 0.8)]
+
+    @pytest.mark.parametrize("estimator", ["mle", "corrected"])
+    def test_lfdr_is_the_same_for_every_seed(self, tmp_path, capsys, estimator):
+        src = tmp_path / "p.csv"
+        write_pvalues(src, self.TIED)
+        tables = {run(["lfdr", src, "--estimator", estimator, "--seed", seed], capsys)[1]
+                  for seed in ("0", "1", "3")}
+        assert len(tables) == 1
+        rows = [line.split(",") for line in tables.pop().splitlines()[1:]]
+        assert [row[0] for row in rows] == list("abcdefgh")
+        assert [row[2] for row in rows] == ["1", "4", "4", "4", "5", "6", "7", "8"]
+        assert rows[1][3:] == rows[2][3:] == rows[3][3:]
+        if estimator == "mle":
+            assert rows[1][3:] == ["0.8", "0.8"]
+
+    def test_bh_is_the_same_for_every_seed(self, tmp_path, capsys):
+        src = tmp_path / "p.csv"
+        write_pvalues(src, self.TIED)
+        outputs = []
+        for seed in ("0", "3"):
+            out = tmp_path / f"bh{seed}.csv"
+            code, report, _ = run(["bh", src, "--q", "0.3", "--seed", seed, "--out", out], capsys)
+            assert code == 0
+            outputs.append((report, out.read_text()))
+        assert outputs[0] == outputs[1]
+        report, table = outputs[0]
+        assert "median_rejected_rank: 4\nmedian_rejected_id: b\n" in report
+        assert "mle_lfdr_at_median_rank: 0.8\n" in report
+        assert table.splitlines()[1:5] == ["a,0.001,1,1", "b,0.01,4,1", "c,0.01,4,1", "d,0.01,4,1"]
+
+
 class TestSimulateCommand:
     def test_minimal_run_well_formed(self, tmp_path, capsys):
         code, out, _ = run(

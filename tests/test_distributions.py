@@ -60,7 +60,6 @@ COUNT_ENTRY_POINTS = {
     "mean_nfdr-quadrature": ("x", lambda v: mean_nfdr(0.1, v, 4, method="quadrature")),
     "mean_nfdr-draws": ("draws", lambda v: mean_nfdr(0.1, 2, 4, draws=v)),
     "mean_nfdr-seed": ("seed", lambda v: mean_nfdr(0.1, 2, 4, seed=v)),
-    "PValueSet-tie_break_seed": ("tie_break_seed", lambda v: PValueSet(["a"], [0.5], v)),
     "lfdr_estimates-mc_draws": (
         "mc_draws", lambda v: lfdr_estimates(_PVALUES, "posterior_mean", mc_draws=v)
     ),
@@ -114,10 +113,6 @@ class TestCounts:
         assert all(type(v) is int for v in config.n_grid + (config.replicates, config.seed))
         ints = SimulationConfig(pi0_grid=(0.5,), n_grid=(2, 3), replicates=2, seed=1, mc_draws=5)
         assert run_grid(config) == run_grid(ints)
-        ids, p = ["a", "b", "c"], [0.5, 0.5, 0.1]
-        for seed in (3.0, np.int64(3)):
-            ps = PValueSet(ids, p, seed)
-            assert type(ps.tie_break_seed) is int and ps == PValueSet(ids, p, 3)
 
 
 def _pmf(trials, x, p):

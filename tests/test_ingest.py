@@ -618,9 +618,9 @@ class TestLoaders:
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
         plain.write_bytes(text.encode("utf-8"))
         marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
-        got = load_pvalues_csv(marked, tie_break_seed=3)
+        got = load_pvalues_csv(marked)
         assert reads == {"files": 1, "csv": 0 if split_without_csv else 1}
-        assert got == load_pvalues_csv(plain, 3)
+        assert got == load_pvalues_csv(plain)
         outputs = []
         for path in (plain, marked):
             assert main(["lfdr", str(path), "--estimator", "corrected"]) == 0
@@ -647,10 +647,10 @@ class TestLoaders:
     def test_pvalues_columns_match_row_reader(self, tmp_path, reads, text, split_without_csv):
         path = tmp_path / "p.csv"
         path.write_bytes(text.encode("utf-8"))
-        got = load_pvalues_csv(path, tie_break_seed=3)
+        got = load_pvalues_csv(path)
         assert reads == {"files": 1, "csv": 0 if split_without_csv else 1}
         ids, ps = pvalue_rows(path)
-        expected = PValueSet(ids, ps, 3)
+        expected = PValueSet(ids, ps)
         assert got == expected
         assert (got.ids, got.p_values, got.ranks) == (
             expected.ids, expected.p_values, expected.ranks
@@ -709,18 +709,6 @@ class TestLoaders:
         assert main([command, str(path)]) == 3
         assert f"smallfdr: data error: {path}: not UTF-8 text" in capsys.readouterr().err
 
-    def test_refused_seed_is_not_a_row_fault(self, tmp_path):
-        # a seed that the p-value set refuses is raised as it is; a bad row still wins
-        path = tmp_path / "p.csv"
-        path.write_text("id,p\na,0.1\nb,0.2\n")
-        refused = "^tie_break_seed must be a whole number >= 0, got -1$"
-        with pytest.raises(ValueError, match=refused) as err:
-            load_pvalues_csv(path, tie_break_seed=-1)
-        assert not isinstance(err.value, TableFormatError)
-        path.write_text("id,p\na,0.1\na,0.2\n")
-        with pytest.raises(TableFormatError) as err:
-            load_pvalues_csv(path, tie_break_seed=-1)
-        assert str(err.value) == f"{path}, line 3: duplicate id 'a'"
 
 
 class TestPipedTables:

@@ -2,22 +2,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smallfdr import lfdr
 from smallfdr import (
-    AbundanceMatrix,
     LfdrRow,
     NfdrEstimate,
     PValueSet,
     SimulationConfig,
-    Subject,
     bh_lfdr_link,
     bh_reject,
     enforce_monotonicity,
     lfdr_estimates,
     mean_nfdr,
     run_grid,
-    two_sample_t_pvalues,
 )
 from smallfdr.cli import main
 from smallfdr.lfdr import _rank_estimates
@@ -25,37 +24,36 @@ from smallfdr.lfdr import _rank_estimates
 from oracles import pvalue_tuples, textbook_bh
 
 
-def pset(values, seed=0):
-    return PValueSet.from_pairs([(f"h{i}", p) for i, p in enumerate(values)], seed)
+def pset(values):
+    return PValueSet.from_pairs([(f"h{i}", p) for i, p in enumerate(values)])
+
+
+def rank_order(ranks):
+    """Input positions by count rank, equal ranks in input order."""
+    return sorted(range(len(ranks)), key=lambda i: (ranks[i], i))
 
 
 class TestPValueSet:
-    def test_ranks_are_bijection(self):
+    def test_ranks_count_the_p_values_at_or_below(self):
         ps = pset([0.4, 0.1, 0.4, 0.02, 0.4])
-        assert sorted(ps.ranks) == [1, 2, 3, 4, 5]
+        assert ps.ranks == (5, 2, 5, 1, 5)
+        assert ps.sorted_ranks().tolist() == [1, 2, 5, 5, 5]
+        assert ps.sorted_ids() == ("h3", "h1", "h0", "h2", "h4")
         assert list(ps.sorted_p()) == sorted(ps.p_values)
 
-    def test_tie_break_reproducible(self):
-        values = [0.5, 0.5, 0.5, 0.1]
-        a = pset(values, seed=3)
-        b = pset(values, seed=3)
-        assert a.ranks == b.ranks
-        # some seed reorders the tied block
-        assert any(pset(values, seed=s).ranks != a.ranks for s in range(20))
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 17, 1000])
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_tuples_match_pairwise_construction(self, n, seed):
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 50, 1000])
+    def test_tuples_match_pairwise_construction(self, n):
         rng = np.random.default_rng(n)
         # two-decimal values tie often; -0.0 ties with the exact 0
         values = np.round(rng.random(n), 2)
         values[: min(n, 3)] = [0.0, 1.0, -0.0][: min(n, 3)]
         pairs = [(f"h{i}", float(p)) for i, p in enumerate(values)]
-        ps = PValueSet.from_pairs(pairs, seed)
-        ids, p_values, ranks = pvalue_tuples(pairs, seed)
+        ps = PValueSet.from_pairs(pairs)
+        ids, p_values, ranks = pvalue_tuples(pairs)
         assert (ps.ids, ps.p_values, ps.ranks) == (ids, p_values, ranks)
-        assert ps.sorted_ids() == tuple(ids[i] for i in np.argsort(ranks))
-        assert PValueSet(ids, np.asarray(p_values), seed) == ps
+        assert ps.sorted_ids() == tuple(ids[i] for i in rank_order(ranks))
+        assert ps.sorted_ranks().tolist() == sorted(ranks)
+        assert PValueSet(ids, np.asarray(p_values)) == ps
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -64,15 +62,6 @@ class TestPValueSet:
             pset([0.2, 1.4])
         with pytest.raises(ValueError):
             pset([float("nan")])
-
-    @pytest.mark.parametrize("seed", [1.5, -1])
-    def test_tie_break_seed_is_a_whole_number_at_least_zero(self, seed):
-        with pytest.raises(ValueError, match="^tie_break_seed must be a whole number >= 0"):
-            pset([0.1, 0.2], seed)
-        subjects = tuple(Subject(s, g) for s, g in zip("abcd", ["case"] * 2 + ["control"] * 2))
-        matrix = AbundanceMatrix(("f", "g"), subjects, np.array([[1, 2, 3, 4], [1, 5, 3, 4.0]]))
-        with pytest.raises(ValueError, match="^tie_break_seed must be a whole number >= 0"):
-            two_sample_t_pvalues(matrix, tie_break_seed=seed)
 
     # each constructor names the first id that repeats an earlier one
     def test_duplicate_ids_from_sequences(self):
@@ -94,7 +83,7 @@ class TestPValueSet:
 
     def test_duplicate_ids_from_pairs(self):
         with pytest.raises(ValueError, match="duplicate id 'h1'"):
-            PValueSet.from_pairs([("h1", 0.3), ("h2", 0.3), ("h1", 0.3)], tie_break_seed=4)
+            PValueSet.from_pairs([("h1", 0.3), ("h2", 0.3), ("h1", 0.3)])
 
 
 class TestLazyRankOrder:
@@ -103,13 +92,13 @@ class TestLazyRankOrder:
     @pytest.fixture
     def rank_calls(self, monkeypatch):
         calls = []
-        rank_order = lfdr._rank_order
+        count_ranks = lfdr._count_ranks
 
         def counting(*args):
             calls.append(args)
-            return rank_order(*args)
+            return count_ranks(*args)
 
-        monkeypatch.setattr(lfdr, "_rank_order", counting)
+        monkeypatch.setattr(lfdr, "_count_ranks", counting)
         return calls
 
     def test_building_a_set_does_not_rank(self, rank_calls):
@@ -119,12 +108,12 @@ class TestLazyRankOrder:
         assert rank_calls == []
 
     def test_first_read_ranks_once(self, rank_calls):
-        ps = pset([0.4, 0.1, 0.4, 0.02], seed=5)
+        ps = pset([0.4, 0.1, 0.4, 0.02])
         first = ps.sorted_p()
         assert np.array_equal(ps.sorted_p(), first) and len(rank_calls) == 1
         assert list(ps.sorted_ids()) == [f"h{i}" for i in ps.order()]
-        assert ps.ranks[1::2] == (2, 1) and sorted(ps.ranks) == [1, 2, 3, 4]
-        assert not ps.order().flags.writeable
+        assert ps.ranks == (4, 2, 4, 1)
+        assert not ps.order().flags.writeable and not ps.sorted_ranks().flags.writeable
         assert len(rank_calls) == 1
 
     def test_ttest_never_ranks_and_lfdr_and_bh_rank_once(self, tmp_path, rank_calls):
@@ -155,16 +144,19 @@ class TestMonotonicity:
 
 
 def per_row_result(pairs, seed, kind, weight, mc_draws):
-    """(rows, nfdr_trace) of lfdr_estimates, built one row at a time."""
-    ids, ps, ranks = pvalue_tuples(pairs, seed)
-    order = np.argsort(ranks)
+    """(rows, nfdr_trace) of lfdr_estimates, built one row at a time: a row of
+    count rank r gets the estimate of rank r and the largest of ranks 1..r."""
+    ids, ps, ranks = pvalue_tuples(pairs)
+    order = rank_order(ranks)
     p_sorted = np.asarray(ps)[order]
     ids_sorted = tuple(ids[i] for i in order)
-    raw_rows, capped_rows = _rank_estimates(
+    ranks_sorted = [ranks[i] for i in order]
+    estimate_rows, capped_rows = _rank_estimates(
         p_sorted[None, :], kind, weight, mc_draws, (seed,), "monte_carlo"
     )
-    raw, capped = raw_rows[0], capped_rows[0]
-    monotone = [max(raw[: i + 1]) for i in range(len(raw))]
+    estimates, capped = estimate_rows[0], capped_rows[0]
+    raw = [estimates[r - 1] for r in ranks_sorted]
+    monotone = [max(estimates[:r]) for r in ranks_sorted]
     if kind == "mle":
         w = None
     elif weight is None:
@@ -174,10 +166,11 @@ def per_row_result(pairs, seed, kind, weight, mc_draws):
     n = len(ps)
     trace = tuple(
         NfdrEstimate(float(v), kind, float(p_sorted[x - 1]), x, n, w, bool(c))
-        for v, x, c in zip(raw, range(2, n + 1, 2), capped)
+        for v, x, c in zip(estimates, range(2, n + 1, 2), capped)
     )
     rows = tuple(
-        LfdrRow(ids_sorted[i], float(p_sorted[i]), i + 1, float(raw[i]), float(monotone[i]))
+        LfdrRow(ids_sorted[i], float(p_sorted[i]), ranks_sorted[i], float(raw[i]),
+                float(monotone[i]))
         for i in range(n)
     )
     return rows, trace
@@ -191,7 +184,7 @@ class TestLfdrResultColumns:
         rng = np.random.default_rng(1000 + n)
         pairs = [(f"h{i}", float(p)) for i, p in enumerate(np.round(rng.random(n), 3))]
         res = lfdr_estimates(
-            PValueSet.from_pairs(pairs, 5), kind, weight=weight, mc_draws=20, seed=5
+            PValueSet.from_pairs(pairs), kind, weight=weight, mc_draws=20, seed=5
         )
         rows, trace = per_row_result(pairs, 5, kind, weight, 20)
         assert res.rows == rows
@@ -262,10 +255,32 @@ class TestLfdrEstimates:
         base = lfdr_estimates(pset(values), "mle")
         shuffled_pairs = [(f"h{i}", p) for i, p in enumerate(values)]
         rng.shuffle(shuffled_pairs)
-        other = lfdr_estimates(PValueSet.from_pairs(shuffled_pairs, 0), "mle")
+        other = lfdr_estimates(PValueSet.from_pairs(shuffled_pairs), "mle")
         by_id_base = {r.id: r.monotone_estimate for r in base.rows}
         by_id_other = {r.id: r.monotone_estimate for r in other.rows}
         assert by_id_base == by_id_other
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.sampled_from([0.0, -0.0, 1e-4, 0.003, 0.01, 0.2, 0.5, 1.0]),
+                 min_size=1, max_size=40),
+        st.randoms(use_true_random=False),
+    )
+    def test_tie_groups_share_estimates_in_any_row_order(self, values, random):
+        # every member of a tie group gets one raw and one monotone estimate,
+        # and shuffling the input rows moves no id's estimates
+        pairs = [(f"h{i}", p) for i, p in enumerate(values)]
+        shuffled = random.sample(pairs, len(pairs))
+        for kind in ("mle", "corrected_median", "posterior_mean"):
+            by_id = []
+            for rows in (pairs, shuffled):
+                result = lfdr_estimates(PValueSet.from_pairs(rows), kind, mc_draws=20, seed=3)
+                estimates = list(zip(result.raw().tolist(), result.monotone().tolist()))
+                by_p = {}
+                for p, estimate in zip(result.p.tolist(), estimates):
+                    assert by_p.setdefault(p, estimate) == estimate
+                by_id.append(dict(zip(result.ids, estimates)))
+            assert by_id[0] == by_id[1]
 
     def test_mean_kind_deterministic_given_seed(self):
         ps = pset(list(np.random.default_rng(16).random(10)))
@@ -371,7 +386,7 @@ class TestBh:
         for trial in range(300):
             n = int(rng.integers(1, 40))
             values = rng.choice([0.001, 0.01, 0.02, 0.05, 0.2, 0.5], size=n)
-            ps = pset(list(values), seed=trial)
+            ps = pset(list(values))
             rej = bh_reject(ps, float(rng.choice([0.05, 0.1, 0.3])))
             at_or_below = {f"h{i}" for i, p in enumerate(values)
                            if rej.k_star and p <= rej.threshold_p}
@@ -407,30 +422,59 @@ class TestBhLfdrLink:
         assert link.rejection.k_star == 3
         assert link.median_rank == 2
 
+    # Tied sets, each with its level q and an even k*, on which the "<= q at the
+    # lower-median rank" reading holds: no tie joins the median position k* / 2
+    # to the next one, so the median's count rank is k* / 2 and its estimate
+    # is N p_(k*) / k*.
+    TIED_READING_HOLDS = [
+        ([0.001, 0.001, 0.002, 0.002, 0.5, 0.6, 0.7, 0.8], 0.05),  # k* = 4, rank 2
+        ([0.003, 0.001, 0.003, 0.001, 0.9, 0.9], 0.05),  # k* = 4, rank 2
+    ]
+    # Tied sets on which ties break it: a tie joins the median position to the
+    # next one, so the median takes its group's count rank, past k* / 2, and
+    # its estimate reads p-values beyond the rejection set.
+    TIED_READING_BREAKS = [
+        ([0.001, 0.01, 0.01, 0.01, 0.5, 0.6, 0.7, 0.8], 0.3),  # k* = 4, rank 4, 0.8
+        ([0.002, 0.002, 0.002, 0.002, 0.9], 0.05),  # k* = 4, rank 4, 2r > N gives 1
+    ]
+
     def test_estimate_is_the_mle_raw_estimate_at_the_median_rank(self):
         # N = 1, k* with 2m > N (estimate 1) and heavy ties are all included
         rng = np.random.default_rng(90210)
         sets = [[0.01], [0.001, 0.002], [0.001, 0.002, 0.003], [0.01] * 7 + [0.5] * 3]
+        sets += [values for values, _ in self.TIED_READING_HOLDS + self.TIED_READING_BREAKS]
         for trial in range(300):
             n = int(rng.integers(1, 60))
             if trial % 3 == 0:
                 sets.append(list(rng.choice([1e-4, 1e-3, 0.01, 0.5], size=n)))
             else:
                 sets.append(list(rng.beta(0.3, 4.0, n)))
-        seen_past_half = 0
-        for k, values in enumerate(sets):
-            ps = pset(values, seed=k)
-            for q in (0.05, 0.2, 0.6):
+        seen_past_half = seen_tie_past_half = 0
+        for values in sets:
+            ps = pset(values)
+            result = lfdr_estimates(ps, "mle")
+            for q in (0.05, 0.2, 0.3, 0.6):
                 link = bh_lfdr_link(ps, q)
                 if not link.applicable:
                     continue
-                m, n = link.median_rank, ps.n
-                raw = lfdr_estimates(ps, "mle").raw()[m - 1]
+                m, n, k = link.median_rank, ps.n, link.rejection.k_star
+                # the lower-median position of the rejected ids, with its count rank
+                assert link.median_id == link.rejection.rejected_ids[(k + 1) // 2 - 1]
+                assert m == ps.ranks[int(link.median_id[1:])] and m <= k
+                raw = result.raw()[m - 1]
                 assert link.lfdr_at_median == raw  # bit for bit
+                assert result.raw()[result.ids.index(link.median_id)] == raw
                 textbook = 1.0 if 2 * m > n else min(ps.sorted_p()[2 * m - 1] * n / (2 * m), 1.0)
                 assert link.lfdr_at_median == textbook
+                # at most q exactly when the median's count rank is k* / 2
+                assert (link.lfdr_at_median <= q) == (2 * m == k)
                 seen_past_half += 2 * m > n
-        assert seen_past_half > 0
+                seen_tie_past_half += 2 * m > k + 1
+        assert seen_past_half > 0 and seen_tie_past_half > 0
+        for cases, holds in ((self.TIED_READING_HOLDS, True), (self.TIED_READING_BREAKS, False)):
+            for values, q in cases:
+                link = bh_lfdr_link(pset(values), q)
+                assert (link.lfdr_at_median <= q) is holds, values
 
 
 class TestConservativePrediction:

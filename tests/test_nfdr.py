@@ -278,7 +278,8 @@ class TestKernelsMatchScalarReferences:
         res = lfdr_estimates(pvals, "posterior_mean", weight=weight, mean_method="quadrature")
         want = [mean_exact_scalar(a, 2 * r, n, weight)
                 for r, a in enumerate(res.p[1::2].tolist(), start=1)]
-        assert res.raw()[: n // 2].tolist() == want
+        # the estimates of ranks 1..N // 2, which the rows read at their count ranks
+        assert [e.value for e in res.nfdr_trace] == want
         assert res.capped.tolist() == [v >= 1.0 for v in want]
 
     def test_degenerate_medians_are_capped_at_one(self):

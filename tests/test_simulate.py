@@ -118,9 +118,14 @@ class TestRunGrid:
             assert 0.0 <= row.conservatism_proportion <= 1.0
             assert row.rmse >= abs(row.bias)
 
-    # N = 1 estimates no rank, pi0 = 0 or 1 makes the truth constant, and
-    # N = 32 is the default grid's largest
-    @pytest.mark.parametrize("pi0, n", [(0.0, 1), (1.0, 2), (0.75, 6), (0.9, 32)])
+    # N = 1 estimates no rank, pi0 = 0 or 1 makes the truth constant, N = 32
+    # is the default grid's largest, and delta = 2000 gives p = 0 to most false
+    # nulls, so tie groups form
+    @pytest.mark.parametrize(
+        "pi0, n, delta",
+        [(0.0, 1, 2.0), (1.0, 2, 2.0), (0.75, 6, 2.0), (0.9, 32, 2.0), (0.5, 16, 2000.0)],
+        ids=["0.0-1", "1.0-2", "0.75-6", "0.9-32", "0.5-16-ties"],
+    )
     @pytest.mark.parametrize("pooling", ["pooled", "per_replicate"])
     @pytest.mark.parametrize(
         "estimators",
@@ -128,15 +133,15 @@ class TestRunGrid:
          ("corrected_median", "posterior_mean")],
         ids="+".join,
     )
-    def test_replicate_streams_follow_documented_split(self, estimators, pooling, pi0, n):
+    def test_replicate_streams_follow_documented_split(self, estimators, pooling, pi0, n, delta):
         # rebuild one cell by hand from the (seed, pi0-index, n-index,
-        # replicate-index) splitting contract, root.spawn(3) into the data,
-        # tie-break and Monte Carlo streams, one lfdr_estimates call per
+        # replicate-index) splitting contract, the data and Monte Carlo streams
+        # at children 0 and 2 of root.spawn(3), one lfdr_estimates call per
         # replicate and estimator, and match each row of the batched grid bit
         # for bit, whether or not the set draws Monte Carlo seeds
         reps, seed = 8, 33
         cfg = SimulationConfig(
-            pi0_grid=(pi0,), n_grid=(n,), replicates=reps, seed=seed,
+            pi0_grid=(pi0,), n_grid=(n,), delta=delta, replicates=reps, seed=seed,
             estimators=estimators, mc_draws=40, pooling=pooling,
         )
         rows = run_grid(cfg)
@@ -144,13 +149,10 @@ class TestRunGrid:
         replicates = []
         for rep in range(reps):
             root = np.random.SeedSequence([seed, 0, 0, rep])
-            k_data, k_tie, k_mc = root.spawn(3)
-            ds = generate_dataset(pi0, n, 2.0, seed=k_data)
-            pset = PValueSet.from_pairs(
-                ((f"h{j}", float(p)) for j, p in enumerate(ds.p_values)),
-                tie_break_seed=int(k_tie.generate_state(1)[0]),
-            )
-            truth = true_lfdr(ds.p_values, pi0, 2.0)[pset.order()]
+            k_data, _, k_mc = root.spawn(3)
+            ds = generate_dataset(pi0, n, delta, seed=k_data)
+            pset = PValueSet.from_pairs((f"h{j}", float(p)) for j, p in enumerate(ds.p_values))
+            truth = true_lfdr(ds.p_values, pi0, delta)[pset.order()]
             replicates.append((pset, truth, int(k_mc.generate_state(1)[0])))
         for row in rows:
             diffs = [
