@@ -18,7 +18,6 @@ import numpy as np
 
 from . import _special as special
 from .distributions import _check_count, _check_seed, _check_unit
-from .distributions import _log_binomial_coef, _log_binomial_pmf
 
 # For C in {0, 1} the inverse is the midpoint of the cell of width
 # 2**-40 < 1e-12 that 40 halvings of [0, 1] reach; every cell along the way
@@ -93,41 +92,29 @@ class ConfidenceDistribution:
         _check_unit("weight", self.weight)
 
 
-class _Curve:
-    """pi -> Pr(X > x; pi) + weight * Pr(X = x; pi), one x and one pi per element.
+def _curve(trials, x, weight, pi, log_coef=None):
+    """Pr(X > x; pi) + weight * Pr(X = x; pi), one x and one pi per element.
 
-    The binomial log-coefficient, the Beta parameters (x + 1, N - x) of the
-    strict tail and the x < trials elements depend on x alone, so they are
-    computed once per curve rather than at every evaluation; ``take`` keeps
-    them for a subset of the elements.  Each element's value depends only on
-    its own x and pi, whichever elements are evaluated with it.
+    ``log_coef`` is log(trials choose x), by default ``_log_choose``'s for
+    0 < x < trials and 0 at x in {0, trials}.  Each element's value depends
+    only on its own x, pi and coefficient, whichever elements are evaluated
+    with it.
     """
-
-    def __init__(self, trials, x, weight, log_coef=None):
-        self.trials, self.x, self.weight = trials, x, weight
-        self.log_coef = _log_binomial_coef(trials, x) if log_coef is None else log_coef
-        self.inner = np.flatnonzero(x < trials)
-        self.a, self.b = x[self.inner] + 1.0, trials - x[self.inner]
-
-    def take(self, i):
-        return _Curve(self.trials, self.x[i], self.weight, self.log_coef[i])
-
-    def terms(self, pi):
-        """The strict tail and the binomial mass at ``pi``."""
-        sf = np.zeros(pi.shape)
-        sf[self.inner] = special.betainc(self.a, self.b, pi[self.inner])
-        return sf, np.exp(_log_binomial_pmf(self.trials, self.x, pi, self.log_coef))
-
-    def __call__(self, pi):
-        sf, pmf = self.terms(pi)
-        return sf + self.weight * pmf
+    if log_coef is None:
+        log_coef = np.zeros(x.size)
+        between = np.flatnonzero((x > 0) & (x < trials))
+        log_coef[between] = _log_choose(trials, x[between])
+    inner = np.flatnonzero(x < trials)
+    sf = np.zeros(pi.shape)
+    sf[inner] = special.betainc(x[inner] + 1.0, trials - x[inner], pi[inner])
+    return sf + weight * np.exp(_log_binomial_pmf(trials, x, pi, log_coef))
 
 
 def significance(cd: ConfidenceDistribution, pi: float) -> float:
     """Weighted upper-tail probability at success probability ``pi``."""
     _check_unit("pi", pi)
-    curve = _Curve(cd.trials, np.asarray([float(cd.successes)]), cd.weight)
-    return float(curve(np.asarray([pi], dtype=float))[0])
+    x = np.asarray([float(cd.successes)])
+    return float(_curve(cd.trials, x, cd.weight, np.asarray([pi], dtype=float))[0])
 
 
 def _range(trials, x, weight):
@@ -170,14 +157,14 @@ def _bisection_cell(trials, x, weight, u):
     evaluated.  Every comparison that is made is one that plain bisection
     makes, so the result is the same to the bit.
     """
-    curve = _Curve(trials, x, weight)
+    log_coef = _log_binomial_coef(trials, x)
     pi = special.betaincinv(x + 1.0 - weight, trials - x + weight, u)
 
     # the density, a term whose coefficient is 0 taken as 0 so that a root at
     # 0 or 1 keeps a finite width; a width that is not finite (no density, or
     # a nan estimate) gives the bracket [0, 1]
     margin = _margin(trials, u)
-    pmf = np.exp(_log_binomial_pmf(trials, x, pi, curve.log_coef))
+    pmf = np.exp(_log_binomial_pmf(trials, x, pi, log_coef))
     upper, lower = (1.0 - weight) * (trials - x), weight * x
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         scale = np.where(upper > 0.0, upper / (1.0 - pi), 0.0)
@@ -187,8 +174,9 @@ def _bisection_cell(trials, x, weight, u):
         left, right = np.fmax(pi - width, 0.0), np.fmin(pi + width, 1.0)
     # bisection never compares at 0 or 1, so an end there needs no check
     at_left, at_right = np.flatnonzero(left > 0.0), np.flatnonzero(right < 1.0)
-    ends = curve.take(np.concatenate([at_left, at_right]))(
-        np.concatenate([left[at_left], right[at_right]])
+    at = np.concatenate([at_left, at_right])
+    ends = _curve(
+        trials, x[at], weight, np.concatenate([left[at_left], right[at_right]]), log_coef[at]
     )
     clear = np.ones(x.size, dtype=bool)
     clear[at_left] = ends[: at_left.size] < u[at_left] * (1.0 - margin[at_left])
@@ -207,7 +195,8 @@ def _bisection_cell(trials, x, weight, u):
         below = mid <= left[live]
         inside = np.flatnonzero(~below & (mid < right[live]))
         if inside.size:
-            below[inside] = curve.take(live[inside])(mid[inside]) < u[live[inside]]
+            at = live[inside]
+            below[inside] = _curve(trials, x[at], weight, mid[inside], log_coef[at]) < u[at]
         lo[live] = np.where(below, mid, lo[live])
     return lo + 0.5 / cells
 
@@ -236,6 +225,24 @@ def _log_choose(trials, x):
         + x * np.log1p(rest / x) + rest * np.log1p(x / rest)
         - 0.5 * (_LOG_2PI + np.log(x) + np.log(rest / trials))
     )
+
+
+def _log_binomial_coef(trials, x):
+    """log(trials choose x) as a difference of log-gammas, broadcasting over
+    ``x``.  Only the C in {0, 1} certificate (``_bisection_cell``) takes it,
+    since its bits rest on it; every other curve takes ``_log_choose``."""
+    gammaln = special.gammaln
+    return gammaln(trials + 1.0) - gammaln(x + 1.0) - gammaln(trials - x + 1.0)
+
+
+def _log_binomial_pmf(trials, x, p, log_coef):
+    """Log binomial mass given ``log_coef`` = log(trials choose x), in log
+    space so that trial counts up to about 10**6 stay finite.
+
+    Broadcasts over ``x`` and ``p``; xlogy/xlog1py give the correct
+    0*log(0) = 0 limits at p = 0 and p = 1.
+    """
+    return log_coef + special.xlogy(x, p) + special.xlog1py(trials - x, -p)
 
 
 def _log_excess(trials, x, weight, pi, upper, target, log_coef):

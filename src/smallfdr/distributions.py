@@ -1,10 +1,10 @@
 """Distribution primitives shared by every estimator in the package.
 
-The argument checks every public function applies live here.  Binomial
-masses are evaluated in log space so trial counts up to about 10**6 stay
-finite.  Chi-square quantities with one degree of freedom use the
-standard-normal identities, which are exact for that special case, and the
-Student t tail goes through the regularized incomplete beta function.
+The argument checks every public function applies live here.  Chi-square
+quantities with one degree of freedom use the standard-normal identities,
+which are exact for that special case, and the Student t tail goes through
+the regularized incomplete beta function.  The binomial masses and
+coefficients behind the significance curve live in ``confidence``.
 """
 
 from __future__ import annotations
@@ -60,28 +60,6 @@ class Chi2MixtureParams:
         _check_unit("pi0", self.pi0)
         if not 0.0 <= self.delta < math.inf:
             raise ValueError(f"delta must be finite and nonnegative, got {self.delta}")
-
-
-def _log_binomial_coef(trials, x):
-    """Log of the binomial coefficient (trials choose x); broadcasts over ``x``."""
-    x = np.asarray(x, dtype=float)
-    return (
-        special.gammaln(trials + 1.0)
-        - special.gammaln(x + 1.0)
-        - special.gammaln(trials - x + 1.0)
-    )
-
-
-def _log_binomial_pmf(trials, x, p, log_coef):
-    """Log binomial mass given ``log_coef = _log_binomial_coef(trials, x)``.
-
-    Broadcasts over ``x`` and ``p``; callers that evaluate many p at fixed
-    x compute the coefficient once.  xlogy/xlog1py give the correct
-    0*log(0) = 0 limits at p = 0 and p = 1.
-    """
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    return log_coef + special.xlogy(x, p) + special.xlog1py(trials - x, -p)
 
 
 def chi2_1df_sf(t):

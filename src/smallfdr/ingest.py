@@ -199,21 +199,22 @@ _NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
 
 
 def _read_table(path, raw: bytes,
-                expected: str) -> tuple[list[str], tuple[list[str], np.ndarray] | None]:
-    """``(header, (labels, grid))`` for the csv table ``raw`` read from
-    ``path``: its header cells, decoded as UTF-8 less a leading byte-order
-    mark, the row labels below them, stripped, and the value cells parsed by
-    ``float`` into a C-contiguous float64 grid of one row per label.
-    ``(header, None)`` when the row-by-row scan of ``raw`` must name a fault:
-    rows differ in width, a value cell holds an underscore or a non-ASCII
-    character or is not a number, or the csv module refuses a row.  A file
-    with no rows, which should start with ``expected``, raises.  A plain file
-    (no quote, NUL or lone carriage return, as many commas on every line as
-    on the first, no blank label) is split at its commas and line ends
-    without per-line work, as the csv module would.  The comma rule is read
-    from the separator bytes alone, which ``bytes.translate`` keeps in one
-    pass: the first line's run of commas and its line end repeat to the
-    end.  ``raw`` is not copied."""
+                expected: str) -> tuple[int, list[str], tuple[list[str], np.ndarray] | None]:
+    """``(line, header, (labels, grid))`` for the csv table ``raw`` read from
+    ``path``: the header's line and cells, decoded as UTF-8 less a leading
+    byte-order mark, the row labels below them, stripped, and the value
+    cells parsed by ``float`` into a C-contiguous float64 grid of one row
+    per label.  ``(line, header, None)`` when the row-by-row scan of ``raw``
+    must name a fault: rows differ in width, a value cell holds an
+    underscore or a non-ASCII character or is not a number, or the csv
+    module refuses a row.  A file with no rows, which should start with
+    ``expected``, raises.  A plain file (no quote, NUL or lone carriage
+    return, as many commas on every line as on the first, no blank label)
+    is split at its commas and line ends without per-line work, as the csv
+    module would; it holds no blank row, so its header is on line 1.  The
+    comma rule is read from the separator bytes alone, which
+    ``bytes.translate`` keeps in one pass: the first line's run of commas
+    and its line end repeat to the end.  ``raw`` is not copied."""
     try:
         text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as err:
@@ -222,7 +223,7 @@ def _read_table(path, raw: bytes,
     # the commas and line ends in order, the last line ended as the csv module ends it
     seps = raw.translate(None, _NOT_SEPARATORS) + (b"" if ended else b"\n")
     width = seps.index(b"\n") + 1
-    crlf, header = b"\r" in raw, None
+    crlf, line, header = b"\r" in raw, 1, None
     if (
         b'"' not in raw and b"\0" not in raw
         and (not crlf or raw.count(b"\r") == raw.count(b"\r\n"))
@@ -236,32 +237,27 @@ def _read_table(path, raw: bytes,
             header = cells[:width]
     if header is None:
         rows = _numbered_rows(path, raw)
-        header = next(rows, (None, None))[1]  # a refused first row raises here
+        line, header = next(rows, (None, None))  # a refused first row raises here
         if header is None:
             raise TableFormatError(f"{path}: empty file; expected {expected}")
         cells, width = list(header), len(header)
         try:
             for _, row in rows:
                 if len(row) != width:
-                    return header, None
+                    return line, header, None
                 cells += row
         except TableFormatError:  # a refused row, which the scan names
-            return header, None
+            return line, header, None
         labels = list(map(str.strip, cells[width::width]))
     del cells[:width], cells[::width]  # the header, then the labels
     joined = ",".join(cells) if b"_" in raw or not raw.isascii() else ""
     if "_" in joined or not joined.isascii():
-        return header, None  # a cell that _number refuses
+        return line, header, None  # a cell that _number refuses
     try:
         grid = np.fromiter(map(float, cells), float, len(cells))
     except ValueError:
-        return header, None  # a cell that is not a number
-    return header, (labels, grid.reshape(len(labels), width - 1))
-
-
-def _header_fault(path, raw: bytes, fault: str) -> TableFormatError:
-    """The error naming ``fault`` on the header's own line, found by the scan of ``raw``."""
-    return TableFormatError(f"{path}, line {next(_numbered_rows(path, raw))[0]}{fault}")
+        return line, header, None  # a cell that is not a number
+    return line, header, (labels, grid.reshape(len(labels), width - 1))
 
 
 def _number(cell: str) -> float:
@@ -314,21 +310,20 @@ def load_abundance_csv(path) -> AbundanceMatrix:
 
 def _abundance(path, raw: bytes) -> AbundanceMatrix:
     """The abundance table ``raw`` read from ``path``."""
-    header, table = _read_table(path, raw, "a header line")
+    line, header, table = _read_table(path, raw, "a header line")
+    at = f"{path}, line {line}"
     if header[0].strip() != "feature":
-        raise _header_fault(
-            path, raw, f": first header column must be 'feature', got {header[0]!r}"
-        )
+        raise TableFormatError(f"{at}: first header column must be 'feature', got {header[0]!r}")
     subjects = []
     for j, cell in enumerate(header[1:], start=2):
         sid, sep, group = cell.strip().partition(":")
         if not sep or not sid:
-            raise _header_fault(
-                path, raw, f", column {j}: expected '<subject_id>:<case|control>', got {cell!r}"
+            raise TableFormatError(
+                f"{at}, column {j}: expected '<subject_id>:<case|control>', got {cell!r}"
             )
         subjects.append(Subject(sid, group))
-    _check_subjects(subjects, lambda k, message: _header_fault(
-        path, raw, ("" if k is None else f", column {k + 2}") + f": {message}"
+    _check_subjects(subjects, lambda k, message: TableFormatError(
+        at + ("" if k is None else f", column {k + 2}") + f": {message}"
     ))
     if table is not None and not table[0]:
         raise TableFormatError(f"{path}: header only; no feature rows found")
@@ -353,9 +348,9 @@ def load_pvalues_csv(path) -> PValueSet:
 
 def _pvalues(path, raw: bytes) -> PValueSet:
     """The 'id,p' table ``raw`` read from ``path``, as a p-value set."""
-    header, table = _read_table(path, raw, "an 'id,p' header")
+    line, header, table = _read_table(path, raw, "an 'id,p' header")
     if [cell.strip() for cell in header] != ["id", "p"]:
-        raise _header_fault(path, raw, f": expected header 'id,p', got {header!r}")
+        raise TableFormatError(f"{path}, line {line}: expected header 'id,p', got {header!r}")
     if table is not None and not table[0]:
         raise TableFormatError(f"{path}: header only; no p-value rows found")
     if table is not None:

@@ -106,7 +106,9 @@ class PValueSet:
 
     @cached_property
     def ranks(self) -> tuple[int, ...]:
-        return tuple(np.searchsorted(self.sorted_p(), self._p, side="right").tolist())
+        ranks = np.empty_like(self.sorted_ranks())
+        ranks[self.order()] = self.sorted_ranks()
+        return tuple(ranks.tolist())
 
     def order(self) -> np.ndarray:
         """Input indices arranged by ascending rank (a read-only array)."""

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _special as special
-from .confidence import _Curve, _quantile, _range
+from . import confidence
+from .confidence import _quantile, _range
 from .distributions import _check_choice, _check_count, _check_seed, _check_unit
 # Kept as a module attribute: perfbench/tracing.py wraps nfdr.inverse_significance.
 from .confidence import inverse_significance  # noqa: F401
@@ -32,8 +33,9 @@ ESTIMATOR_KINDS = (KIND_MLE, KIND_CORRECTED, KIND_MEAN)
 MEAN_METHODS = ("monte_carlo", "quadrature")
 
 # Relative margin of the Monte Carlo mean's cap screen (``_mean_mc``): it
-# must exceed the curve's rounding, which the log-gamma binomial coefficient
-# dominates (about 3e-9 at N = 10**6), and the 1e-14 of the 0 < C < 1 root.
+# must exceed the curve's rounding, with the saddle-point binomial
+# coefficient up to 6e-12 at N = 10**6 against mpmath, and the 1e-14 of the
+# 0 < C < 1 root.
 # A draw within the margin of the screen's edge is solved, about a share m
 # of the draws.
 _SCREEN_MARGIN = 1e-6
@@ -169,8 +171,8 @@ def _mean_mc(alpha, x, trials, weight, u):
     solve = np.ones(u.shape, dtype=bool)
     if 0.0 < weight < 1.0:
         level = alpha[..., 0] * (1.0 - _SCREEN_MARGIN)
-        curve = _Curve(trials, x[..., 0].ravel(), weight)
-        top = curve(level.ravel()).reshape(level.shape) * (1.0 - _SCREEN_MARGIN)
+        f = confidence._curve(trials, x[..., 0].ravel(), weight, level.ravel())
+        top = f.reshape(level.shape) * (1.0 - _SCREEN_MARGIN)
         solve = ~(u < top[..., None])  # a nan level solves every draw
     pi = _quantile(trials, x[solve], weight, u[solve])
     ratio = np.ones(u.shape)

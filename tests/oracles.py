@@ -373,6 +373,16 @@ def significance_mp(trials: int, x: int, weight: float, pi: float, log_coef: flo
         return tail + weight * mpmath.exp(mpmath.mpf(log_coef)) * power
 
 
+def significance_exact_mp(trials: int, x: int, weight: float, pi: float):
+    """Pr(X > x; pi) + weight * Pr(X = x; pi) in mpmath at 60 digits: the
+    regularized Beta(x + 1, N - x) distribution function at pi (0 at x = N)
+    plus the weighted mass, with the exact binomial coefficient."""
+    with mpmath.workdps(60):
+        p = mpmath.mpf(pi)
+        tail = mpmath.betainc(x + 1, trials - x, 0, p, regularized=True) if x < trials else 0
+        return tail + weight * mpmath.binomial(trials, x) * p**x * (1 - p) ** (trials - x)
+
+
 def textbook_bh(p_values, q: float) -> set[int]:
     """Classic step-up rule; returns the indices of rejected hypotheses."""
     m = len(p_values)

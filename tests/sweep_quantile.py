@@ -43,7 +43,7 @@ from scipy import special
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from smallfdr import confidence  # noqa: E402
-from smallfdr.confidence import _Curve, _quantile  # noqa: E402
+from smallfdr.confidence import _curve, _log_binomial_coef, _quantile  # noqa: E402
 
 from oracles import bisection_quantile, quantile_mp  # noqa: E402
 
@@ -86,7 +86,9 @@ def draw_chunk(rng):
     if on_grid.size:
         level = rng.integers(1, 41, on_grid.size)
         k = 2 * np.floor(rng.random(on_grid.size) * 2.0 ** (level - 1)) + 1
-        u[on_grid] = _Curve(n, x[on_grid], weight)(k / 2.0**level)
+        # the certificate's coefficient, so that a C in {0, 1} level is a tie
+        coef = _log_binomial_coef(n, x[on_grid])
+        u[on_grid] = _curve(n, x[on_grid], weight, k / 2.0**level, coef)
     edges = np.flatnonzero(kind == 4)
     u[edges] = rng.choice([0.0, 0.5, weight, 1.0], edges.size)
     return n, weight, x, u

@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -16,8 +17,7 @@ from smallfdr import (
     significance,
 )
 from smallfdr import _special, confidence
-from smallfdr.confidence import _Curve, _quantile, _range
-from smallfdr.distributions import _log_binomial_coef
+from smallfdr.confidence import _curve, _log_binomial_coef, _quantile, _range
 
 import oracles
 from oracles import quantile_mp
@@ -68,6 +68,36 @@ class TestSignificance:
             )
             got = significance(ConfidenceDistribution(n, x, c), pi)
             assert got == pytest.approx(expected, abs=1e-10)
+
+    def test_matches_mpmath(self):
+        # Within 1e-13 of the exact value, relative to it, wherever that
+        # value is at least about 1e-48; below it the mass is the exp of a
+        # log of size |ln F|, and the bound is 4 |ln F| epsilons.  Values
+        # below the least normal float are left out.
+        pis = [1e-300, 1e-100, 1e-20, 1e-6, 5e-4, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1 - 1e-6]
+        for n in (1, 2, 3, 5, 8, 13, 20, 32, 64, 128, 317, 1000):
+            for x in sorted({0, 1, 2, n // 3, n // 2, n - 1, n} & set(range(n + 1))):
+                for c in (0.0, 0.3, 0.5, 1.0):
+                    cd = ConfidenceDistribution(n, x, c)
+                    for pi in pis:
+                        want = oracles.significance_exact_mp(n, x, c, pi)
+                        if want < _TINY:
+                            continue
+                        bound = max(1e-13, 2.0**-50 * float(-mpmath.log(want)))
+                        assert abs(significance(cd, pi) - want) <= bound * want, (n, x, c, pi)
+        # exact; with a log-gamma binomial coefficient it is 6.2e-13 off
+        assert significance(ConfidenceDistribution(1000, 1, 0.5), 5e-4) == 0.2418556266746804
+
+    @pytest.mark.xfail(
+        raises=AssertionError,
+        strict=True,
+        reason="CHANGES.md:79 (FOUND): betainc gives 0 for a strict tail of about 7e-294, "
+        "a normal float, where pi**(x + 1) underflows",
+    )
+    def test_tail_near_the_least_normal(self):
+        n, x, pi = 503, 485, 0.21686928348852053
+        want = oracles.significance_exact_mp(n, x, 0.0, pi)
+        assert abs(significance(ConfidenceDistribution(n, x, 0.0), pi) - want) <= 1e-13 * want
 
     def test_nondecreasing_and_strict(self):
         grid = np.linspace(0.0, 1.0, 41)
@@ -294,9 +324,11 @@ def _varying_curve(draw, weights):
 def _curve_at_dyadic_point(data, level, n, x, weight):
     """The computed curve at an odd k / 2**level: for C in {0, 1} its root is
     a bisection midpoint whose comparison is a tie, decided only by
-    evaluating there."""
+    evaluating there, so the curve takes the certificate's log-gamma
+    binomial coefficient."""
     k = data.draw(st.integers(0, 2 ** (level - 1) - 1)) * 2 + 1
-    return _Curve(n, np.array([float(x)]), weight)(np.array([k / 2.0**level]))
+    x = np.array([float(x)])
+    return _curve(n, x, weight, np.array([k / 2.0**level]), _log_binomial_coef(n, x))
 
 
 def _edge_level_cases(weight, sample_x):
@@ -334,19 +366,20 @@ def _mp_roots(n, x, weight, u):
 
 def _evaluated_points(monkeypatch):
     """Every pi at which the significance curve is evaluated, one array per
-    call: ``_Curve.terms`` for C in {0, 1}, ``_log_excess`` for 0 < C < 1."""
+    call: ``_curve`` for C in {0, 1} and the Monte Carlo mean's screen,
+    ``_log_excess`` for the 0 < C < 1 solve."""
     points = []
-    terms, log_excess = _Curve.terms, confidence._log_excess
+    curve, log_excess = confidence._curve, confidence._log_excess
 
-    def counted(self, pi):
+    def counted(trials, x, weight, pi, *rest):
         points.append(np.array(pi))
-        return terms(self, pi)
+        return curve(trials, x, weight, pi, *rest)
 
     def counted_excess(trials, x, weight, pi, *rest):
         points.append(np.array(pi))
         return log_excess(trials, x, weight, pi, *rest)
 
-    monkeypatch.setattr(_Curve, "terms", counted)
+    monkeypatch.setattr(confidence, "_curve", counted)
     monkeypatch.setattr(confidence, "_log_excess", counted_excess)
     return points
 
@@ -437,14 +470,15 @@ class TestQuantileMatchesBisection:
         # across the range and down to 1e-200 of either end, and 1e-9 below
         # them.  The binomial coefficient's rounding is shared by every pi of
         # one x (it scales the mass term and leaves the curve monotone), so
-        # the reference takes the computed one.
+        # the curve and the reference both take the certificate's computed
+        # log-gamma one.
         levels = np.array([1e-200, 1e-20, 0.01, 0.5, 1.0 - 1e-6])
         for n in (1, 2, 3, 5, 8, 13, 20, 32, 64, 128, 317, 1000, 2000):
             for x in sorted({0, 1, 2, n // 3, n // 2, n - 1, n} & set(range(n + 1))):
                 if _constant_curve(n, x, weight):
                     continue
                 log_coef = float(_log_binomial_coef(n, x))
-                curve = _Curve(n, np.array([float(x)]), weight)
+                xs = np.array([float(x)])
                 low = weight if x == 0 else 0.0
                 high = weight if x == n else 1.0
                 u = low + (high - low) * levels
@@ -456,7 +490,7 @@ class TestQuantileMatchesBisection:
                         if not 0.0 < pi < 1.0:
                             continue
                         want = oracles.significance_mp(n, x, weight, pi, log_coef)
-                        got = curve(np.array([pi]))[0]
+                        got = _curve(n, xs, weight, np.array([pi]), log_coef)[0]
                         assert abs(got - want) <= bound * want, (n, x, weight, pi)
 
 
@@ -594,7 +628,7 @@ class TestQuantileAccuracy:
         assert np.all(got[1:] >= got[:-1] * (1.0 - 2e-14))
         low, high = _range(n, x, weight)
         inside = (u > low) & (u < high) & (got > 0.0) & (got < 1.0)
-        back = _Curve(n, np.full(inside.sum(), float(x)), weight)(got[inside])
+        back = _curve(n, np.full(inside.sum(), float(x)), weight, got[inside])
         assert np.allclose(back, u[inside], rtol=1e-9, atol=1e-300)
 
 

@@ -22,7 +22,7 @@ from smallfdr import (
     student_t_sf,
 )
 
-from smallfdr.distributions import _log_binomial_coef, _log_binomial_pmf
+from smallfdr.confidence import _log_binomial_coef, _log_binomial_pmf
 
 from oracles import betainc_cf
 
