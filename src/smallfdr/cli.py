@@ -60,9 +60,10 @@ class UsageError(Exception):
 
 
 def _fmt(value) -> str:
+    """One cell or report value: a float to 12 significant digits, None as blank."""
     if isinstance(value, float):
         return format(value, ".12g")
-    return str(value)
+    return "" if value is None else str(value)
 
 
 def _seed(text: str) -> int:
@@ -158,12 +159,9 @@ _CSV_SPECIAL = (",", '"', "\r", "\n")
 _ROWS_PER_WRITE = 8192
 
 
-def _kind(column) -> type | None:
-    """The one type of every cell of a column (float and int for arrays), or None."""
-    if isinstance(column, np.ndarray):
-        return {"f": float, "i": int, "u": int}.get(column.dtype.kind)
-    kinds = set(map(type, column))
-    return kinds.pop() if len(kinds) == 1 else None
+def _kind(column) -> str:
+    """The numpy kind of a column's dtype, or "U" (text) for a sequence that is not an array."""
+    return column.dtype.kind if isinstance(column, np.ndarray) else "U"
 
 
 def _csv_cell(text: str) -> str:
@@ -183,13 +181,18 @@ def _report_id(text: str) -> str:
 
 
 def _csv_column(column) -> tuple[str, object]:
-    """The %-spec that writes a column's cells as _fmt and _csv_cell would, and its values."""
+    """The %-spec that writes a column's cells as _fmt and _csv_cell would, and its values.
+
+    Floats are written to 12 significant digits, integers with %d and text as
+    it is; the cells of any other array, such as an object array, each go
+    through _fmt, which writes None as a blank cell.
+    """
     kind = _kind(column)
-    if kind is float:
+    if kind == "f":
         return "%.12g", column
-    if kind is int:
+    if kind in "iu":
         return "%d", column
-    values = column if kind is str else list(map(_fmt, _values(column)))
+    values = column if kind == "U" else list(map(_fmt, column.tolist()))
     text = "".join(values)
     if any(c in text for c in _CSV_SPECIAL):
         values = list(map(_csv_cell, values))
@@ -197,27 +200,27 @@ def _csv_column(column) -> tuple[str, object]:
 
 
 def _json_column(column) -> tuple[str, object]:
-    """The %-spec that writes a column's cells as json.dump would, "" as null, and its values."""
+    """The %-spec that writes a column's cells as json.dump would, and its values.
+
+    Text cells, the empty one included, are JSON strings; integer arrays and
+    finite float arrays are numbers.  Every other cell goes through
+    json.dumps, so a cell is null only when it is None.
+    """
     kind = _kind(column)
-    if kind is int:
+    if kind in "iu":
         return "%d", column
-    if kind is float and np.isfinite(column).all():
+    if kind == "f" and np.isfinite(column).all():
         return "%r", column
-    values = _values(column)
-    if kind is str and "" not in values:
-        return "%s", list(map(json.encoder.encode_basestring_ascii, values))
-    return "%s", [json.dumps(None if value == "" else value) for value in values]
-
-
-def _values(column):
-    """A column's cells as Python objects."""
-    return column.tolist() if isinstance(column, np.ndarray) else column
+    if kind == "U":
+        return "%s", list(map(json.encoder.encode_basestring_ascii, column))
+    return "%s", list(map(json.dumps, column.tolist()))
 
 
 def _lines(template: str, columns: list):
     """The rows of ``columns`` formatted by ``template``, a few thousand per string."""
     for start in range(0, len(columns[0]), _ROWS_PER_WRITE):
-        cells = [_values(c[start:start + _ROWS_PER_WRITE]) for c in columns]
+        cells = [c[start:start + _ROWS_PER_WRITE] for c in columns]
+        cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in cells]
         yield "".join(map(template.__mod__, zip(*cells)))
 
 
@@ -254,12 +257,16 @@ _NOT_PARAMETERS = ("command", "func", "out", "json")
 def _emit_table(header: list[str], columns: list, args, params=None, inputs=None) -> None:
     """Write a CSV table to --out (with manifest, optional JSON mirror) or stdout.
 
-    ``columns`` holds one sequence or array per header name.  Each row is
-    one %-formatted line, with the bytes csv.writer would write, except that
-    a cell holding a CR is quoted too.  The manifest's parameters are the
-    dict ``params``, by default the flags as parsed, less ``_NOT_PARAMETERS``.
-    The dict ``inputs`` maps each input to its digest, and each output's
-    digest is taken of the bytes as they are written.
+    ``columns`` holds one column per header name, and a column's type sets
+    how its cells are written: a float or integer array holds numbers, a
+    sequence that is not an array (or a string array) holds text, and an
+    object array holds cells of any type, None being the blank cell.  Each
+    row is one %-formatted line, with the bytes csv.writer would write,
+    except that a cell holding a CR is quoted too.  The JSON mirror writes
+    the records as json.dump(records, indent=2) would.  The manifest's
+    parameters are the dict ``params``, by default the flags as parsed, less
+    ``_NOT_PARAMETERS``.  The dict ``inputs`` maps each input to its digest,
+    and each output's digest is taken of the bytes as they are written.
     """
     out = args.out
     if out is None:
@@ -347,7 +354,7 @@ def cmd_simulate(args) -> int:
     metrics.sort(key=lambda row: (row.pi0, row.n, row.estimator))
     fields = ("pi0", "n", "estimator", "rmse", "conservatism_proportion", "bias",
               "replicate_count")
-    columns = [[getattr(row, field) for row in metrics] for field in fields]
+    columns = [np.array([getattr(row, field) for row in metrics]) for field in fields]
     _emit_table(list(fields[:-1]) + ["replicates"], columns, args, asdict(config))
     return EXIT_OK
 
@@ -368,12 +375,12 @@ def cmd_coverage_exact(args) -> int:
             raise UsageError(f"--pi-grid values must lie in [0, 1], got {pi}")
     alpha_column = np.repeat(alphas, len(pis))
     pi_column = np.tile(pis, len(alphas))
-    defined = pi_column >= alpha_column  # the other cells stay blank
-    coverage = np.full(len(alpha_column), "", dtype=object)
+    defined = pi_column >= alpha_column  # the other cells stay None, written blank
+    coverage = np.full(len(alpha_column), None, dtype=object)
     coverage[defined] = exact_small_n_coverage(
         args.n, alpha_column[defined], pi_column[defined], ESTIMATOR_FLAGS[args.estimator]
-    ).tolist()
-    columns = [alpha_column, pi_column, coverage.tolist()]
+    )
+    columns = [alpha_column, pi_column, coverage]
     params = dict(vars(args), alpha_grid=alphas, pi_grid=pis)
     _emit_table(["alpha", "pi", "coverage"], columns, args, params)
     return EXIT_OK
@@ -384,7 +391,7 @@ def cmd_ttest(args) -> int:
     if args.transform == "shift-log":
         matrix = shift_log_transform(matrix)
     pvals = two_sample_t_pvalues(matrix)
-    _emit_table(["id", "p"], [pvals.ids, pvals.p_values], args, inputs=inputs)
+    _emit_table(["id", "p"], [pvals.ids, np.array(pvals.p_values)], args, inputs=inputs)
     return EXIT_OK
 
 

@@ -187,7 +187,7 @@ def _numbered_rows(path, raw: bytes):
     line = 1
     try:
         for row in rows:
-            if any(cell.strip() for cell in row):
+            if any(map(str.strip, row)):
                 yield line, row
             line = rows.line_num + 1
     except csv.Error as err:

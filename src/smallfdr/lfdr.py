@@ -163,7 +163,7 @@ class LfdrResult:
         self.weight = weight
         self.estimates = estimates
         self._raw = estimates[ranks - 1]
-        self._monotone = _running_max(estimates)[ranks - 1]
+        self._monotone = np.maximum.accumulate(estimates)[ranks - 1]
         for column in (p, ranks, capped, estimates, self._raw, self._monotone):
             column.flags.writeable = False
 
@@ -209,14 +209,9 @@ class LfdrResult:
         )
 
 
-def _running_max(estimates: np.ndarray) -> np.ndarray:
-    """Running maximum along the last axis: monotone estimates in rank order."""
-    return np.maximum.accumulate(estimates, axis=-1)
-
-
 def enforce_monotonicity(estimates) -> list[float]:
     """Running maximum in rank order; never decreases any estimate."""
-    return _running_max(np.asarray(list(estimates), dtype=float)).tolist()
+    return np.maximum.accumulate(np.asarray(list(estimates), dtype=float)).tolist()
 
 
 def _tail_weight(kind: str, weight: float | None) -> float | None:

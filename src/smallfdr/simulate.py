@@ -22,7 +22,7 @@ from .distributions import (
     _chi2_1df_isf_arrays,
     chi2_1df_sf,
 )
-from .lfdr import _count_ranks, _rank_estimates, _running_max, _tail_weight
+from .lfdr import _count_ranks, _rank_estimates, _tail_weight
 from .nfdr import ESTIMATOR_KINDS, KIND_MEAN, _estimate
 # Kept as module attributes: perfbench/tracing.py wraps these names in simulate.
 from .lfdr import lfdr_estimates  # noqa: F401
@@ -172,11 +172,12 @@ def run_grid(config: SimulationConfig) -> list[MetricsRow]:
             last = _count_ranks(p_sorted) - 1
             truth_sorted = true_lfdr(p_sorted, pi0, config.delta)
             for est in config.estimators:
-                estimates, _ = _rank_estimates(
+                # the running maximum in rank order; each p-value takes the monotone
+                # estimate of its count rank
+                monotone = np.maximum.accumulate(_rank_estimates(
                     p_sorted, est, None, config.mc_draws, mc_seeds, "monte_carlo"
-                )
-                # each p-value takes the monotone estimate of its count rank
-                diffs = np.take_along_axis(_running_max(estimates), last, axis=-1) - truth_sorted
+                )[0], axis=-1)
+                diffs = np.take_along_axis(monotone, last, axis=-1) - truth_sorted
                 rmse = float(np.mean(np.sqrt(np.mean(diffs**2, axis=axis))))
                 conservatism = float(np.mean(np.mean(diffs >= 0.0, axis=axis)))
                 bias = float(np.mean(np.mean(diffs, axis=axis)))

@@ -394,10 +394,11 @@ def textbook_bh(p_values, q: float) -> set[int]:
     return set(order[:k_star])
 
 
-def _fmt(value) -> str:
+def _fmt(value):
+    """A float to 12 significant digits, None as it is and str() of anything else."""
     if isinstance(value, float):
         return format(value, ".12g")
-    return str(value)
+    return value if value is None else str(value)
 
 
 def _csv_line(cells) -> str:
@@ -416,13 +417,11 @@ def table_text(header, rows) -> tuple[str, str]:
 
     The CSV cells are floats to 12 significant digits and str() of anything
     else, through csv.writer; the mirror is json.dump(records, indent=2) and
-    a newline, one record per row with "" cells as null.
+    a newline, one record per row.  None is the blank cell, which csv.writer
+    writes as an empty cell and json.dump as null; "" stays a string.
     """
     lines = [_csv_line(header)] + [_csv_line([_fmt(v) for v in row]) for row in rows]
-    records = [
-        {key: (None if value == "" else value) for key, value in zip(header, row)}
-        for row in rows
-    ]
+    records = [dict(zip(header, row)) for row in rows]
     return "".join(lines), json.dumps(records, indent=2) + "\n"
 
 

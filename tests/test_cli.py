@@ -19,7 +19,7 @@ from smallfdr.cli import _emit_table, main
 from smallfdr.lfdr import _tail_weight
 from smallfdr.simulate import SimulationConfig, exact_small_n_coverage
 
-from oracles import coverage_fraction, nfdr_scalar, table_text
+from oracles import coverage_fraction, csv_table_rows, nfdr_scalar, table_text
 
 FIXTURE = Path(__file__).parent / "data" / "abundance_20protein.csv"
 
@@ -106,6 +106,18 @@ class TestLfdrCommand:
         mirror = json.loads((tmp_path / "res.json").read_text())
         assert mirror[0]["id"] == "a"
 
+    @pytest.mark.parametrize(
+        "argv", [["lfdr", "--estimator", "mle"], ["bh", "--q", "0.9"]], ids=["lfdr", "bh"]
+    )
+    def test_json_mirror_writes_an_empty_id_as_a_string(self, tmp_path, capsys, argv):
+        src, out = tmp_path / "p.csv", tmp_path / "res.csv"
+        src.write_text("id,p\n,0.5\nb,0.2\n")
+        code, _, _ = run(argv[:1] + [src] + argv[1:] + ["--out", out, "--json"], capsys)
+        assert code == 0
+        mirror = json.loads((tmp_path / "res.json").read_text())
+        assert [record["id"] for record in mirror] == ["b", ""]
+        assert [row[0] for row in csv_table_rows(out)[1:]] == ["b", ""]
+
     def test_manifest_keeps_the_digest_of_the_bytes_parsed(self, tmp_path, monkeypatch):
         # the input is replaced after it was read; the manifest names the bytes
         # the table was computed from, not what the path holds afterwards
@@ -134,6 +146,20 @@ class TestLfdrCommand:
     def test_missing_file_exit_code(self, tmp_path, capsys):
         code, _, err = run(["lfdr", tmp_path / "nope.csv"], capsys)
         assert code == 3
+
+    def test_empty_file_exit_code(self, tmp_path, capsys):
+        src = tmp_path / "p.csv"
+        src.write_bytes(b"")
+        code, out, err = run(["lfdr", src], capsys)
+        assert (code, out) == (3, "")
+        assert err == f"smallfdr: data error: {src}: empty file; expected an 'id,p' header\n"
+
+    def test_no_mc_draws_is_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "p.csv"
+        write_pvalues(src, [("a", 0.01), ("b", 0.4)])
+        code, out, err = run(["lfdr", src, "--mc-draws", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "smallfdr: error: --mc-draws must be at least 1, got 0\n"
 
     def test_digit_group_underscore_exit_code(self, tmp_path, capsys):
         # float would read 0.0_5 as 0.05
@@ -470,6 +496,20 @@ class TestCoverageExactCommand:
         code, out, err = run(["coverage-exact", "--n", "1", "--pi-grid", grid], capsys)
         assert (code, out) == (2, "")
         assert "--pi-grid: non-finite range piece" in err and repr(grid) in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--pi-grid", "0:1"], "--pi-grid: range syntax is start:stop:step, got '0:1'"),
+        (["--pi-grid", "a:1:0.1"], "--pi-grid: non-numeric range piece in 'a:1:0.1'"),
+        (["--pi-grid", "0:1:0"], "--pi-grid: range step must be positive, got 0.0"),
+        (["--pi-grid", " , "], "--pi-grid: empty grid"),
+        (["--alpha-grid", "0"], "--alpha-grid values must lie in (0, 1], got 0.0"),
+        (["--alpha-grid", "1.5"], "--alpha-grid values must lie in (0, 1], got 1.5"),
+        (["--pi-grid", "1.5"], "--pi-grid values must lie in [0, 1], got 1.5"),
+    ])
+    def test_bad_grid_is_usage_error(self, argv, message, capsys):
+        code, out, err = run(["coverage-exact", "--n", "2"] + argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"smallfdr: error: {message}\n"
 
     @pytest.mark.parametrize("argv", [
         ["--alpha-grid", "0.05,0.1,0.05"],
@@ -908,27 +948,33 @@ class TestEmitMatchesRowWriter:
         raw = np.where(np.arange(n) % 3 == 0, np.nan, p * 7)
         raw[1:4] = [np.inf, -np.inf, 1e300]
         flags = np.arange(n) % 2
-        columns = [tuple(self.IDS), p, range(1, n + 1), raw, flags]
+        columns = [tuple(self.IDS), p, np.arange(1, n + 1), raw, flags]
         header = ["id", "p", "rank", "raw_lfdr", "rejected"]
         rows = list(zip(self.IDS, p.tolist(), range(1, n + 1), raw.tolist(), flags.tolist()))
         assert self.emit(tmp_path, header, columns) == self.expected(header, rows)
 
     def test_mixed_cells_as_in_coverage_exact(self, tmp_path):
+        # None is the blank cell in both files; "" is an empty string, "" in the mirror
         rows = [
-            (0.05, 0.01, ""),
+            (0.05, 0.01, None),
             (0.05, 0.5, 0.875),
             (0.5, 0.9, np.float64(0.25)),
             (0.5, 1.0, float("nan")),
             (1.0, 1.0, 1),
             (1.0, 0.2, "x,y"),
+            (1.0, 0.3, ""),
         ]
         header = ["alpha", "pi", "coverage"]
-        assert self.emit(tmp_path, header, list(zip(*rows))) == self.expected(header, rows)
+        alpha, pi, coverage = zip(*rows)
+        columns = [np.array(alpha), np.array(pi), np.array(coverage, dtype=object)]
+        assert self.emit(tmp_path, header, columns) == self.expected(header, rows)
 
     def test_ints_strings_and_empty_table(self, tmp_path):
         rows = [(0.9, 2, "mle", 0.1, 1.0, -0.05, 3), (1.0, 32, "mean", 0.0, 0.5, 0.0, 3)]
         header = ["pi0", "n", "estimator", "rmse", "conservatism_proportion", "bias", "reps"]
-        assert self.emit(tmp_path, header, list(zip(*rows))) == self.expected(header, rows)
+        columns = [column if isinstance(column[0], str) else np.array(column)
+                   for column in zip(*rows)]
+        assert self.emit(tmp_path, header, columns) == self.expected(header, rows)
         empty = self.emit(tmp_path, ["id", "p"], [(), np.empty(0)])
         assert empty == self.expected(["id", "p"], [])
 

@@ -93,6 +93,10 @@ class TestAbundanceMatrix:
         with pytest.raises(ValueError):
             AbundanceMatrix(("f1",), (Subject("a", "case"),), np.zeros((2, 1)))
 
+    def test_requires_a_feature(self):
+        with pytest.raises(ValueError, match="^at least one feature is required$"):
+            tiny_matrix(np.empty((0, 4)))
+
     def test_requires_two_per_group(self):
         with pytest.raises(ValueError):
             tiny_matrix([[1.0, 2.0, 3.0]], groups=("case", "case", "control"))
@@ -254,6 +258,10 @@ class TestTTest:
             pooled_t_statistic([0.1] * 6, [0.6] * 6)
         with pytest.raises(ValueError):
             pooled_t_statistic([2.0, 2.0], [2.0, 2.0, 2.0])
+
+    def test_statistic_needs_two_per_group(self):
+        with pytest.raises(ValueError, match="^each group needs at least two observations$"):
+            pooled_t_statistic([1.0], [2.0, 3.0])
 
     @pytest.mark.parametrize("n_case,n_control", [(3, 5), (8, 9)])
     def test_matches_scipy_ttest_ind(self, n_case, n_control):

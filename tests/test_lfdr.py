@@ -62,6 +62,8 @@ class TestPValueSet:
             pset([0.2, 1.4])
         with pytest.raises(ValueError):
             pset([float("nan")])
+        with pytest.raises(ValueError, match=r"^expected one p-value per id, got shape \(2,\)$"):
+            PValueSet(["a"], [0.1, 0.2])
 
     # each constructor names the first id that repeats an earlier one
     def test_duplicate_ids_from_sequences(self):
@@ -191,6 +193,12 @@ class TestLfdrResultColumns:
         assert res.nfdr_trace == trace
         assert res.raw().tolist() == [r.raw_estimate for r in rows]
         assert res.monotone().tolist() == [r.monotone_estimate for r in rows]
+
+    def test_equality(self):
+        ps = pset([0.01, 0.04, 0.2, 0.5])
+        assert lfdr_estimates(ps, "mle") == lfdr_estimates(ps, "mle")
+        assert lfdr_estimates(ps, "mle") != lfdr_estimates(ps, "corrected_median")
+        assert (lfdr_estimates(ps, "mle") == object()) is False
 
 
 class TestLfdrEstimates:
