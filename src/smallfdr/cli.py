@@ -391,7 +391,7 @@ def cmd_ttest(args) -> int:
     if args.transform == "shift-log":
         matrix = shift_log_transform(matrix)
     pvals = two_sample_t_pvalues(matrix)
-    _emit_table(["id", "p"], [pvals.ids, np.array(pvals.p_values)], args, inputs=inputs)
+    _emit_table(["id", "p"], [pvals.ids, pvals.p], args, inputs=inputs)
     return EXIT_OK
 
 

@@ -327,7 +327,8 @@ def _halley(trials, x, weight, u):
     to the third cumulant, mean + sd (z + skew (z**2 - 1) / 6) with
     z = ndtri(u): mean digamma(a) - digamma(b), variance trigamma(a) +
     trigamma(b) and skewness (polygamma(2, a) - polygamma(2, b)) / sd**3,
-    computed once per distinct x; past the turn of the quadratic in z the
+    computed once per distinct x, which a presence mask over the span of the
+    x present finds without a sort; past the turn of the quadratic in z the
     skew term is dropped.  Bracketed Halley steps in log pi on
     log F - log u (u <= 1/2), or in log(1 - pi) on the log of the
     complementary curve (u > 1/2), refine the start (``_log_excess``); in a
@@ -336,7 +337,12 @@ def _halley(trials, x, weight, u):
     evaluated points halves it instead, and a step shorter than
     _HALLEY_TOL min(pi, 1 - pi) is the last.  A step in pi (u <= 1/2) whose
     end underflows to 0 ends at the least subnormal instead; one that
-    underflows from there is the last and gives 0, the root rounded.
+    underflows from there is the last and gives 0, the root rounded.  The
+    unfinished elements are kept with the u <= 1/2 side first, by one stable
+    sort at the start, so that every mask keyed by the side is two runs
+    rather than a random pattern, on which ``np.where`` is several times
+    slower; each element's steps depend only on its own (x, u), so the order
+    changes no bit.
     """
     pi = np.empty(x.size)
     top, bottom = np.flatnonzero(x == trials), np.flatnonzero(x == 0)
@@ -360,7 +366,14 @@ def _halley(trials, x, weight, u):
     # the skew-corrected start only where 0 < x < N: at x = N, b is the weight, whose
     # digamma overflows when it is subnormal
     interior = np.flatnonzero((x > 0) & (x < trials))
-    distinct, index = np.unique(x[interior], return_inverse=True)
+    # the distinct x and each element's place among them, from a presence mask
+    # over the span of the x present
+    held = x[interior].astype(np.intp)
+    low = held.min(initial=trials)
+    present = np.zeros(held.max(initial=low) + 1 - low, dtype=bool)
+    present[held - low] = True
+    distinct = (low + np.flatnonzero(present)).astype(float)
+    index = (np.cumsum(present) - 1)[held - low]
     a, b = distinct + 1.0 - weight, trials - distinct + weight
     # digamma is psi, the trigamma polygamma(1, .) is the Hurwitz zeta(2, .)
     # and polygamma(2, .) is -2 zeta(3, .)
@@ -378,6 +391,8 @@ def _halley(trials, x, weight, u):
 
     upper = u > 0.5
     index = interior[(u[interior] > 0.0) & (u[interior] < 1.0)]
+    # the u <= 1/2 side first, so that every mask keyed by the side is two runs
+    index = index[np.argsort(upper[index], kind="stable")]
     # the unfinished elements, compacted as they finish
     state = [index, x[index], upper[index], np.where(upper, 1.0 - u, u)[index], log_coef[index]]
     p, lo, hi = pi[index], np.zeros(index.size), np.ones(index.size)

@@ -48,11 +48,11 @@ class PValueSet:
     p-values share the largest rank of their tie group.  The rank order
     sorts by p-value, equal p-values in input order.
 
-    The set holds the ids and one float64 array of p-values.  The rank order
-    is computed once, on first read (``order``, ``sorted_p``, ``sorted_ids``,
-    ``sorted_ranks`` or ``ranks``), so a set whose ranks are never read is
-    never sorted.  The ``p_values`` and ``ranks`` tuples are built on first
-    use.
+    The set holds the ids and ``p``, one read-only float64 array of the
+    p-values in input order.  The rank order is computed once, on first read
+    (``order``, ``sorted_p``, ``sorted_ids``, ``sorted_ranks`` or ``ranks``),
+    so a set whose ranks are never read is never sorted.  The ``p_values``
+    and ``ranks`` tuples are built on first use.
     """
 
     def __init__(self, ids, p_values):
@@ -75,7 +75,8 @@ class PValueSet:
             i = int(np.argmax(bad))
             label, value = self.ids[i], float(p[i])
             raise ValueError(f"p-value for {label!r} must lie in [0, 1], got {value}")
-        self._p = p
+        p.flags.writeable = False
+        self.p = p
 
     @classmethod
     def from_pairs(cls, pairs) -> "PValueSet":
@@ -86,7 +87,7 @@ class PValueSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, PValueSet):
             return NotImplemented
-        return self.ids == other.ids and np.array_equal(self._p, other._p)
+        return self.ids == other.ids and np.array_equal(self.p, other.p)
 
     @property
     def n(self) -> int:
@@ -95,14 +96,14 @@ class PValueSet:
     @cached_property
     def _ranking(self) -> tuple[np.ndarray, np.ndarray]:
         """The rank order, a stable sort by p-value, and the count ranks in that order."""
-        order = np.argsort(self._p, kind="stable")
-        ranks = _count_ranks(self._p[order])
+        order = np.argsort(self.p, kind="stable")
+        ranks = _count_ranks(self.p[order])
         order.flags.writeable = ranks.flags.writeable = False
         return order, ranks
 
     @cached_property
     def p_values(self) -> tuple[float, ...]:
-        return tuple(self._p.tolist())
+        return tuple(self.p.tolist())
 
     @cached_property
     def ranks(self) -> tuple[int, ...]:
@@ -115,7 +116,7 @@ class PValueSet:
         return self._ranking[0]
 
     def sorted_p(self) -> np.ndarray:
-        return self._p[self.order()]
+        return self.p[self.order()]
 
     def sorted_ids(self) -> tuple[str, ...]:
         return self._sorted_ids

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -33,6 +34,10 @@ DEFAULT_N_GRID = (2, 4, 8, 16, 32)
 
 POOLING_POOLED = "pooled"
 POOLING_PER_REPLICATE = "per_replicate"
+
+# The most p-values (replicates times N) that ``run_grid`` solves in one call
+# per estimator; see its docstring.
+_STACK = 2**12
 
 
 @dataclass(frozen=True)
@@ -141,6 +146,21 @@ def true_lfdr(p, pi0: float, delta: float):
     return float(lfdr) if lfdr.ndim == 0 else lfdr
 
 
+def _draw_cell(config: SimulationConfig, i0: int, i1: int, mean: bool):
+    """Sorted p-values, last positions of each count rank's tie group (count
+    rank - 1), oracle values and Monte Carlo seeds of the (pi0, N) cell at
+    grid indices (i0, i1), one row per replicate."""
+    pi0, n = config.pi0_grid[i0], config.n_grid[i1]
+    entropy = [[config.seed, i0, i1, rep] for rep in range(config.replicates)]
+    data_seeds = [np.random.SeedSequence(e, spawn_key=(0,)) for e in entropy]
+    mc_seeds = [
+        int(np.random.SeedSequence(e, spawn_key=(2,)).generate_state(1)[0])
+        for e in entropy
+    ] if mean else []
+    p_sorted = np.sort(chi2_1df_sf(_mixture(data_seeds, n, pi0, config.delta)[1]))
+    return p_sorted, _count_ranks(p_sorted) - 1, true_lfdr(p_sorted, pi0, config.delta), mc_seeds
+
+
 def run_grid(config: SimulationConfig) -> list[MetricsRow]:
     """Evaluate every (pi0, N, estimator) cell of the configured grid.
 
@@ -149,42 +169,49 @@ def run_grid(config: SimulationConfig) -> list[MetricsRow]:
     the children 0 and 2 that ``spawn(3)`` gives, each built directly, and
     the second only when the mean estimator runs.  Only these are drawn
     replicate by replicate; the statistics, sorted p-values, count ranks and
-    oracle values of a cell are computed once on its (replicates, N) stack,
-    and each estimator solves the stack together.  Every value depends only
-    on its own replicate, so the metrics equal those of per-replicate
-    ``generate_dataset`` and ``lfdr_estimates`` calls bit for bit.
-    Estimates are the monotone ones; hypotheses of every rank are pooled,
-    including the trailing ranks whose estimates default to 1.
+    oracle values of a cell are computed once on its (replicates, N) stack.
+    The cells of one N are then stacked, consecutive pi0 cells up to _STACK
+    p-values (rows times N) a stack, a larger cell alone, and each estimator
+    solves a stack in one call, which saves the per-call cost of many small
+    solves; the corrected medians, which depend only on (N, x), are solved
+    once per stack.  The budget bounds a stack's memory by that of the
+    largest cell: a stack's Monte Carlo uniforms stay under about 1.6 MB at
+    100 draws, and with no budget the mean on the 1000-replicate default
+    grid took three times the memory and ran slower.  Every value depends
+    only on its own replicate, so the metrics equal those of per-replicate
+    ``generate_dataset`` and ``lfdr_estimates`` calls bit for bit, and the
+    rows come in (pi0, N, estimator) order.  Estimates are the monotone
+    ones; hypotheses of every rank are pooled, including the trailing ranks
+    whose estimates default to 1.
     """
     # None pools a cell's (replicates, N) errors; 1 takes each replicate's metric
     axis = None if config.pooling == POOLING_POOLED else 1
     mean = KIND_MEAN in config.estimators
-    rows: list[MetricsRow] = []
-    for i0, pi0 in enumerate(config.pi0_grid):
-        for i1, n in enumerate(config.n_grid):
-            entropy = [[config.seed, i0, i1, rep] for rep in range(config.replicates)]
-            data_seeds = [np.random.SeedSequence(e, spawn_key=(0,)) for e in entropy]
-            mc_seeds = [
-                int(np.random.SeedSequence(e, spawn_key=(2,)).generate_state(1)[0])
-                for e in entropy
-            ] if mean else []
-            p_sorted = np.sort(chi2_1df_sf(_mixture(data_seeds, n, pi0, config.delta)[1]))
-            last = _count_ranks(p_sorted) - 1
-            truth_sorted = true_lfdr(p_sorted, pi0, config.delta)
+    cells: dict[tuple, MetricsRow] = {}
+    for i1, n in enumerate(config.n_grid):
+        size = max(1, _STACK // (config.replicates * n))
+        for first in range(0, len(config.pi0_grid), size):
+            stack = range(first, min(first + size, len(config.pi0_grid)))
+            drawn = [_draw_cell(config, i0, i1, mean) for i0 in stack]
+            p_sorted = np.concatenate([cell[0] for cell in drawn])
+            seeds = [seed for cell in drawn for seed in cell[3]]
             for est in config.estimators:
                 # the running maximum in rank order; each p-value takes the monotone
                 # estimate of its count rank
                 monotone = np.maximum.accumulate(_rank_estimates(
-                    p_sorted, est, None, config.mc_draws, mc_seeds, "monte_carlo"
+                    p_sorted, est, None, config.mc_draws, seeds, "monte_carlo"
                 )[0], axis=-1)
-                diffs = np.take_along_axis(monotone, last, axis=-1) - truth_sorted
-                rmse = float(np.mean(np.sqrt(np.mean(diffs**2, axis=axis))))
-                conservatism = float(np.mean(np.mean(diffs >= 0.0, axis=axis)))
-                bias = float(np.mean(np.mean(diffs, axis=axis)))
-                rows.append(
-                    MetricsRow(pi0, n, est, rmse, conservatism, bias, config.replicates)
-                )
-    return rows
+                parts = np.split(monotone, len(stack))
+                for i0, (_, last, truth, _), part in zip(stack, drawn, parts):
+                    diffs = np.take_along_axis(part, last, axis=-1) - truth
+                    rmse = float(np.mean(np.sqrt(np.mean(diffs**2, axis=axis))))
+                    conservatism = float(np.mean(np.mean(diffs >= 0.0, axis=axis)))
+                    bias = float(np.mean(np.mean(diffs, axis=axis)))
+                    cells[i0, i1, est] = MetricsRow(
+                        config.pi0_grid[i0], n, est, rmse, conservatism, bias, config.replicates
+                    )
+    keys = product(range(len(config.pi0_grid)), range(len(config.n_grid)), config.estimators)
+    return [cells[key] for key in keys]
 
 
 def _binomial_cdf(trials, k, pi):

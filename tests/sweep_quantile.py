@@ -24,7 +24,10 @@ give the root to 1e-14 of its size:
   C pi**N and 1 - (1 - C)(1 - pi)**N at x = N and x = 0.  Below 1e-240
   betainc loses digits where pi**x underflows inside it;
 - one element of each chunk with normal u, one below 1e-240 where there is
-  one, is within 1e-14 of ``oracles.quantile_mp``, the mpmath root.
+  one, is within 1e-14 of ``oracles.quantile_mp``, the mpmath root;
+- the chunk solved again in a shuffled order gives the shuffled roots bit
+  for bit.  The shuffles come from their own generator, so the chunks do
+  not depend on them, and their curve evaluations are not counted.
 
 The script also counts the curve evaluations of the 0 < C < 1 solve (the pi
 passed to ``_log_excess``) and prints their mean per 0 < C < 1 element.  It
@@ -160,6 +163,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     rng = np.random.default_rng(args.seed)
+    shuffles = np.random.default_rng([args.seed, 1])
     start = time.perf_counter()
     done, fractional, failures = 0, 0, []
     evaluations = count_evaluations()
@@ -173,6 +177,12 @@ def main(argv=None):
             fractional += x.size
             want = np.full(x.size, np.nan)
             wrong = fractional_failures(n, weight, x, u, got, rng)
+            perm, counted, again = shuffles.permutation(x.size), evaluations[0], np.empty(x.size)
+            again[perm] = _quantile(n, x[perm], weight, u[perm])
+            evaluations[0] = counted
+            moved = np.flatnonzero(again.view(np.int64) != got.view(np.int64))
+            want[moved] = again[moved]
+            wrong = np.union1d(wrong, moved)
         for i in wrong:
             failures.append((n, x[i], weight, float(u[i]), float(got[i]), float(want[i])))
         done += x.size
@@ -186,7 +196,7 @@ def main(argv=None):
         f"({fractional} elements, bound {MAX_EVALUATIONS})"
     )
     for n, x, weight, u, got, want in failures[:SHOWN]:
-        print(f"  N={n} x={x:g} C={weight!r} u={u!r}: {got!r}, bisection {want!r}")
+        print(f"  N={n} x={x:g} C={weight!r} u={u!r}: {got!r}, bisection or shuffled {want!r}")
     return 1 if failures or work > MAX_EVALUATIONS else 0
 
 

@@ -299,6 +299,25 @@ class TestQuantileBatching:
         assert np.all(stacked[0][u[0] < weight] == 0.0)
         assert np.all(stacked[n][u[n] > weight] == 1.0)
 
+    @pytest.mark.parametrize("weight", [0.3, 0.5, 0.9])
+    @pytest.mark.parametrize("n", [1, 2, 32, 1000])
+    def test_fractional_weight_ignores_element_order(self, n, weight):
+        # every x from 0 to N against levels on both sides of 1/2, the ends 0
+        # and 1, 1e-300 and a subnormal: the shuffled batch gives the
+        # shuffled roots bit for bit
+        rng = np.random.default_rng(n)
+        levels = [0.0, 1.0, 0.5, 1e-300, 3e-320, 1.0 - 1e-12]
+        u = np.hstack([
+            np.tile(levels, n + 1),
+            0.5 * rng.random(2 * (n + 1)),
+            0.5 + 0.5 * rng.random(2 * (n + 1)),
+        ])
+        x = np.hstack([np.repeat(np.arange(n + 1.0), len(levels)), np.tile(np.arange(n + 1.0), 4)])
+        roots = _quantile(n, x, weight, u)
+        perm = rng.permutation(x.size)
+        shuffled = _quantile(n, x[perm], weight, u[perm])
+        assert shuffled.tobytes() == roots[perm].tobytes()
+
 
 def _constant_curve(n, x, weight):
     return ((x == 0) & (weight == 1.0)) | ((x == n) & (weight == 0.0))

@@ -55,6 +55,18 @@ class TestPValueSet:
         assert ps.sorted_ranks().tolist() == sorted(ranks)
         assert PValueSet(ids, np.asarray(p_values)) == ps
 
+    def test_p_array_is_read_only_in_input_order(self):
+        given = np.array([0.4, -0.0, 0.1, 1.0])
+        ps = PValueSet(["a", "b", "c", "d"], given)
+        assert ps.p.dtype == np.float64
+        assert ps.p.tolist() == list(ps.p_values) == [0.4, 0.0, 0.1, 1.0]
+        assert not ps.p.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ps.p[0] = 0.5
+        # the caller's array is copied, and stays writable
+        given[0] = 0.9
+        assert ps.p[0] == 0.4
+
     def test_validation(self):
         with pytest.raises(ValueError):
             pset([])

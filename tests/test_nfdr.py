@@ -18,7 +18,7 @@ from smallfdr import (
     sample_parameter,
 )
 
-from smallfdr import lfdr, nfdr
+from smallfdr import lfdr, nfdr, simulate
 from smallfdr.confidence import _curve, _quantile
 from smallfdr.nfdr import _SCREEN_MARGIN, _estimate, _mean_mc
 from smallfdr.simulate import SimulationConfig, exact_small_n_coverage, run_grid
@@ -385,8 +385,14 @@ class TestMeanCapScreen:
 
         monkeypatch.setattr(lfdr, "_mean_mc", record_call)
         monkeypatch.setattr(nfdr, "_quantile", record_solve)
-        run_grid(SimulationConfig(replicates=10, seed=0, estimators=("posterior_mean",)))
-        assert len(calls) == len(solved) == 20
+        config = SimulationConfig(replicates=10, seed=0, estimators=("posterior_mean",))
+        run_grid(config)
+        # one call per stack of the pi0 cells of one N, at most _STACK p-values a
+        # stack: one stack per N here
+        per_stack = [max(1, simulate._STACK // (config.replicates * n)) for n in config.n_grid]
+        stacks = sum(-(-len(config.pi0_grid) // size) for size in per_stack)
+        assert stacks == len(config.n_grid) == 5
+        assert len(calls) == len(solved) == stacks
         skipped = 0
         for (alpha, x, trials, weight, u), got in zip(calls, solved):
             screened = u < screen_top(alpha, x, trials, weight)[..., None]

@@ -16,6 +16,7 @@ from smallfdr import (
     run_grid,
     true_lfdr,
 )
+from smallfdr import simulate
 from smallfdr.cli import _build_parser, _parse_grid
 from smallfdr.lfdr import _tail_weight
 from smallfdr.nfdr import _estimate
@@ -96,6 +97,33 @@ class TestTrueLfdr:
         assert isinstance(true_lfdr(0.3, 0.85, 2.0), float)
 
 
+def _rebuilt_row(cfg, i0, i1, estimator):
+    """The metrics row of one (pi0, N, estimator) cell rebuilt by hand: the data
+    and Monte Carlo streams of each replicate are children 0 and 2 of
+    SeedSequence([seed, i0, i1, replicate]).spawn(3), and each replicate
+    and estimator is one lfdr_estimates call."""
+    pi0, n = cfg.pi0_grid[i0], cfg.n_grid[i1]
+    diffs = []
+    for rep in range(cfg.replicates):
+        k_data, _, k_mc = np.random.SeedSequence([cfg.seed, i0, i1, rep]).spawn(3)
+        ds = generate_dataset(pi0, n, cfg.delta, seed=k_data)
+        pset = PValueSet.from_pairs((f"h{j}", float(p)) for j, p in enumerate(ds.p_values))
+        truth = true_lfdr(ds.p_values, pi0, cfg.delta)[pset.order()]
+        mc_seed = int(k_mc.generate_state(1)[0])
+        estimate = lfdr_estimates(pset, estimator, mc_draws=cfg.mc_draws, seed=mc_seed)
+        diffs.append(estimate.monotone() - truth)
+    if cfg.pooling == "pooled":
+        pooled = np.concatenate(diffs)
+        rmse = float(np.sqrt(np.mean(pooled**2)))
+        bias = float(np.mean(pooled))
+        conservatism = float(np.mean(pooled >= 0))
+    else:
+        rmse = float(np.mean([np.sqrt(np.mean(d**2)) for d in diffs]))
+        bias = float(np.mean([np.mean(d) for d in diffs]))
+        conservatism = float(np.mean([np.mean(d >= 0) for d in diffs]))
+    return MetricsRow(pi0, n, estimator, rmse, conservatism, bias, cfg.replicates)
+
+
 class TestRunGrid:
     def test_determinism_and_shape(self):
         cfg = SimulationConfig(
@@ -135,43 +163,41 @@ class TestRunGrid:
     )
     def test_replicate_streams_follow_documented_split(self, estimators, pooling, pi0, n, delta):
         # rebuild one cell by hand from the (seed, pi0-index, n-index,
-        # replicate-index) splitting contract, the data and Monte Carlo streams
-        # at children 0 and 2 of root.spawn(3), one lfdr_estimates call per
-        # replicate and estimator, and match each row of the batched grid bit
-        # for bit, whether or not the set draws Monte Carlo seeds
-        reps, seed = 8, 33
+        # replicate-index) splitting contract and match each row of the batched
+        # grid bit for bit, whether or not the set draws Monte Carlo seeds
         cfg = SimulationConfig(
-            pi0_grid=(pi0,), n_grid=(n,), delta=delta, replicates=reps, seed=seed,
+            pi0_grid=(pi0,), n_grid=(n,), delta=delta, replicates=8, seed=33,
             estimators=estimators, mc_draws=40, pooling=pooling,
         )
         rows = run_grid(cfg)
         assert [row.estimator for row in rows] == list(estimators)
-        replicates = []
-        for rep in range(reps):
-            root = np.random.SeedSequence([seed, 0, 0, rep])
-            k_data, _, k_mc = root.spawn(3)
-            ds = generate_dataset(pi0, n, delta, seed=k_data)
-            pset = PValueSet.from_pairs((f"h{j}", float(p)) for j, p in enumerate(ds.p_values))
-            truth = true_lfdr(ds.p_values, pi0, delta)[pset.order()]
-            replicates.append((pset, truth, int(k_mc.generate_state(1)[0])))
         for row in rows:
-            diffs = [
-                lfdr_estimates(pset, row.estimator, mc_draws=40, seed=mc_seed).monotone()
-                - truth
-                for pset, truth, mc_seed in replicates
-            ]
-            if pooling == "pooled":
-                pooled = np.concatenate(diffs)
-                rmse = float(np.sqrt(np.mean(pooled**2)))
-                bias = float(np.mean(pooled))
-                conservatism = float(np.mean(pooled >= 0))
-            else:
-                rmse = float(np.mean([np.sqrt(np.mean(d**2)) for d in diffs]))
-                bias = float(np.mean([np.mean(d) for d in diffs]))
-                conservatism = float(np.mean([np.mean(d >= 0) for d in diffs]))
-            assert (row.rmse, row.bias, row.conservatism_proportion) == (
-                rmse, bias, conservatism
-            )
+            assert row == _rebuilt_row(cfg, 0, 0, row.estimator)
+
+    @pytest.mark.parametrize("pooling", ["pooled", "per_replicate"])
+    @pytest.mark.parametrize("delta", [2.0, 2000.0], ids=["untied", "ties"])
+    def test_stacked_cells_follow_documented_split(self, monkeypatch, pooling, delta):
+        # a 3 x 2 grid whose N = 3 cells split into a stack of two and one of
+        # one, and whose N = 16 cells each run alone; every row is rebuilt from
+        # its own streams and the rows keep the (pi0, N, estimator) order
+        reps = 8
+        monkeypatch.setattr(simulate, "_STACK", 2 * reps * 3)
+        stacks, rank_estimates = [], simulate._rank_estimates
+
+        def record(p_sorted, kind, *args):
+            stacks.append((kind, p_sorted.shape))
+            return rank_estimates(p_sorted, kind, *args)
+
+        monkeypatch.setattr(simulate, "_rank_estimates", record)
+        cfg = SimulationConfig(
+            pi0_grid=(1.0, 0.5, 0.75), n_grid=(3, 16), delta=delta, replicates=reps, seed=7,
+            mc_draws=40, pooling=pooling,
+        )
+        rows = run_grid(cfg)
+        shapes = [(2 * reps, 3), (reps, 3)] + [(reps, 16)] * 3
+        assert stacks == [(est, shape) for shape in shapes for est in cfg.estimators]
+        keys = [(i0, i1, est) for i0 in range(3) for i1 in range(2) for est in cfg.estimators]
+        assert rows == [_rebuilt_row(cfg, *key) for key in keys]
 
     def test_per_replicate_pooling_mode(self):
         base = dict(pi0_grid=(0.5,), n_grid=(8,), replicates=12, seed=44)
